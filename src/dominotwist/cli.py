@@ -341,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="emit a single CommandResult JSON object")
-        p.add_argument("--threads", type=int, default=0, metavar="T",
-                       help="worker cap (results are identical for any T)")
 
     p = sub.add_parser("count", help="number of tilings of a region")
     p.add_argument("--region", required=True)
@@ -432,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return 1
     start = time.perf_counter()
     try:
         result: CommandResult = args.func(args)

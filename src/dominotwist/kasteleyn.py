@@ -14,6 +14,7 @@ in the canonical labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 import numpy as np
@@ -111,11 +112,9 @@ class SignSystem:
         return SignSystem(self.region, signs)
 
 
+@lru_cache(maxsize=8)
 def _twist_tables(region: Region):
-    """Per-region tables for twist evaluation (cached on the region object)."""
-    cached = getattr(region, "_twist_tables", None)
-    if cached is not None:
-        return cached
+    """Per-region tables for twist evaluation, shared by equal regions."""
     if not region.balanced:
         raise KasteleynError("twist needs a balanced region")
     black = np.array(region.black_cells, dtype=np.int64)
@@ -127,9 +126,7 @@ def _twist_tables(region: Region):
         for j in region.neighbors[i]:
             if canonical_sign(region, region.cells[i], region.cells[j]) < 0:
                 neg_bit[r, wr[j]] = 1
-    tables = (black, wr, neg_bit)
-    region._twist_tables = tables
-    return tables
+    return black, wr, neg_bit
 
 
 def permutation_of(tiling: Tiling) -> list[int]:
@@ -140,6 +137,8 @@ def permutation_of(tiling: Tiling) -> list[int]:
 
 
 def inversion_count(seq) -> int:
+    """Exact number of inversions of a sequence; the scalar reference for
+    inversion_parity."""
     # b stays small in the exact paths, the quadratic loop is fine
     inv = 0
     for x in range(len(seq)):
@@ -148,6 +147,16 @@ def inversion_count(seq) -> int:
             if sx > seq[y]:
                 inv += 1
     return inv
+
+
+def inversion_parity(rows: np.ndarray) -> np.ndarray:
+    """Inversion parity of each row of a 2-D array, as uint8 0/1."""
+    acc = np.zeros(len(rows), dtype=np.uint8)
+    for i in range(rows.shape[1]):
+        ri = rows[:, i]
+        for j in range(i + 1, rows.shape[1]):
+            acc ^= ri > rows[:, j]
+    return acc
 
 
 def twist(tiling: Tiling) -> int:
@@ -169,12 +178,9 @@ def twist_batch(region: Region, states: list[bytes], chunk: int = 1 << 18) -> np
         part = states[lo:lo + chunk]
         P = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(len(part), n)
         S = wr[P[:, black]].astype(np.uint8)
-        acc = np.zeros(len(part), dtype=np.uint8)
+        acc = inversion_parity(S)
         for i in range(b):
-            si = S[:, i]
-            for j in range(i + 1, b):
-                acc ^= si > S[:, j]
-            acc ^= neg_bit[i, si]
+            acc ^= neg_bit[i, S[:, i]]
         out[lo:lo + len(part)] = acc
     return out
 

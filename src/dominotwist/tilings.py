@@ -140,9 +140,22 @@ def tiling_from_json_obj(obj, region: Region | None = None) -> Tiling:
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise TilingError("expected a tiling object with version 1")
     if region is None:
+        if not isinstance(obj.get("region"), str):
+            raise TilingError("tiling object needs a 'region' spec string")
         region = parse_region_spec(obj["region"])
-    pairs = [(tuple(b), tuple(w)) for b, w in obj["dominoes"]]
+    dominoes = obj.get("dominoes")
+    if not isinstance(dominoes, list) or not all(
+            isinstance(d, list) and len(d) == 2 and all(_is_int_cell(c) for c in d)
+            for d in dominoes):
+        raise TilingError("'dominoes' must be a list of [cell, cell] pairs"
+                          " of integer coordinates")
+    pairs = [(tuple(b), tuple(w)) for b, w in dominoes]
     return Tiling.from_dominoes(region, pairs)
+
+
+def _is_int_cell(cell) -> bool:
+    return isinstance(cell, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in cell)
 
 
 def tiling_from_json(text: str, region: Region | None = None) -> Tiling:

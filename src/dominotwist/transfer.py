@@ -24,10 +24,11 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kasteleyn import _edge_sign_by_index, inversion_count
+from .kasteleyn import _edge_sign_by_index, inversion_count, inversion_parity
 from .regions import Region, region_spec
 from .tilings import Tiling, enumerate_tilings
 
@@ -67,28 +68,28 @@ def enumerate_plugs(base: Region) -> list[int]:
 
 
 class _BaseTables:
-    """Per-base lookup tables for transfer construction.
+    """Per-base plugs and lookup tables, and the one row kernel of A and At.
 
     count_table[m] counts tilings of the cells in mask m using only
     in-base dominoes; signed_table[m] is the corresponding sum of
     (-1)^(tk + inv(sigma)), equal to the Kasteleyn submatrix determinant
     on the mask's black rows and white columns taken in label order.
+    bproj/wproj hold each plug's bits at the black/white cells, packed in
+    label order; they index the parity table of plug-pair inversions.
     """
 
     def __init__(self, base: Region):
         self.base = base
-        nc = len(base.cells)
-        self.full = (1 << nc) - 1
-        self.black_bits = sum(1 << i for i in base.black_cells)
-        self.white_bits = sum(1 << i for i in base.white_cells)
-        self.count_table = self._build_count_table()
-        self.signed_table = self._build_signed_table()
-        self.parity_bl = self._build_parity_table(base.black_cells)
-        self.parity_wh = self._build_parity_table(base.white_cells)
+        self.plugs = enumerate_plugs(base)  # checks the base before any 2^n table
+        self.plugs_np = np.array(self.plugs, dtype=np.int64)
+        self.full = (1 << len(base.cells)) - 1
+        self.k = len(base.black_cells)
+        self.bproj = _project(self.plugs_np, base.black_cells)
+        self.wproj = _project(self.plugs_np, base.white_cells)
 
-    def _build_count_table(self) -> np.ndarray:
-        base = self.base
-        nbrs = base.neighbors
+    @cached_property
+    def count_table(self) -> np.ndarray:
+        nbrs = self.base.neighbors
         table = [0] * (self.full + 1)
         table[0] = 1
         for m in range(1, self.full + 1):
@@ -101,20 +102,22 @@ class _BaseTables:
             table[m] = acc
         return np.array(table, dtype=np.int64)
 
-    def _build_signed_table(self) -> np.ndarray:
+    @cached_property
+    def signed_table(self) -> np.ndarray:
         base = self.base
         nbrs = base.neighbors
         colors = base.colors
+        white_bits = sum(1 << i for i in base.white_cells)
         wr_below = [0] * len(base.cells)
         for w in base.white_cells:
-            wr_below[w] = self.white_bits & ((1 << w) - 1)
+            wr_below[w] = white_bits & ((1 << w) - 1)
         sign_of = {}
         for i in base.black_cells:
             for j in nbrs[i]:
                 sign_of[(i, j)] = _edge_sign_by_index(base, i, j)
         table = [0] * (self.full + 1)
         table[0] = 1
-        black_bits = self.black_bits
+        black_bits = self.full ^ white_bits
         for m in range(1, self.full + 1):
             mb = m & black_bits
             if not mb:
@@ -133,46 +136,49 @@ class _BaseTables:
             table[m] = acc
         return np.array(table, dtype=np.int64)
 
-    def _build_parity_table(self, colored_cells: list[int]) -> np.ndarray:
-        """parity[(a << k) | c] = inversion parity of h = [i in c] - [i in a]
-        over the labels of one color, for disjoint position masks a, c."""
-        k = len(colored_cells)
-        table = np.zeros(1 << (2 * k), dtype=np.int8)
-        for a in range(1 << k):
-            rest = ((1 << k) - 1) ^ a
-            c = rest
-            while True:
-                h = [0] * k
-                for r in range(k):
-                    if a >> r & 1:
-                        h[r] = -1
-                    elif c >> r & 1:
-                        h[r] = 1
-                inv = 0
-                for r0 in range(k):
-                    for r1 in range(r0 + 1, k):
-                        if h[r0] > h[r1]:
-                            inv += 1
-                table[(a << k) | c] = inv & 1
-                if c == 0:
-                    break
-                c = (c - 1) & rest
-        return table
-
-    def project(self, mask: int, colored_cells: list[int]) -> int:
-        out = 0
-        for r, i in enumerate(colored_cells):
-            if mask >> i & 1:
-                out |= 1 << r
-        return out
+    def row(self, i: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Nonzero columns and entries of plug i's row of At if signed, else A."""
+        p = self.plugs[i]
+        cols = np.flatnonzero((self.plugs_np & p) == 0)
+        rest = self.full ^ (p | self.plugs_np[cols])
+        if signed:
+            vals = self.signed_table[rest]
+            k, par = self.k, _parity_table(self.k)
+            flip = (par[(self.bproj[i] << k) | self.bproj[cols]]
+                    ^ par[(self.wproj[i] << k) | self.wproj[cols]])
+            vals[flip == 1] *= -1
+        else:
+            vals = self.count_table[rest]
+        live = vals != 0
+        return cols[live], vals[live]
 
 
+def _project(plugs: np.ndarray, colored_cells: tuple[int, ...]) -> np.ndarray:
+    """Each plug's bits at the given cells, packed in label order."""
+    out = np.zeros_like(plugs)
+    for r, i in enumerate(colored_cells):
+        out |= (plugs >> i & 1) << r
+    return out
+
+
+@lru_cache(maxsize=4)
+def _parity_table(k: int) -> np.ndarray:
+    """table[(a << k) | c] = inversion parity of h = [r in c] - [r in a] over
+    k labels of one color, for disjoint label masks a and c (other entries 0).
+
+    Both colors of a balanced base have k labels, so one table serves both."""
+    labels = np.arange(k, dtype=np.int32)  # narrow dtypes keep the build's peak RSS small
+    h = (np.arange(3 ** k, dtype=np.int32)[:, None] // 3 ** labels % 3 - 1).astype(np.int8)
+    a = (h < 0) @ (1 << labels)
+    c = (h > 0) @ (1 << labels)
+    table = np.zeros(1 << (2 * k), dtype=np.int8)
+    table[(a << k) | c] = inversion_parity(h)
+    return table
+
+
+@lru_cache(maxsize=8)
 def _base_tables(base: Region) -> _BaseTables:
-    cached = getattr(base, "_transfer_tables", None)
-    if cached is None:
-        cached = _BaseTables(base)
-        base._transfer_tables = cached
-    return cached
+    return _BaseTables(base)
 
 
 @dataclass
@@ -242,50 +248,26 @@ def _dense(rows: list[list[tuple[int, int]]], n: int) -> list[list[int]]:
 
 def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferMatrices:
     """Construct A and At for a base region."""
-    plugs = enumerate_plugs(base)
+    tables = _base_tables(base)
+    plugs = list(tables.plugs)
     if len(plugs) > max_plugs:
         raise TransferError(
             f"{len(plugs)} plugs exceeds the matrix limit {max_plugs};"
             " use the matrix-free cylinder queries for large bases")
-    tables = _base_tables(base)
-    full = tables.full
-    plugs_np = np.array(plugs, dtype=np.int64)
-    blacks = base.black_cells
-    whites = base.white_cells
-    nb = len(blacks)
-    bproj = np.array([tables.project(p, blacks) for p in plugs], dtype=np.int64)
-    wproj = np.array([tables.project(p, whites) for p in plugs], dtype=np.int64)
     rows_count: list[list[tuple[int, int]]] = []
     rows_signed: list[list[tuple[int, int]]] = []
-    for i, p in enumerate(plugs):
-        disjoint = (plugs_np & p) == 0
-        cols = np.nonzero(disjoint)[0]
-        rest = full ^ (p | plugs_np[cols])
-        counts = tables.count_table[rest]
-        keep = counts != 0
-        cols = cols[keep]
-        counts = counts[keep]
-        rest = rest[keep]
-        rows_count.append(list(zip(cols.tolist(), counts.tolist())))
-        signed = tables.signed_table[rest].copy()
-        par = (tables.parity_bl[(bproj[i] << nb) | bproj[cols]]
-               ^ tables.parity_wh[(wproj[i] << nb) | wproj[cols]])
-        signed[par == 1] *= -1
-        live = signed != 0
-        rows_signed.append(list(zip(cols[live].tolist(), signed[live].tolist())))
+    for i in range(len(plugs)):
+        for rows, signed in ((rows_count, False), (rows_signed, True)):
+            cols, vals = tables.row(i, signed)
+            rows.append(list(zip(cols.tolist(), vals.tolist())))
     plug_index = {p: i for i, p in enumerate(plugs)}
     return TransferMatrices(base, plugs, plug_index, rows_count, rows_signed)
 
 
-_TRANSFER_CACHE: dict[Region, TransferMatrices] = {}
-
-
+@lru_cache(maxsize=4)
 def get_transfer(base: Region) -> TransferMatrices:
-    tm = _TRANSFER_CACHE.get(base)
-    if tm is None:
-        tm = build_transfer(base)
-        _TRANSFER_CACHE[base] = tm
-    return tm
+    """build_transfer(base), cached for the most recently used bases."""
+    return build_transfer(base)
 
 
 # ---------------------------------------------------------------- floors
@@ -319,16 +301,8 @@ def _check_plug(base: Region, mask: int) -> None:
 
 def plug_inversions(base: Region, p0: int, p1: int) -> tuple[int, int]:
     """Exact (inv_bl, inv_wh) inversion counts for an ordered plug pair."""
-    out = []
-    for cells in (base.black_cells, base.white_cells):
-        h = [(p1 >> i & 1) - (p0 >> i & 1) for i in cells]
-        inv = 0
-        for r0 in range(len(h)):
-            for r1 in range(r0 + 1, len(h)):
-                if h[r0] > h[r1]:
-                    inv += 1
-        out.append(inv)
-    return tuple(out)
+    return tuple(inversion_count([(p1 >> i & 1) - (p0 >> i & 1) for i in cells])
+                 for cells in (base.black_cells, base.white_cells))
 
 
 def floor_twist_pairs(base: Region, p0: int, p1: int,
@@ -415,24 +389,28 @@ def power_vector(rows: list[list[tuple[int, int]]], start: int, n: int,
     return vec
 
 
-def cylinder_count(base: Region, floors: int) -> int:
-    """Number of tilings of base x [0, floors]."""
+def _corner_entry(base: Region, floors: int, signed: bool) -> int:
+    """(M^floors)[empty][empty] for M = At if signed, else A.
+
+    Materialized sparse powers up to MAX_MATRIX_PLUGS plugs, streamed rows
+    above (materializing the 16-cell bases costs several hundred MB)."""
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
-    if len(enumerate_plugs(base)) <= MAX_MATRIX_PLUGS:
-        tm = get_transfer(base)
-        return power_vector(tm.rows_count, 0, floors, tm.size)[0]
-    return _matrix_free_entry(base, floors, signed=False)
+    tables = _base_tables(base)
+    if len(tables.plugs) > MAX_MATRIX_PLUGS:
+        return _matrix_free_entry(tables, floors, signed)
+    tm = get_transfer(base)
+    return power_vector(tm.rows_signed if signed else tm.rows_count, 0, floors, tm.size)[0]
+
+
+def cylinder_count(base: Region, floors: int) -> int:
+    """Number of tilings of base x [0, floors]."""
+    return _corner_entry(base, floors, signed=False)
 
 
 def cylinder_defect(base: Region, floors: int) -> int:
     """Twist-0 count minus twist-1 count for base x [0, floors]."""
-    if floors < 0:
-        raise TransferError("floor count must be nonnegative")
-    if len(enumerate_plugs(base)) <= MAX_MATRIX_PLUGS:
-        tm = get_transfer(base)
-        return power_vector(tm.rows_signed, 0, floors, tm.size)[0]
-    return _matrix_free_entry(base, floors, signed=True)
+    return _corner_entry(base, floors, signed=True)
 
 
 def cork_count(base: Region, floors: int, p0: int, p_top: int) -> int:
@@ -487,41 +465,24 @@ def count_with_few_vertical_floors(base: Region, floors: int, bound: int) -> int
     return sum(layer[0] for layer in layers)
 
 
-def _matrix_free_entry(base: Region, floors: int, signed: bool) -> int:
-    """(M^floors)[empty][empty] without materializing M, for large plug sets.
+def _matrix_free_entry(tables: _BaseTables, floors: int, signed: bool) -> int:
+    """(M^floors)[empty][empty], streaming the rows of M from the row kernel.
 
     Runs in int64; raises if an overflow bound is hit."""
-    plugs = enumerate_plugs(base)
-    tables = _base_tables(base)
-    full = tables.full
-    plugs_np = np.array(plugs, dtype=np.int64)
+    n = len(tables.plugs)
     value_table = tables.signed_table if signed else tables.count_table
     max_entry = int(np.abs(value_table).max())
-    if signed:
-        blacks, whites = base.black_cells, base.white_cells
-        nb = len(blacks)
-        bproj = np.array([tables.project(p, blacks) for p in plugs], dtype=np.int64)
-        wproj = np.array([tables.project(p, whites) for p in plugs], dtype=np.int64)
-    vec = np.zeros(len(plugs), dtype=np.int64)
+    vec = np.zeros(n, dtype=np.int64)
     vec[0] = 1
     for _ in range(floors):
-        bound = int(np.abs(vec).max()) * max_entry * len(plugs)
+        bound = int(np.abs(vec).max()) * max_entry * n
         if bound >= 1 << 62:
             raise TransferError(
                 "matrix-free power exceeds the int64 budget; reduce floors"
                 " or use a base small enough for exact matrix powers")
         new = np.zeros_like(vec)
-        for i in np.nonzero(vec)[0]:
-            i = int(i)
-            p = plugs[i]
-            disjoint = (plugs_np & p) == 0
-            cols = np.nonzero(disjoint)[0]
-            rest = full ^ (p | plugs_np[cols])
-            vals = value_table[rest].copy()
-            if signed:
-                par = (tables.parity_bl[(bproj[i] << nb) | bproj[cols]]
-                       ^ tables.parity_wh[(wproj[i] << nb) | wproj[cols]])
-                vals[par == 1] *= -1
+        for i in np.flatnonzero(vec).tolist():
+            cols, vals = tables.row(i, signed)
             new[cols] += vec[i] * vals
         vec = new
     return int(vec[0])
@@ -622,24 +583,35 @@ def load_transfer_cache(path: str, base: Region | None = None) -> TransferMatric
         raw = fh.read()
     if raw[:4] != b"DTRC":
         raise TransferError(f"{path}: not a transfer cache file")
+    if len(raw) < 8:
+        raise TransferError(f"{path}: truncated transfer cache")
     version = struct.unpack("<I", raw[4:8])[0]
     if version != CACHE_FORMAT_VERSION:
         raise TransferError(f"{path}: cache format {version} unsupported")
-    data = zlib.decompress(raw[8:])
-    off = 4
-    hlen = struct.unpack("<I", data[:4])[0]
-    header = json.loads(data[off:off + hlen])
-    off += hlen
-    n = header["plugs"]
-    plugs = list(struct.unpack_from("<%dq" % n, data, off))
-    off += 8 * n
-    if base is not None and header["base"] != region_spec(base):
+    try:
+        spec, plugs, matrices = _read_cache_body(zlib.decompress(raw[8:]))
+    except (zlib.error, struct.error, ValueError, KeyError, TypeError) as e:
+        raise TransferError(f"{path}: corrupt transfer cache: {e}") from None
+    if base is not None and spec != region_spec(base):
         raise TransferError(
-            f"{path}: cache was built for {header['base']},"
-            f" not {region_spec(base)}")
+            f"{path}: cache was built for {spec}, not {region_spec(base)}")
     if base is None:
         from .regions import parse_region_spec
-        base = parse_region_spec(header["base"])
+        base = parse_region_spec(spec)
+    plug_index = {p: i for i, p in enumerate(plugs)}
+    return TransferMatrices(base, plugs, plug_index, matrices[0], matrices[1])
+
+
+def _read_cache_body(data: bytes):
+    """(base spec, plugs, [count rows, signed rows]) from a decompressed cache."""
+    hlen = struct.unpack_from("<I", data)[0]
+    header = json.loads(data[4:4 + hlen])
+    spec, n = header["base"], header["plugs"]
+    if not isinstance(spec, str) or not isinstance(n, int) or n < 0:
+        raise ValueError("bad header")
+    off = 4 + hlen
+    plugs = list(struct.unpack_from("<%dq" % n, data, off))
+    off += 8 * n
     matrices = []
     for _ in range(2):
         count = struct.unpack_from("<q", data, off)[0]
@@ -648,7 +620,8 @@ def load_transfer_cache(path: str, base: Region | None = None) -> TransferMatric
         for _ in range(count):
             i, j, v = struct.unpack_from("<iiq", data, off)
             off += 16
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) outside {n} plugs")
             rows[i].append((j, v))
         matrices.append(rows)
-    plug_index = {p: i for i, p in enumerate(plugs)}
-    return TransferMatrices(base, plugs, plug_index, matrices[0], matrices[1])
+    return spec, plugs, matrices

@@ -205,7 +205,7 @@ def test_criterion_09_gauge_changes_shift_all_signs_together():
     region = make_box((2, 2, 2, 2))
     for seed in range(100):
         system = SignSystem.random_system(region, seed)
-        assert system.is_valid
+        assert system.is_valid()
         rep = gauge_twist_comparison(region, system)
         assert rep.consistent
         assert rep.epsilon in (1, -1)

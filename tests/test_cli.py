@@ -263,16 +263,6 @@ def test_json_output_deterministic():
     assert len(outs) == 1
 
 
-def test_threads_flag_never_changes_results():
-    payloads = []
-    for t in ("0", "4"):
-        code, obj = run_json(["count", "--region", "cyl:2,2,2xN=3",
-                              "--threads", t])
-        assert code == 0
-        payloads.append(obj["payload"])
-    assert payloads[0] == payloads[1] == {"count": 6345, "method": "transfer"}
-
-
 def test_bad_region_spec_is_error():
     code, obj = run_json(["count", "--region", "box:0,2"])
     assert code == 1
@@ -285,6 +275,29 @@ def test_missing_tiling_file_is_error(tmp_path):
     code, obj = run_json(["twist", "--tiling", str(tmp_path / "nope.txt")])
     assert code == 1
     assert obj["status"] == "error"
+
+
+@pytest.mark.parametrize("obj", [
+    {"version": 1},
+    {"version": 1, "region": 5, "dominoes": []},
+    {"version": 1, "region": "box:2,2"},
+    {"version": 1, "region": "box:2,2", "dominoes": 5},
+    {"version": 1, "region": "box:2,2", "dominoes": [[0, 0], [1, 0]]},
+    {"version": 1, "region": "box:2,2", "dominoes": [[[0, 0], [1, 0], [0, 1]]]},
+    {"version": 1, "region": "box:2,2",
+     "dominoes": [[[0, 0], [1, 0]], [[0, 1.0], [1, 1]]]},
+    {"version": 1, "region": "box:2,2",
+     "dominoes": [[[0, 0], [1, 0]], [[0, "1"], [1, 1]]]},
+], ids=["no-region", "region-not-spec", "no-dominoes", "dominoes-not-list",
+        "domino-not-pair", "domino-three-cells", "float-coordinate",
+        "string-coordinate"])
+def test_malformed_json_tiling_is_error(tmp_path, obj):
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(["twist", "--tiling", str(f), "--json"])
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+    assert "Traceback" not in err
 
 
 def test_text_mode_prints_fields():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from dominotwist.kasteleyn import (
     defect_by_enumeration,
     gauge_twist_comparison,
     inversion_count,
+    inversion_parity,
     sign_matrix,
     signed_det_term,
     twist,
@@ -46,6 +48,15 @@ def test_inversion_count_matches_bruteforce():
         brute = sum(1 for i in range(4) for j in range(i + 1, 4)
                     if perm[i] > perm[j])
         assert inversion_count(list(perm)) == brute
+
+
+def test_inversion_parity_matches_inversion_count():
+    import itertools
+    perms = np.array(list(itertools.permutations(range(5))))
+    rows = np.random.default_rng(7).integers(-1, 2, size=(500, 9))
+    for batch in (perms, rows):
+        want = [inversion_count(list(r)) % 2 for r in batch]
+        assert inversion_parity(batch).tolist() == want
 
 
 def test_vertical_tiling_twist_zero():

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from dominotwist.kasteleyn import defect_by_enumeration, twist
 from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
+    _base_tables,
+    _parity_table,
     TransferError,
     build_transfer,
     cork_count,
@@ -114,6 +117,21 @@ def test_atilde_symmetric():
         for i in range(n):
             for j in range(i):
                 assert m[i][j] == m[j][i]
+
+
+def test_parity_table_matches_plug_inversions():
+    # the one cached table per label count k, looked up by both colors'
+    # projections, gives the parity of the exact scalar counts
+    for base in (B222, B223):
+        tables = _base_tables(base)
+        k, par = tables.k, _parity_table(tables.k)
+        for i, p0 in enumerate(tables.plugs):
+            cols = np.flatnonzero((tables.plugs_np & p0) == 0)
+            got = zip(par[(tables.bproj[i] << k) | tables.bproj[cols]].tolist(),
+                      par[(tables.wproj[i] << k) | tables.wproj[cols]].tolist())
+            want = [tuple(inv % 2 for inv in plug_inversions(base, p0, tables.plugs[j]))
+                    for j in cols.tolist()]
+            assert list(got) == want
 
 
 def test_plug_inversions_identity_disjoint_pairs():
@@ -236,6 +254,19 @@ def test_cache_rejects_wrong_base(tmp_path):
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "junk.dtrc"
     path.write_bytes(b"NOPE" + b"\0" * 16)
+    with pytest.raises(TransferError):
+        load_transfer_cache(str(path))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:len(raw) // 2],
+    lambda raw: raw[:8] + b"\x78\x9c" + b"\xff" * (len(raw) - 10),
+    lambda raw: raw[:4],
+], ids=["half-length", "bad-zlib-body", "four-bytes"])
+def test_cache_rejects_corrupt_file(tmp_path, corrupt):
+    path = tmp_path / "b222.dtrc"
+    save_transfer_cache(get_transfer(B222), str(path))
+    path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(TransferError):
         load_transfer_cache(str(path))
 
