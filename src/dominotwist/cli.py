@@ -21,7 +21,7 @@ from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
 from .moves import DEFAULT_BUDGET, Connectivity, connected_with_padding, flip_components
 from .regions import Region, RegionError, parse_region_spec, region_spec
-from .tilings import Tiling, TilingError, count_tilings, tiling_from_text
+from .tilings import Tiling, TilingError, _is_int_cell, count_tilings, tiling_from_text
 from .transfer import (
     TransferError,
     cylinder_count,
@@ -59,30 +59,57 @@ def _fail(command: str, message: str, region: str | None = None) -> CommandResul
     return CommandResult(command, region, {"message": message}, status="error")
 
 
-def _read_tiling(path: str) -> Tiling:
+# An error result names the region of the first region, tiling or path
+# argument the command read, kept on the parsed arguments as named_region;
+# a region spec that does not parse is named as given.
+
+def _name_region(args, spec: str) -> None:
+    if getattr(args, "named_region", None) is None:
+        args.named_region = spec
+
+
+def _region_arg(args, text: str) -> Region:
+    args.named_region = text.strip()
+    region = parse_region_spec(text)
+    args.named_region = region_spec(region)
+    return region
+
+
+def _read_tiling(args, path: str) -> Tiling:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         from .tilings import tiling_from_json_obj
-        return tiling_from_json_obj(json.loads(text))
-    return tiling_from_text(text)
+        t = tiling_from_json_obj(json.loads(text))
+    else:
+        t = tiling_from_text(text)
+    _name_region(args, region_spec(t.region))
+    return t
 
 
-def _parse_path_arg(text: str) -> ham.HamiltonianPath:
+def _parse_path_arg(args, text: str) -> ham.HamiltonianPath:
     """Path argument: 'box:<dims>' for the serpentine path, or a JSON file
-    holding an ordered cell list."""
+    holding {"region": <spec>, "cells": <ordered cell list>}."""
     if text.startswith("box:"):
         dims = tuple(int(x) for x in text[4:].split(","))
-        return ham.box_path(dims)
-    obj = json.loads(Path(text).read_text())
-    region = parse_region_spec(obj["region"])
-    return ham.path_from_cells(region, obj["cells"])
+        path = ham.box_path(dims)
+    else:
+        obj = json.loads(Path(text).read_text())
+        if not isinstance(obj, dict) or not isinstance(obj.get("region"), str):
+            raise ham.HamiltonianError("path object needs a 'region' spec string")
+        cells = obj.get("cells")
+        if not isinstance(cells, list) or not all(map(_is_int_cell, cells)):
+            raise ham.HamiltonianError(
+                "path 'cells' must be a list of cells of integer coordinates")
+        path = ham.path_from_cells(parse_region_spec(obj["region"]), cells)
+    _name_region(args, region_spec(path.region))
+    return path
 
 
 # ------------------------------------------------------------ subcommands
 
 def cmd_count(args) -> CommandResult:
-    region = parse_region_spec(args.region)
+    region = _region_arg(args, args.region)
     method = args.method
     if method == "auto":
         method = "transfer" if region.base is not None else "enum"
@@ -98,7 +125,7 @@ def cmd_count(args) -> CommandResult:
 
 
 def cmd_components(args) -> CommandResult:
-    region = parse_region_spec(args.region)
+    region = _region_arg(args, args.region)
     report = flip_components(region, budget=args.budget)
     payload = {
         "component_count": len(report.components),
@@ -111,12 +138,12 @@ def cmd_components(args) -> CommandResult:
 
 
 def cmd_twist(args) -> CommandResult:
-    t = _read_tiling(args.tiling)
+    t = _read_tiling(args, args.tiling)
     return CommandResult("twist", region_spec(t.region), {"twist": twist(t)})
 
 
 def cmd_defect(args) -> CommandResult:
-    region = parse_region_spec(args.region)
+    region = _region_arg(args, args.region)
     method = args.method
     if method == "auto":
         method = "transfer" if region.base is not None else "det"
@@ -140,7 +167,7 @@ def cmd_defect(args) -> CommandResult:
 
 
 def cmd_transfer_export(args) -> CommandResult:
-    base = parse_region_spec(args.base)
+    base = _region_arg(args, args.base)
     tm = get_transfer(base)
     obj = transfer_to_json_obj(tm)
     out = Path(args.out)
@@ -155,7 +182,7 @@ def cmd_transfer_export(args) -> CommandResult:
 
 
 def cmd_spectral(args) -> CommandResult:
-    base = parse_region_spec(args.base)
+    base = _region_arg(args, args.base)
     rep = spectral_estimates(base, tol=args.tol)
     payload = {
         "lambda": rep.lam,
@@ -168,8 +195,8 @@ def cmd_spectral(args) -> CommandResult:
 
 
 def cmd_padding(args) -> CommandResult:
-    t0 = _read_tiling(args.t0)
-    t1 = _read_tiling(args.t1)
+    t0 = _read_tiling(args, args.t0)
+    t1 = _read_tiling(args, args.t1)
     verdict = connected_with_padding(t0, t1, args.floors, budget=args.budget)
     payload = {
         "floors": args.floors,
@@ -183,7 +210,7 @@ def cmd_padding(args) -> CommandResult:
 
 
 def cmd_generators(args) -> CommandResult:
-    path = _parse_path_arg(args.base)
+    path = _parse_path_arg(args, args.base)
     gens = ham.generator_set(path, cap=args.cap)
     entries = []
     out_dir = Path(args.out) if args.out else None
@@ -212,7 +239,7 @@ def cmd_generators(args) -> CommandResult:
 
 
 def cmd_flux(args) -> CommandResult:
-    path = _parse_path_arg(args.base)
+    path = _parse_path_arg(args, args.base)
     if args.d is None:
         dominoes = ham.non_respecting_base_dominoes(path)
         payload = {"non_respecting_dominoes": [list(d) for d in dominoes]}
@@ -231,9 +258,9 @@ def cmd_flux(args) -> CommandResult:
 
 
 def cmd_fold(args) -> CommandResult:
-    t = _read_tiling(args.tiling)
-    src = _parse_path_arg(args.src)
-    dst = _parse_path_arg(args.dst)
+    t = _read_tiling(args, args.tiling)
+    src = _parse_path_arg(args, args.src)
+    dst = _parse_path_arg(args, args.dst)
     moved = ham.unfold(t, src, dst) if args.unfold else ham.fold(t, src, dst)
     text = moved.to_text()
     payload = {"region": region_spec(moved.region)}
@@ -298,7 +325,7 @@ def render_tiling(t: Tiling) -> str:
 
 
 def cmd_render(args) -> CommandResult:
-    t = _read_tiling(args.tiling)
+    t = _read_tiling(args, args.tiling)
     return CommandResult("render", region_spec(t.region),
                          {"text": render_tiling(t)})
 
@@ -435,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         result: CommandResult = args.func(args)
     except (RegionError, TilingError, TransferError, ham.HamiltonianError,
             OSError, ValueError, json.JSONDecodeError) as e:
-        result = _fail(args.subcommand, str(e))
+        result = _fail(args.subcommand, str(e), getattr(args, "named_region", None))
     result.timing = round(time.perf_counter() - start, 6)
     if args.json:
         print(json.dumps(result.to_json_obj(), separators=(",", ":")))

@@ -25,6 +25,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -290,10 +291,14 @@ def floor_tilings(base: Region, p0: int, p1: int) -> list[Tiling]:
     return list(enumerate_tilings(sub, limit=None))
 
 
-def _check_plug(base: Region, mask: int) -> None:
+def _check_mask(base: Region, cells_mask: int) -> None:
     nc = len(base.cells)
-    if not 0 <= mask < (1 << nc):
-        raise TransferError(f"plug mask {mask:#x} out of range for {nc} cells")
+    if not 0 <= cells_mask < (1 << nc):
+        raise TransferError(f"cell mask {cells_mask:#x} out of range for {nc} cells")
+
+
+def _check_plug(base: Region, mask: int) -> None:
+    _check_mask(base, mask)
     nb = (mask & sum(1 << i for i in base.black_cells)).bit_count()
     if 2 * nb != mask.bit_count():
         raise TransferError(f"plug mask {mask:#x} is not balanced")
@@ -348,14 +353,13 @@ def floor_twist(base: Region, p0: int, p1: int, f: Tiling) -> int:
 
 def signed_floor_sum(base: Region, cells_mask: int) -> int:
     """Sum of (-1)^(tk + inv(sigma)) over floor tilings of the mask."""
+    _check_mask(base, cells_mask)
     return int(_base_tables(base).signed_table[cells_mask])
 
 
 def signed_floor_sum_by_enumeration(base: Region, cells_mask: int) -> int:
     """Oracle for signed_floor_sum: enumerate and add up signs."""
-    full = (1 << len(base.cells)) - 1
-    if cells_mask > full:
-        raise TransferError("mask out of range")
+    _check_mask(base, cells_mask)
     sub = floor_subregion(base, cells_mask)
     if not sub.cells:
         return 1
@@ -389,18 +393,179 @@ def power_vector(rows: list[list[tuple[int, int]]], start: int, n: int,
     return vec
 
 
-def _corner_entry(base: Region, floors: int, signed: bool) -> int:
-    """(M^floors)[empty][empty] for M = At if signed, else A.
+# A symmetry g of the base permutes its cells and so its plugs.  A[gp][gq]
+# = A[p][q] always; for At a +-1 gauge s_g (s_g(empty) = 1) makes
+# At[gp][gq] = s_g(p) s_g(q) At[p][q].  The row e_empty M^N is then
+# invariant: v[gq] = s_g(q) v[q].  On a plug orbit v is t(q) times its value
+# at the orbit's representative, where t multiplies the gauges along a
+# path from the representative; an orbit reached with both signs is dead,
+# v vanishes there.  Since A and At are symmetric, the representatives'
+# values evolve by the lumped matrix R[o][o'] = sum_{q in o'} t(q) M[rep_o][q],
+# built from the representatives' rows alone.  A symmetry that acts on At by
+# no such gauge is left out of At's group.
 
-    Materialized sparse powers up to MAX_MATRIX_PLUGS plugs, streamed rows
-    above (materializing the 16-cell bases costs several hundred MB)."""
+def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
+    """Cell permutations of the reflections of single axes and transpositions
+    of equal-extent axes of the bounding box that map the cells onto
+    themselves; identities and repeats are dropped."""
+    if not base.cells:
+        return []
+    bbox = base.bounding_box
+    maps = []
+    for k, (lo, hi) in enumerate(bbox):
+        maps.append(lambda c, k=k, s=lo + hi: c[:k] + (s - c[k],) + c[k + 1:])
+    for k in range(base.dim):
+        for m in range(k + 1, base.dim):
+            d = bbox[m][0] - bbox[k][0]
+            if bbox[k][1] + d == bbox[m][1]:
+                maps.append(lambda c, k=k, m=m, d=d: tuple(
+                    c[m] - d if a == k else c[k] + d if a == m else x
+                    for a, x in enumerate(c)))
+    index = base.index
+    identity = tuple(range(len(base.cells)))
+    perms = []
+    for f in maps:
+        perm = tuple(index.get(f(c), -1) for c in base.cells)
+        if -1 not in perm and perm != identity and perm not in perms:
+            perms.append(perm)
+    return perms
+
+
+def _plug_image(tables: _BaseTables, perm: tuple[int, ...]) -> np.ndarray:
+    """Index of the image of every plug under the cell permutation."""
+    moved = np.zeros_like(tables.plugs_np)
+    for c, pc in enumerate(perm):
+        moved |= (tables.plugs_np >> c & 1) << pc
+    return np.searchsorted(tables.plugs_np, moved).astype(np.int32)
+
+
+def _plug_gauge(tables: _BaseTables, perm: tuple[int, ...], image: np.ndarray,
+                row0: np.ndarray) -> np.ndarray | None:
+    """s_g(p) for every plug, or None when g acts on At by no such gauge.
+
+    s_g(p) = (-1)^(rev_g(p) + sum_{c in p} l_g(c)), where rev_g(p) counts the
+    same-colour cell pairs of p whose order g reverses and the linear part
+    l_g is solved over GF(2) from row 0: At[0][gq] = s_g(q) At[0][q].  Only
+    row 0 is checked here; tests check the relation on every plug pair of
+    five box bases."""
+    colors, plugs = tables.base.colors, tables.plugs_np
+    nc = len(perm)
+    rev = np.zeros_like(plugs)
+    for a in range(nc):
+        for b in range(a + 1, nc):
+            if colors[a] == colors[b] and perm[a] > perm[b]:
+                rev += plugs >> a & plugs >> b & 1
+    # Gauss-Jordan elimination on the equations sum_{c in q} l(c) = rhs(q),
+    # each stored as the plug mask q with rhs(q) in bit nc
+    live = row0 != 0
+    rows = plugs[live] | ((row0[image][live] != row0[live]) ^ rev[live] & 1) << nc
+    pivots = []
+    for c in range(nc):
+        hit = (rows >> c & 1).astype(bool)
+        free = np.flatnonzero(hit[len(pivots):]) + len(pivots)
+        if not len(free):
+            continue
+        r = len(pivots)
+        rows[[r, free[0]]] = rows[[free[0], r]]
+        hit[[r, free[0]]] = hit[[free[0], r]]
+        hit[r] = False
+        rows[hit] ^= rows[r]
+        pivots.append(c)
+    # free unknowns are 0; the check below also rejects an inconsistent system
+    odd = rev.copy()
+    for r, c in enumerate(pivots):
+        if rows[r] >> nc & 1:
+            odd += plugs >> c & 1
+    gauge = (1 - 2 * (odd & 1)).astype(np.int8)
+    return gauge if np.array_equal(row0[image], gauge * row0) else None
+
+
+@dataclass(frozen=True)
+class _Lumped:
+    """A or At lumped by the plug orbits of the base symmetries, as CSR
+    arrays over the live orbits; orbit 0 is the empty plug alone."""
+
+    reps: np.ndarray  # plug index of each live orbit's representative
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    orbits: int  # live and dead
+    dead: int
+
+    def power(self, floors: int) -> list[int]:
+        """The orbit vector of e_empty M^floors: entry o is its value at
+        reps[o].  Exact Python integers."""
+        spans = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
+        ids = list(range(len(spans)))
+        cols = list(map(ids.__getitem__, self.cols))  # one int object per orbit
+        vals = self.vals.tolist()
+        vec = [0] * len(spans)
+        vec[0] = 1
+        for _ in range(floors):
+            vec = [sum(map(mul, vals[a:b], map(vec.__getitem__, cols[a:b])))
+                   for a, b in spans]
+        return vec
+
+
+@lru_cache(maxsize=8)
+def _lumped(base: Region, signed: bool) -> _Lumped:
+    """M = At if signed, else A, lumped by the plug orbits of the base."""
+    tables = _base_tables(base)
+    n = len(tables.plugs)
+    if signed:
+        row0 = np.zeros(n, dtype=np.int64)
+        cols, vals = tables.row(0, signed)
+        row0[cols] = vals
+    images, gauges = [], []
+    for perm in _base_symmetries(base):
+        image = _plug_image(tables, perm)
+        gauge = _plug_gauge(tables, perm, image, row0) if signed else np.ones(n, np.int8)
+        if gauge is not None:  # a symmetry without a gauge stays out of At's group
+            images.append(image)
+            gauges.append(gauge)
+    # orbit labels (least plug index) and signs t relative to the label, by
+    # propagation: v[q] = s_g(q) v[gq], so q takes t(q) = s_g(q) t(gq)
+    # narrow dtypes: these transients set the peak RSS of the 16-cell builds
+    label, t = np.arange(n, dtype=np.int32), np.ones(n, dtype=np.int8)
+    changed = True
+    while changed:
+        changed = False
+        for image, gauge in zip(images, gauges):
+            better = label[image] < label
+            if better.any():
+                label[better] = label[image][better]
+                t[better] = gauge[better] * t[image][better]
+                changed = True
+    dead = np.zeros(n, dtype=bool)  # indexed by label
+    for image, gauge in zip(images, gauges):
+        dead[label[t[image] != gauge * t]] = True
+    is_rep = label == np.arange(n, dtype=np.int32)
+    reps = np.flatnonzero(is_rep & ~dead)
+    plug_orbit = np.searchsorted(reps, label)
+    plug_orbit[dead[label]] = -1
+    indptr = np.zeros(len(reps) + 1, dtype=np.int64)
+    col_parts, val_parts = [], []
+    acc = np.zeros(len(reps), dtype=np.int64)
+    for o, r in enumerate(reps.tolist()):
+        cols, vals = tables.row(r, signed)
+        target = plug_orbit[cols]
+        keep = target >= 0
+        acc[:] = 0
+        np.add.at(acc, target[keep], t[cols[keep]] * vals[keep])
+        nz = np.flatnonzero(acc)
+        col_parts.append(nz.astype(np.int32))
+        val_parts.append(acc[nz])
+        indptr[o + 1] = indptr[o] + len(nz)
+    return _Lumped(reps, indptr, np.concatenate(col_parts), np.concatenate(val_parts),
+                   int(is_rep.sum()), int(dead.sum()))
+
+
+def _corner_entry(base: Region, floors: int, signed: bool) -> int:
+    """(M^floors)[empty][empty] for M = At if signed, else A, by the exact
+    power of M lumped over plug orbits."""
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
-    tables = _base_tables(base)
-    if len(tables.plugs) > MAX_MATRIX_PLUGS:
-        return _matrix_free_entry(tables, floors, signed)
-    tm = get_transfer(base)
-    return power_vector(tm.rows_signed if signed else tm.rows_count, 0, floors, tm.size)[0]
+    return _lumped(base, signed).power(floors)[0]
 
 
 def cylinder_count(base: Region, floors: int) -> int:
@@ -463,29 +628,6 @@ def count_with_few_vertical_floors(base: Region, floors: int, bound: int) -> int
             new.append(vec)
         layers = new
     return sum(layer[0] for layer in layers)
-
-
-def _matrix_free_entry(tables: _BaseTables, floors: int, signed: bool) -> int:
-    """(M^floors)[empty][empty], streaming the rows of M from the row kernel.
-
-    Runs in int64; raises if an overflow bound is hit."""
-    n = len(tables.plugs)
-    value_table = tables.signed_table if signed else tables.count_table
-    max_entry = int(np.abs(value_table).max())
-    vec = np.zeros(n, dtype=np.int64)
-    vec[0] = 1
-    for _ in range(floors):
-        bound = int(np.abs(vec).max()) * max_entry * n
-        if bound >= 1 << 62:
-            raise TransferError(
-                "matrix-free power exceeds the int64 budget; reduce floors"
-                " or use a base small enough for exact matrix powers")
-        new = np.zeros_like(vec)
-        for i in np.flatnonzero(vec).tolist():
-            cols, vals = tables.row(i, signed)
-            new[cols] += vec[i] * vals
-        vec = new
-    return int(vec[0])
 
 
 # ---------------------------------------------------------------- spectral

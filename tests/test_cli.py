@@ -300,6 +300,31 @@ def test_malformed_json_tiling_is_error(tmp_path, obj):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("obj", [
+    {"cells": []},
+    {"region": "box:2,2"},
+    {"region": "box:2,2", "cells": 3},
+    [{"region": "box:2,2", "cells": []}],
+], ids=["no-region", "no-cells", "cells-not-list", "not-object"])
+def test_malformed_path_file_is_error(tmp_path, obj):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(["flux", "--base", str(f), "--json"])
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+    assert "Traceback" not in err
+
+
+def test_error_result_names_the_region():
+    # parsed: the command's region; given but unparsable: the spec as given
+    code, obj = run_json(["flux", "--base", "box:3,4", "--d", "1,6", "--plug", "3"])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "box:3,4")
+    code, obj = run_json(["count", "--region", "cyl:2,2,3xN=-1"])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "cyl:2,2,3xN=-1")
+    code, obj = run_json(["flux", "--base", "box:3,x"])
+    assert (code, obj["status"], obj["region"]) == (1, "error", None)
+
+
 def test_text_mode_prints_fields():
     code, out, err = run_cli(["count", "--region", "box:2,2"])
     assert code == 0

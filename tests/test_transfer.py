@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from dominotwist.kasteleyn import defect_by_enumeration, twist
+from dominotwist.kasteleyn import defect_by_determinant, defect_by_enumeration, twist
 from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
+    _apply_rows,
+    _base_symmetries,
     _base_tables,
+    _lumped,
     _parity_table,
+    _plug_gauge,
+    _plug_image,
     TransferError,
     build_transfer,
     cork_count,
@@ -285,3 +290,92 @@ def test_large_base_matrix_free_route():
         r = make_cylinder(base, floors)
         assert cylinder_count(base, floors) == count_tilings(r)
         assert cylinder_defect(base, floors) == defect_by_enumeration(r)
+
+
+# ------------------------------------------------ lumped symmetry-orbit engine
+
+LUMP_BASES = [(2, 2, 2), (2, 3), (2, 5), (2, 2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("dims", LUMP_BASES, ids=lambda d: ",".join(map(str, d)))
+def test_symmetry_gauge_on_every_plug_pair(dims):
+    # At[gp][gq] = s_g(p) s_g(q) At[p][q] for each generator g, on the full
+    # matrix, although the gauge is solved from row 0 alone
+    base = make_box(dims)
+    tables = _base_tables(base)
+    at = np.array(get_transfer(base).dense_signed(), dtype=np.int64)
+    perms = _base_symmetries(base)
+    assert perms
+    for perm in perms:
+        image = _plug_image(tables, perm)
+        gauge = _plug_gauge(tables, perm, image, at[0])
+        assert gauge is not None, perm
+        assert gauge[0] == 1
+        assert np.array_equal(at[np.ix_(image, image)], np.outer(gauge, gauge) * at), perm
+
+
+@pytest.mark.parametrize("dims", LUMP_BASES, ids=lambda d: ",".join(map(str, d)))
+def test_lumped_power_matches_unlumped(dims):
+    base = make_box(dims)
+    tm = get_transfer(base)
+    for signed, rows in ((False, tm.rows_count), (True, tm.rows_signed)):
+        lumped = _lumped(base, signed)
+        assert lumped.reps[0] == 0 and len(lumped.reps) == lumped.orbits - lumped.dead
+        vec = power_vector(rows, 0, 0, tm.size)
+        for n in range(21):
+            assert lumped.power(n) == [vec[r] for r in lumped.reps.tolist()], (signed, n)
+            vec = _apply_rows(rows, vec)
+
+
+def test_symmetry_without_gauge_is_left_out():
+    # on the 3x3 ring no base symmetry acts on At by a +-1 gauge: the signed
+    # engine runs unreduced and still agrees with the unlumped power
+    base = Region(2, [c for c in np.ndindex(3, 3) if c != (1, 1)])
+    tables = _base_tables(base)
+    tm = get_transfer(base)
+    at0 = np.array(tm.dense_signed()[0], dtype=np.int64)
+    perms = _base_symmetries(base)
+    assert perms
+    assert all(_plug_gauge(tables, p, _plug_image(tables, p), at0) is None for p in perms)
+    assert _lumped(base, True).orbits == tm.size > _lumped(base, False).orbits
+    for n in range(8):
+        assert cylinder_defect(base, n) == power_vector(tm.rows_signed, 0, n, tm.size)[0]
+
+
+def test_orbit_counts():
+    # plug orbits under the base symmetries; dead orbits carry contradictory
+    # gauge signs, so the signed power vanishes on them
+    for dims, orbits, dead in (((2, 2, 2, 2), 93, 25), ((2, 2, 3), 95, 10),
+                               ((3, 4), 274, 4), ((2, 5), 82, 0)):
+        base = make_box(dims)
+        assert (_lumped(base, False).orbits, _lumped(base, False).dead) == (orbits, 0)
+        assert (_lumped(base, True).orbits, _lumped(base, True).dead) == (orbits, dead)
+
+
+def test_sixteen_cell_bases_at_depth_twenty():
+    # 173 to 212 bits: beyond any fixed-width route
+    pinned = {
+        (4, 4): (7809135024054862596779790263077462459250128764587008,
+                 712394554679299792691281753190200513916103608555776),
+        (2, 2, 2, 2): (4749750003675681573864071440383157204159007090777755443968203905,
+                       4942596858422239177105908253573700114286151958973125625390625),
+    }
+    for dims, (count, defect) in pinned.items():
+        base = make_box(dims)
+        assert cylinder_count(base, 20) == count
+        assert cylinder_defect(base, 20) == defect
+
+
+def test_one_floor_over_4x4_matches_oracles():
+    base = make_box((4, 4))
+    region = make_cylinder(base, 1)
+    assert cylinder_count(base, 1) == count_tilings(region) == 36
+    assert cylinder_defect(base, 1) == defect_by_determinant(region)
+
+
+@pytest.mark.parametrize("mask", [-1, 256], ids=["negative", "too-large"])
+def test_signed_floor_sum_rejects_mask_out_of_range(mask):
+    with pytest.raises(TransferError):
+        signed_floor_sum(B222, mask)
+    with pytest.raises(TransferError):
+        signed_floor_sum_by_enumeration(B222, mask)
