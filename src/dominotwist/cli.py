@@ -464,10 +464,19 @@ def main(argv: list[str] | None = None) -> int:
             OSError, ValueError, json.JSONDecodeError) as e:
         result = _fail(args.subcommand, str(e), getattr(args, "named_region", None))
     result.timing = round(time.perf_counter() - start, 6)
-    if args.json:
-        print(json.dumps(result.to_json_obj(), separators=(",", ":")))
-    else:
-        _print_text(result)
+    # exact answers can exceed the interpreter's limit on the digits of an
+    # int-to-str conversion (0 or absent: no limit); lift it while printing
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps(result.to_json_obj(), separators=(",", ":")))
+        else:
+            _print_text(result)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return {"ok": 0, "indeterminate": 2, "error": 1}[result.status]
 
 

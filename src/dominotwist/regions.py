@@ -49,7 +49,7 @@ class Region:
         self.dim = dim
         self.cells: tuple[Cell, ...] = tuple(map(tuple, cells))
         self.spec = spec
-        # set by make_cylinder / make_cork, None for other regions
+        # set by make_cylinder, None for other regions
         self.base: Region | None = None
         self.floors: int | None = None
 
@@ -232,10 +232,7 @@ def make_cork(base: Region, floors: int, p0_mask: int, p_top_mask: int) -> Regio
     spec = None
     if base.spec and base.spec.startswith("box:"):
         spec = f"cork:{base.spec[4:]}xN={floors}:p0={p0_mask:#x}:pN={p_top_mask:#x}"
-    region = Region(base.dim + 1, cells, spec=spec)
-    region.base = base
-    region.floors = floors
-    return region
+    return Region(base.dim + 1, cells, spec=spec)
 
 
 def from_cells(dim: int, cells) -> Region:

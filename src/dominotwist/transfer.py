@@ -11,7 +11,8 @@ weights each floor tiling by its twist contribution
 where tk multiplies the base Kasteleyn signs over the floor's dominoes,
 sigma_f matches black to white base labels, and inv_bl/inv_wh count label
 inversions induced by the two plugs.  (At^N)[empty][empty] is then the
-cylinder defect: twist-0 count minus twist-1 count.
+cylinder defect: twist-0 count minus twist-1 count.  cylinder_defect gets
+it without plugs, from the cylinder's block-tridiagonal Kasteleyn matrix.
 
 All matrix entries and powers are exact integers; floating point appears
 only in spectral_estimates.
@@ -25,11 +26,17 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 import numpy as np
 
-from .kasteleyn import _edge_sign_by_index, inversion_count, inversion_parity
+from .kasteleyn import (
+    _edge_sign_by_index,
+    bareiss_determinant,
+    inversion_count,
+    inversion_parity,
+    sign_matrix,
+)
 from .regions import Region, region_spec
 from .tilings import Tiling, enumerate_tilings
 
@@ -128,9 +135,9 @@ class _BaseTables:
             for j in nbrs[i]:
                 bit = 1 << j
                 if m & bit and colors[j] < 0:
-                    sub = table[m ^ (1 << i) ^ bit]
-                    if sub:
-                        term = sign_of[(i, j)] * sub
+                    minor = table[m ^ (1 << i) ^ bit]
+                    if minor:
+                        term = sign_of[(i, j)] * minor
                         if (m & wr_below[j]).bit_count() & 1:
                             term = -term
                         acc += term
@@ -254,7 +261,7 @@ def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferM
     if len(plugs) > max_plugs:
         raise TransferError(
             f"{len(plugs)} plugs exceeds the matrix limit {max_plugs};"
-            " use the matrix-free cylinder queries for large bases")
+            " cylinder_count and cylinder_defect need no matrix")
     rows_count: list[list[tuple[int, int]]] = []
     rows_signed: list[list[tuple[int, int]]] = []
     for i in range(len(plugs)):
@@ -393,16 +400,11 @@ def power_vector(rows: list[list[tuple[int, int]]], start: int, n: int,
     return vec
 
 
-# A symmetry g of the base permutes its cells and so its plugs.  A[gp][gq]
-# = A[p][q] always; for At a +-1 gauge s_g (s_g(empty) = 1) makes
-# At[gp][gq] = s_g(p) s_g(q) At[p][q].  The row e_empty M^N is then
-# invariant: v[gq] = s_g(q) v[q].  On a plug orbit v is t(q) times its value
-# at the orbit's representative, where t multiplies the gauges along a
-# path from the representative; an orbit reached with both signs is dead,
-# v vanishes there.  Since A and At are symmetric, the representatives'
-# values evolve by the lumped matrix R[o][o'] = sum_{q in o'} t(q) M[rep_o][q],
-# built from the representatives' rows alone.  A symmetry that acts on At by
-# no such gauge is left out of At's group.
+# A symmetry g of the base permutes its cells and so its plugs, with
+# A[gp][gq] = A[p][q].  The row e_empty A^N is then constant on each plug
+# orbit, and since A is symmetric its values at the orbits' representatives
+# evolve by the lumped matrix R[o][o'] = sum_{q in o'} A[rep_o][q], built
+# from the representatives' rows alone.
 
 def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
     """Cell permutations of the reflections of single axes and transpositions
@@ -439,61 +441,18 @@ def _plug_image(tables: _BaseTables, perm: tuple[int, ...]) -> np.ndarray:
     return np.searchsorted(tables.plugs_np, moved).astype(np.int32)
 
 
-def _plug_gauge(tables: _BaseTables, perm: tuple[int, ...], image: np.ndarray,
-                row0: np.ndarray) -> np.ndarray | None:
-    """s_g(p) for every plug, or None when g acts on At by no such gauge.
-
-    s_g(p) = (-1)^(rev_g(p) + sum_{c in p} l_g(c)), where rev_g(p) counts the
-    same-colour cell pairs of p whose order g reverses and the linear part
-    l_g is solved over GF(2) from row 0: At[0][gq] = s_g(q) At[0][q].  Only
-    row 0 is checked here; tests check the relation on every plug pair of
-    five box bases."""
-    colors, plugs = tables.base.colors, tables.plugs_np
-    nc = len(perm)
-    rev = np.zeros_like(plugs)
-    for a in range(nc):
-        for b in range(a + 1, nc):
-            if colors[a] == colors[b] and perm[a] > perm[b]:
-                rev += plugs >> a & plugs >> b & 1
-    # Gauss-Jordan elimination on the equations sum_{c in q} l(c) = rhs(q),
-    # each stored as the plug mask q with rhs(q) in bit nc
-    live = row0 != 0
-    rows = plugs[live] | ((row0[image][live] != row0[live]) ^ rev[live] & 1) << nc
-    pivots = []
-    for c in range(nc):
-        hit = (rows >> c & 1).astype(bool)
-        free = np.flatnonzero(hit[len(pivots):]) + len(pivots)
-        if not len(free):
-            continue
-        r = len(pivots)
-        rows[[r, free[0]]] = rows[[free[0], r]]
-        hit[[r, free[0]]] = hit[[free[0], r]]
-        hit[r] = False
-        rows[hit] ^= rows[r]
-        pivots.append(c)
-    # free unknowns are 0; the check below also rejects an inconsistent system
-    odd = rev.copy()
-    for r, c in enumerate(pivots):
-        if rows[r] >> nc & 1:
-            odd += plugs >> c & 1
-    gauge = (1 - 2 * (odd & 1)).astype(np.int8)
-    return gauge if np.array_equal(row0[image], gauge * row0) else None
-
-
 @dataclass(frozen=True)
 class _Lumped:
-    """A or At lumped by the plug orbits of the base symmetries, as CSR
-    arrays over the live orbits; orbit 0 is the empty plug alone."""
+    """A lumped by the plug orbits of the base symmetries, as CSR arrays;
+    orbit 0 is the empty plug alone."""
 
-    reps: np.ndarray  # plug index of each live orbit's representative
+    reps: np.ndarray  # plug index of each orbit's representative
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    orbits: int  # live and dead
-    dead: int
 
     def power(self, floors: int) -> list[int]:
-        """The orbit vector of e_empty M^floors: entry o is its value at
+        """The orbit vector of e_empty A^floors: entry o is its value at
         reps[o].  Exact Python integers."""
         spans = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
         ids = list(range(len(spans)))
@@ -508,74 +467,77 @@ class _Lumped:
 
 
 @lru_cache(maxsize=8)
-def _lumped(base: Region, signed: bool) -> _Lumped:
-    """M = At if signed, else A, lumped by the plug orbits of the base."""
+def _lumped(base: Region) -> _Lumped:
+    """A lumped by the plug orbits of the base."""
     tables = _base_tables(base)
-    n = len(tables.plugs)
-    if signed:
-        row0 = np.zeros(n, dtype=np.int64)
-        cols, vals = tables.row(0, signed)
-        row0[cols] = vals
-    images, gauges = [], []
-    for perm in _base_symmetries(base):
-        image = _plug_image(tables, perm)
-        gauge = _plug_gauge(tables, perm, image, row0) if signed else np.ones(n, np.int8)
-        if gauge is not None:  # a symmetry without a gauge stays out of At's group
-            images.append(image)
-            gauges.append(gauge)
-    # orbit labels (least plug index) and signs t relative to the label, by
-    # propagation: v[q] = s_g(q) v[gq], so q takes t(q) = s_g(q) t(gq)
-    # narrow dtypes: these transients set the peak RSS of the 16-cell builds
-    label, t = np.arange(n, dtype=np.int32), np.ones(n, dtype=np.int8)
-    changed = True
-    while changed:
-        changed = False
-        for image, gauge in zip(images, gauges):
-            better = label[image] < label
-            if better.any():
-                label[better] = label[image][better]
-                t[better] = gauge[better] * t[image][better]
-                changed = True
-    dead = np.zeros(n, dtype=bool)  # indexed by label
-    for image, gauge in zip(images, gauges):
-        dead[label[t[image] != gauge * t]] = True
-    is_rep = label == np.arange(n, dtype=np.int32)
-    reps = np.flatnonzero(is_rep & ~dead)
+    images = [_plug_image(tables, perm) for perm in _base_symmetries(base)]
+    # orbit labels (least plug index) by propagation
+    label, settled = np.arange(len(tables.plugs), dtype=np.int32), None
+    while not np.array_equal(label, settled):
+        settled = label.copy()
+        for image in images:
+            np.minimum(label, label[image], out=label)
+    reps = np.flatnonzero(label == np.arange(len(label), dtype=np.int32))
     plug_orbit = np.searchsorted(reps, label)
-    plug_orbit[dead[label]] = -1
     indptr = np.zeros(len(reps) + 1, dtype=np.int64)
     col_parts, val_parts = [], []
     acc = np.zeros(len(reps), dtype=np.int64)
     for o, r in enumerate(reps.tolist()):
-        cols, vals = tables.row(r, signed)
-        target = plug_orbit[cols]
-        keep = target >= 0
+        cols, vals = tables.row(r, False)
         acc[:] = 0
-        np.add.at(acc, target[keep], t[cols[keep]] * vals[keep])
+        np.add.at(acc, plug_orbit[cols], vals)
         nz = np.flatnonzero(acc)
         col_parts.append(nz.astype(np.int32))
         val_parts.append(acc[nz])
         indptr[o + 1] = indptr[o] + len(nz)
-    return _Lumped(reps, indptr, np.concatenate(col_parts), np.concatenate(val_parts),
-                   int(is_rep.sum()), int(dead.sum()))
-
-
-def _corner_entry(base: Region, floors: int, signed: bool) -> int:
-    """(M^floors)[empty][empty] for M = At if signed, else A, by the exact
-    power of M lumped over plug orbits."""
-    if floors < 0:
-        raise TransferError("floor count must be nonnegative")
-    return _lumped(base, signed).power(floors)[0]
+    return _Lumped(reps, indptr, np.concatenate(col_parts), np.concatenate(val_parts))
 
 
 def cylinder_count(base: Region, floors: int) -> int:
-    """Number of tilings of base x [0, floors]."""
-    return _corner_entry(base, floors, signed=False)
+    """Number of tilings of base x [0, floors], by the exact power of A
+    lumped over plug orbits."""
+    if floors < 0:
+        raise TransferError("floor count must be nonnegative")
+    return _lumped(base).power(floors)[0]
 
 
 def cylinder_defect(base: Region, floors: int) -> int:
-    """Twist-0 count minus twist-1 count for base x [0, floors]."""
-    return _corner_entry(base, floors, signed=True)
+    """Twist-0 count minus twist-1 count for base x [0, floors], on any
+    balanced base.
+
+    This is det K of the cylinder.  In the floor-major labelling K is block
+    tridiagonal: floor h's diagonal block D_h is K_base on even floors and
+    its transpose on odd ones, and the blocks linking floors h and h+1 are
+    +-c_h I, c_h = (-1)^h.  The three-term recursion X_{h+1} = -c_h D_h X_h
+    - X_{h-1} from X_0 = I, X_{-1} = 0 then gives det K = (-1)^(k N(N+1)/2)
+    det X_N, k = cells/2 (Molinari, "Determinants of block tridiagonal
+    matrices", Linear Algebra Appl. 429 (2008)): multiplying K on the right
+    by the unit block lower triangular matrix with first block column
+    (X_0, ..., X_{N-1}) leaves -c_{N-1} X_N as that column's only block, and
+    the other columns form a block triangle with diagonal c_h I.  D_h has
+    +-1 entries, so each step only adds and subtracts rows.
+    """
+    if floors < 0:
+        raise TransferError("floor count must be nonnegative")
+    if not base.balanced:
+        raise TransferError("cylinder defect needs a balanced base")
+    kb = sign_matrix(base)
+    k = len(kb)
+    # row r of -c_h D_h as (row index of X_h, add or sub) terms
+    steps = [[[(j, sub if s * c > 0 else add) for j, s in enumerate(row) if s]
+              for row in d] for c, d in ((1, kb), (-1, list(zip(*kb))))]
+    prev = [[0] * k for _ in range(k)]
+    cur = [[int(r == j) for j in range(k)] for r in range(k)]
+    for h in range(floors):
+        nxt = []
+        for below, terms in zip(prev, steps[h % 2]):
+            acc = [-x for x in below]
+            for j, op in terms:
+                acc = list(map(op, acc, cur[j]))
+            nxt.append(acc)
+        prev, cur = cur, nxt
+    sign = -1 if k * floors * (floors + 1) // 2 % 2 else 1
+    return sign * bareiss_determinant(cur)
 
 
 def cork_count(base: Region, floors: int, p0: int, p_top: int) -> int:

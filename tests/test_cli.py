@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from dominotwist.cli import main, render_tiling
 from dominotwist.regions import make_box, make_cylinder
 from dominotwist.tilings import Tiling, tiling_from_text, vertical_tiling
-from dominotwist.transfer import get_transfer, load_transfer_cache
+from dominotwist.transfer import cylinder_count, get_transfer, load_transfer_cache
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -55,6 +56,36 @@ def test_count_transfer_needs_cylinder():
     assert code == 1
     assert obj["status"] == "error"
     assert "cyl" in obj["payload"]["message"]
+
+
+def test_cork_is_not_counted_as_its_cylinder():
+    # the cork lacks two bottom cells of cyl:2,2xN=3, whose count is 32
+    cork = "cork:2,2xN=3:p0=0x3:pN=0x0"
+    for method in ("auto", "enum"):
+        code, obj = run_json(["count", "--region", cork, "--method", method])
+        assert (code, obj["payload"]["count"]) == (0, 12), method
+    for method in ("auto", "det", "enum"):
+        code, obj = run_json(["defect", "--region", cork, "--method", method])
+        assert (code, obj["payload"]["defect"]) == (0, 12), method
+    for command in ("count", "defect"):
+        code, obj = run_json([command, "--region", cork, "--method", "transfer"])
+        assert (code, obj["status"]) == (1, "error")
+        assert obj["payload"]["message"] == "transfer method needs a cyl: region"
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_count_prints_integers_past_the_digit_limit(as_json):
+    # 6,864 digits: beyond the interpreter's default int-to-str limit of
+    # 4,300, which Decimal does not apply
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(["count", "--region", "cyl:2,2xN=12000"]
+                             + ["--json"] * as_json)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    value = (json.loads(out, parse_int=Decimal)["payload"]["count"] if as_json
+             else Decimal(out.split("count: ")[1].split()[0]))
+    assert len(str(value)) > 4300
+    assert value == cylinder_count(make_box((2, 2)), 12000)
 
 
 def test_components_complete():

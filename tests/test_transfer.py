@@ -10,12 +10,9 @@ from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
     _apply_rows,
-    _base_symmetries,
     _base_tables,
     _lumped,
     _parity_table,
-    _plug_gauge,
-    _plug_image,
     TransferError,
     build_transfer,
     cork_count,
@@ -277,14 +274,15 @@ def test_cache_rejects_corrupt_file(tmp_path, corrupt):
 
 
 def test_build_transfer_plug_cap():
-    with pytest.raises(TransferError):
+    with pytest.raises(TransferError, match="cylinder_count and cylinder_defect need no matrix"):
         build_transfer(B223, max_plugs=10)
 
 
 @pytest.mark.extended
 def test_large_base_matrix_free_route():
-    # 3x3x2 base: 48620 plugs, too many for dense matrices; the matrix-free
-    # path must agree with direct enumeration at one and two floors
+    # 3x3x2 base: 48620 plugs, too many for build_transfer's matrices; the
+    # lumped count and the block-recursion defect must agree with direct
+    # enumeration at one and two floors
     base = make_box((3, 3, 2))
     for floors in (1, 2):
         r = make_cylinder(base, floors)
@@ -295,61 +293,56 @@ def test_large_base_matrix_free_route():
 # ------------------------------------------------ lumped symmetry-orbit engine
 
 LUMP_BASES = [(2, 2, 2), (2, 3), (2, 5), (2, 2, 3), (3, 4)]
+RING = Region(2, [c for c in np.ndindex(3, 3) if c != (1, 1)])  # 3x3 minus its centre
+SMALL_BASES = [make_box(dims) for dims in LUMP_BASES] + [RING]
+SMALL_IDS = [",".join(map(str, dims)) for dims in LUMP_BASES] + ["ring"]
 
 
-@pytest.mark.parametrize("dims", LUMP_BASES, ids=lambda d: ",".join(map(str, d)))
-def test_symmetry_gauge_on_every_plug_pair(dims):
-    # At[gp][gq] = s_g(p) s_g(q) At[p][q] for each generator g, on the full
-    # matrix, although the gauge is solved from row 0 alone
-    base = make_box(dims)
-    tables = _base_tables(base)
-    at = np.array(get_transfer(base).dense_signed(), dtype=np.int64)
-    perms = _base_symmetries(base)
-    assert perms
-    for perm in perms:
-        image = _plug_image(tables, perm)
-        gauge = _plug_gauge(tables, perm, image, at[0])
-        assert gauge is not None, perm
-        assert gauge[0] == 1
-        assert np.array_equal(at[np.ix_(image, image)], np.outer(gauge, gauge) * at), perm
-
-
-@pytest.mark.parametrize("dims", LUMP_BASES, ids=lambda d: ",".join(map(str, d)))
-def test_lumped_power_matches_unlumped(dims):
-    base = make_box(dims)
+@pytest.mark.parametrize("base", SMALL_BASES, ids=SMALL_IDS)
+def test_lumped_power_matches_unlumped(base):
     tm = get_transfer(base)
-    for signed, rows in ((False, tm.rows_count), (True, tm.rows_signed)):
-        lumped = _lumped(base, signed)
-        assert lumped.reps[0] == 0 and len(lumped.reps) == lumped.orbits - lumped.dead
-        vec = power_vector(rows, 0, 0, tm.size)
-        for n in range(21):
-            assert lumped.power(n) == [vec[r] for r in lumped.reps.tolist()], (signed, n)
-            vec = _apply_rows(rows, vec)
-
-
-def test_symmetry_without_gauge_is_left_out():
-    # on the 3x3 ring no base symmetry acts on At by a +-1 gauge: the signed
-    # engine runs unreduced and still agrees with the unlumped power
-    base = Region(2, [c for c in np.ndindex(3, 3) if c != (1, 1)])
-    tables = _base_tables(base)
-    tm = get_transfer(base)
-    at0 = np.array(tm.dense_signed()[0], dtype=np.int64)
-    perms = _base_symmetries(base)
-    assert perms
-    assert all(_plug_gauge(tables, p, _plug_image(tables, p), at0) is None for p in perms)
-    assert _lumped(base, True).orbits == tm.size > _lumped(base, False).orbits
-    for n in range(8):
-        assert cylinder_defect(base, n) == power_vector(tm.rows_signed, 0, n, tm.size)[0]
+    lumped = _lumped(base)
+    assert lumped.reps[0] == 0 and len(lumped.reps) < tm.size
+    vec = power_vector(tm.rows_count, 0, 0, tm.size)
+    for n in range(21):
+        assert lumped.power(n) == [vec[r] for r in lumped.reps.tolist()], n
+        vec = _apply_rows(tm.rows_count, vec)
 
 
 def test_orbit_counts():
-    # plug orbits under the base symmetries; dead orbits carry contradictory
-    # gauge signs, so the signed power vanishes on them
-    for dims, orbits, dead in (((2, 2, 2, 2), 93, 25), ((2, 2, 3), 95, 10),
-                               ((3, 4), 274, 4), ((2, 5), 82, 0)):
-        base = make_box(dims)
-        assert (_lumped(base, False).orbits, _lumped(base, False).dead) == (orbits, 0)
-        assert (_lumped(base, True).orbits, _lumped(base, True).dead) == (orbits, dead)
+    # plug orbits under the base symmetries
+    for dims, orbits in (((2, 2, 2, 2), 93), ((2, 2, 3), 95), ((3, 4), 274), ((2, 5), 82)):
+        assert len(_lumped(make_box(dims)).reps) == orbits
+
+
+# ------------------------------------------------ block-tridiagonal defects
+
+@pytest.mark.parametrize("base", SMALL_BASES, ids=SMALL_IDS)
+def test_block_defect_matches_signed_power(base):
+    # 2,3 and 2,5 have an odd number k of cells of each colour, where the
+    # sign (-1)^(k N(N+1)/2) of the closing determinant is not always +1
+    tm = get_transfer(base)
+    vec = power_vector(tm.rows_signed, 0, 0, tm.size)
+    for n in range(21):
+        assert cylinder_defect(base, n) == vec[0], n
+        vec = _apply_rows(tm.rows_signed, vec)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 4), (4, 4, 4), (2, 2, 2, 4)],
+                         ids=lambda d: ",".join(map(str, d)))
+def test_block_defect_beyond_plug_bases(dims):
+    # 36, 64 and 32 base cells: more than plug enumeration allows
+    base = make_box(dims)
+    assert cylinder_defect(base, 0) == 1
+    for n in (1, 2):
+        assert cylinder_defect(base, n) == defect_by_determinant(make_cylinder(base, n))
+
+
+def test_block_defect_rejects_bad_input():
+    with pytest.raises(TransferError):
+        cylinder_defect(make_box((3, 3)), 2)  # unbalanced
+    with pytest.raises(TransferError):
+        cylinder_defect(B222, -1)
 
 
 def test_sixteen_cell_bases_at_depth_twenty():
