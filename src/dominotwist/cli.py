@@ -108,11 +108,18 @@ def _parse_path_arg(args, text: str) -> ham.HamiltonianPath:
 
 # ------------------------------------------------------------ subcommands
 
+def _balanced_cylinder(region: Region) -> bool:
+    """A cyl: region over a balanced base, which the transfer engines need.
+    A cylinder over an unbalanced base is balanced at even depth, so `auto`
+    enumerates it or takes its determinant."""
+    return region.base is not None and region.base.balanced
+
+
 def cmd_count(args) -> CommandResult:
     region = _region_arg(args, args.region)
     method = args.method
     if method == "auto":
-        method = "transfer" if region.base is not None else "enum"
+        method = "transfer" if _balanced_cylinder(region) else "enum"
     if method == "transfer":
         if region.base is None:
             return _fail("count", "transfer method needs a cyl: region",
@@ -132,6 +139,7 @@ def cmd_components(args) -> CommandResult:
         "components": report.summary(),
         "complete": report.complete,
         "visited": report.visited,
+        "flip_edges": report.flip_edges,
     }
     status = "ok" if report.complete else "indeterminate"
     return CommandResult("components", region_spec(region), payload, status)
@@ -146,7 +154,7 @@ def cmd_defect(args) -> CommandResult:
     region = _region_arg(args, args.region)
     method = args.method
     if method == "auto":
-        method = "transfer" if region.base is not None else "det"
+        method = "transfer" if _balanced_cylinder(region) else "det"
     if method == "det":
         value = defect_by_determinant(region)
     elif method == "enum":

@@ -168,15 +168,21 @@ def twist(tiling: Tiling) -> int:
     return (inversion_count(sigma) + neg) % 2
 
 
-def twist_batch(region: Region, states: list[bytes], chunk: int = 1 << 18) -> np.ndarray:
-    """Twists of many byte-packed tilings at once. Exact uint8 arithmetic."""
+def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
+    """Twists of many byte-packed tilings at once. Exact uint8 arithmetic.
+
+    states is a list of partner byte strings or a states x cells uint8
+    matrix of partner vectors."""
     black, wr, neg_bit = _twist_tables(region)
     n = len(region.cells)
     b = len(black)
     out = np.empty(len(states), dtype=np.uint8)
     for lo in range(0, len(states), chunk):
         part = states[lo:lo + chunk]
-        P = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(len(part), n)
+        if isinstance(part, np.ndarray):
+            P = part
+        else:
+            P = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(len(part), n)
         S = wr[P[:, black]].astype(np.uint8)
         acc = inversion_parity(S)
         for i in range(b):

@@ -5,9 +5,14 @@ pair; it never changes the twist.  A trit acts on a 2x2x2 block (along any
 three axes) minus two opposite corners, replacing its three dominoes by
 the only other arrangement; it always toggles the twist.
 
-Component searches run over byte-packed partner vectors.  Budgets cap the
-number of visited states and exhausting a budget yields INDETERMINATE,
-never a wrong boolean.
+The census (flip_components) is one numpy kernel over all tilings at
+once: the tilings packed into a states x cells uint8 matrix, an exact
+uint64 key per tiling, every flip edge found per unit square by key
+lookup, and components labelled by min-label hooking with pointer
+jumping.  Its budget truncates the report.  The pairwise searches
+(flip_connected, padded_merge_search) walk byte-packed partner vectors
+one state at a time; their budgets cap the states visited.  An exhausted
+budget yields INDETERMINATE, never a wrong boolean.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .kasteleyn import twist, twist_batch
 from .regions import Region
@@ -157,8 +164,9 @@ class ComponentReport:
 
     components are sorted by size descending, then by representative bytes;
     comp_of[i] is the component id of states[i] (-1 if the budget ran out
-    before that state was reached); complete says whether the census
-    finished within budget.
+    before that state's component was kept); complete says whether every
+    component was kept within budget; flip_edges counts the edges of the
+    whole flip graph, each flip once.
     """
 
     region: Region
@@ -168,6 +176,7 @@ class ComponentReport:
     twists: "object"  # np.ndarray of per-state twists, aligned with states
     complete: bool
     visited: int
+    flip_edges: int
 
     def representative_tiling(self, k: int) -> Tiling:
         return Tiling(self.region, self.components[k].representative)
@@ -183,53 +192,179 @@ class ComponentReport:
         ]
 
 
-def flip_components(region: Region, budget: int = DEFAULT_BUDGET,
-                    states: list[bytes] | None = None) -> ComponentReport:
-    """Census of the flip graph: enumerate all tilings, BFS each component."""
-    if states is None:
-        states = all_partner_bytes(region)
-    squares = region.squares
-    id_of = {s: k for k, s in enumerate(states)}
-    comp_of = [-1] * len(states)
-    twists = twist_batch(region, states) if states else None
-    raw: list[tuple[int, bytes, int]] = []  # (size, representative, first state id)
-    visited = 0
-    complete = True
-    for start in range(len(states)):
-        if comp_of[start] >= 0:
-            continue
-        if visited >= budget:
-            complete = False
-            break
-        cid = len(raw)
-        comp_of[start] = cid
-        frontier = [states[start]]
-        visited += 1
-        size = 1
-        rep = states[start]
-        while frontier:
-            next_frontier = []
-            for s in frontier:
-                for nb in flip_neighbors_bytes(s, squares):
-                    k = id_of[nb]
-                    if comp_of[k] < 0:
-                        comp_of[k] = cid
-                        next_frontier.append(nb)
-                        size += 1
-                        if nb < rep:
-                            rep = nb
-            visited += len(next_frontier)
-            frontier = next_frontier
-        raw.append((size, rep, start))
+def _packed_states(states: list[bytes], n: int, chunk: int = 1 << 16) -> np.ndarray:
+    """States as a column-major states x cells uint8 matrix.  Packed in
+    chunks: one bytes.join over all states holds a buffer record per state,
+    more than twice the matrix."""
+    P = np.empty((len(states), n), dtype=np.uint8, order="F")
+    for lo in range(0, len(states), chunk):
+        part = states[lo:lo + chunk]
+        P[lo:lo + len(part)] = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(len(part), n)
+    return P
 
-    order = sorted(range(len(raw)), key=lambda k: (-raw[k][0], raw[k][1]))
-    remap = {old: new for new, old in enumerate(order)}
-    components = [
-        Component(raw[old][0], int(twists[id_of[raw[old][1]]]), raw[old][1])
-        for old in order
-    ]
-    comp_of = [remap[c] if c >= 0 else -1 for c in comp_of]
-    return ComponentReport(region, states, components, comp_of, twists, complete, visited)
+
+def _packed_key_table(region: Region) -> np.ndarray | None:
+    """Key table that puts the neighbour rank of black cell i's partner at
+    bit offset bits * (rank of i), which makes keys injective on tilings.
+    None when the keys would need more than 64 bits."""
+    black = region.black_cells
+    nbrs = region.neighbors
+    bits = max((len(nbrs[i]) - 1).bit_length() for i in black) if black else 0
+    if bits * len(black) > 64:
+        return None
+    n = len(region.cells)
+    table = np.zeros((n, n), dtype=np.uint64)
+    for r, i in enumerate(black):
+        for k, j in enumerate(nbrs[i]):
+            table[i, j] = table[j, i] = k << (bits * r)
+    return table
+
+
+def _random_key_table(region: Region, seed: int) -> np.ndarray:
+    """Key table of random 64-bit entries on the region's edges, from `seed`."""
+    n = len(region.cells)
+    values = np.random.default_rng(seed).integers(0, 1 << 64, size=(n, n), dtype=np.uint64)
+    table = np.zeros((n, n), dtype=np.uint64)
+    for i in region.black_cells:
+        for j in region.neighbors[i]:
+            table[i, j] = table[j, i] = values[i, j]
+    return table
+
+
+def _state_keys(region: Region, P: np.ndarray):
+    """Pairwise distinct uint64 keys of the states (rows of P): their argsort
+    order, the sorted keys and the key table T they came from.
+
+    A state's key is the XOR of T[i, partner(i)] over its black cells i.  T
+    is symmetric, so the flip on square (a, b, c, d) from a-b, c-d to a-c,
+    b-d moves a key by T[a,b] ^ T[c,d] ^ T[a,c] ^ T[b,d] whichever cells are
+    black.  Only a random table can give two tilings one key; it is then
+    drawn again from the next seed.
+    """
+    table = _packed_key_table(region)
+    seed = 0
+    while True:
+        if table is None:
+            table = _random_key_table(region, seed)
+            seed += 1
+        keys = np.zeros(len(P), dtype=np.uint64)
+        for i in region.black_cells:
+            keys ^= table[i][P[:, i]]
+        order = np.argsort(keys).astype(np.int32)
+        sorted_keys = keys[order]
+        del keys
+        if not (sorted_keys[1:] == sorted_keys[:-1]).any():
+            return order, sorted_keys, table
+        table = None
+
+
+def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All flip edges among the states (rows of P), as int32 arrays of state
+    ids.  Each edge is found once, from the side where the square (a, b, c,
+    d) pairs a-b and c-d; its other end is looked up by key.  Every flip
+    neighbour of a state must be a state too.
+
+    The rows of P are permuted into key order in place.  A flip changes a
+    key only in the fields of the square's two black cells, which are the
+    same on every state of that side; so with a packed table the looked-up
+    keys come out sorted too, and searchsorted runs near linear.
+    """
+    order, sorted_keys, table = _state_keys(region, P)
+    for j in range(P.shape[1]):
+        P[:, j] = P[order, j]
+
+    def side(a, b, c, d):
+        return (P[:, a] == b) & (P[:, c] == d)
+
+    squares = region.squares
+    counts = [int(np.count_nonzero(side(*sq))) for sq in squares]
+    src = np.empty(sum(counts), dtype=np.int32)
+    dst = np.empty_like(src)
+    pos = 0
+    for (a, b, c, d), cnt in zip(squares, counts):
+        if not cnt:
+            continue
+        at = np.flatnonzero(side(a, b, c, d))
+        keys = sorted_keys[at] ^ (table[a, b] ^ table[c, d] ^ table[a, c] ^ table[b, d])
+        to = np.minimum(np.searchsorted(sorted_keys, keys), len(P) - 1)
+        if not (sorted_keys[to] == keys).all():
+            raise RuntimeError("a flip neighbour is missing from the states")
+        src[pos:pos + cnt] = order[at]
+        dst[pos:pos + cnt] = order[to]
+        pos += cnt
+    return src, dst
+
+
+def _min_labels(m: int, src: np.ndarray, dst: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
+    """Smallest state id of each state's component (Shiloach-Vishkin style).
+
+    Each round walks the edges in chunks.  An edge whose ends carry the same
+    label is dropped; an edge whose ends differ is kept, and hooks the
+    larger label onto the smaller (lab[top] = min(lab[top], low)).  Then
+    pointers jump until every label is a root (a state labelled by itself).
+    Labels stay in their component and only decrease, and the smallest
+    state of a component keeps its own label, so once no edge is left
+    every label is its component's smallest state.  Dropping is safe
+    because every pointer a hook overwrites came from a kept edge.  Kept
+    edges are compacted to the front of src and dst in place, so both
+    arrays are overwritten.
+    """
+    lab = np.arange(m, dtype=np.int32)
+    while len(src):
+        kept = 0
+        for lo in range(0, len(src), chunk):
+            s, d = src[lo:lo + chunk], dst[lo:lo + chunk]
+            low, top = lab[s], lab[d]
+            open_ = low != top
+            s, d, low, top = s[open_], d[open_], low[open_], top[open_]
+            swap = low > top
+            low[swap], top[swap] = top[swap], low[swap]
+            np.minimum.at(lab, top, low)
+            src[kept:kept + len(s)] = s
+            dst[kept:kept + len(s)] = d
+            kept += len(s)
+        src, dst = src[:kept], dst[:kept]
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+    return lab
+
+
+def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentReport:
+    """Census of the flip graph: enumerate all tilings, find every flip edge
+    by key lookup and label all components at once.
+
+    Components are kept in ascending order of their smallest state index
+    while fewer than `budget` states were kept before them; the states of
+    the others get comp_of -1.  The budget truncates the report only: the
+    whole graph is built either way.
+    """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    # in ascending byte order, so a component's smallest state id is its
+    # smallest state
+    states = all_partner_bytes(region)
+    m = len(states)
+    if not m:
+        return ComponentReport(region, states, [], [], None, True, 0, 0)
+    P = _packed_states(states, len(region.cells))
+    twists = twist_batch(region, P)
+    src, dst = _flip_edges(region, P)
+    del P
+    flip_edges = len(src)
+    lab = _min_labels(m, src, dst)
+    del src, dst
+    roots, sizes = np.unique(lab, return_counts=True)
+    kept = int(np.count_nonzero(np.cumsum(sizes) - sizes < budget))
+    raw = sorted(zip(sizes[:kept].tolist(), roots[:kept].tolist()),
+                 key=lambda c: (-c[0], c[1]))
+    cid = np.full(m, -1, dtype=np.int32)
+    cid[[root for _, root in raw]] = np.arange(len(raw))
+    components = [Component(size, int(twists[root]), states[root]) for size, root in raw]
+    return ComponentReport(region, states, components, cid[lab].tolist(), twists,
+                           kept == len(roots), int(sizes[:kept].sum()), flip_edges)
 
 
 def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Connectivity:
@@ -238,6 +373,8 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     The twist shortcut is sound: flips preserve twist, so tilings with
     different twists are disconnected without any search.
     """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     if t0.region != t1.region:
         raise ValueError("tilings live on different regions")
     if t0.partner == t1.partner:

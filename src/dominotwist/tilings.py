@@ -203,7 +203,8 @@ def all_partner_bytes(region: Region, limit: int | None = None) -> list[bytes]:
     """All tilings as packed partner byte strings (regions up to 255 cells).
 
     Fast path used by censuses and flip searches; same order as
-    iter_partner_vectors.
+    iter_partner_vectors, which is ascending byte order: two tilings first
+    differ at the lowest cell where the branch chose different partners.
     """
     n = len(region.cells)
     if n > 255:

@@ -58,6 +58,18 @@ def test_count_transfer_needs_cylinder():
     assert "cyl" in obj["payload"]["message"]
 
 
+def test_cylinder_over_unbalanced_base_auto_routes():
+    # 3x3 has five cells of one colour and four of the other: the plug and
+    # block engines need a balanced base, but the cylinder is balanced at
+    # even depth and has tilings
+    code, obj = run_json(["count", "--region", "cyl:3,3xN=2"])
+    assert (code, obj["payload"]) == (0, {"count": 229, "method": "enum"})
+    code, obj = run_json(["defect", "--region", "cyl:3,3xN=2"])
+    assert (code, obj["payload"]["method"], obj["payload"]["abs"]) == (0, "det", 225)
+    code, obj = run_json(["count", "--region", "cyl:3,3xN=1"])
+    assert (code, obj["payload"]) == (0, {"count": 0, "method": "enum"})
+
+
 def test_cork_is_not_counted_as_its_cylinder():
     # the cork lacks two bottom cells of cyl:2,2xN=3, whose count is 32
     cork = "cork:2,2xN=3:p0=0x3:pN=0x0"
@@ -95,19 +107,34 @@ def test_components_complete():
     assert p["component_count"] == 1
     assert p["complete"] is True
     assert p["visited"] == 9
+    assert p["flip_edges"] == 12
     assert p["components"][0]["size"] == 9
     assert p["components"][0]["twist"] == 0
 
 
 def test_components_budget_indeterminate():
-    # the budget is checked between component searches; this region's flip
-    # graph splits into nine components, so a tiny budget cannot finish
+    # components are kept while fewer than --budget states were kept before
+    # them; this region's flip graph splits into nine components, so a tiny
+    # budget cannot keep them all
     code, obj = run_json(["components", "--region", "box:2,2,2,2",
                           "--budget", "10"])
     assert code == 2
     assert obj["status"] == "indeterminate"
     assert obj["payload"]["complete"] is False
     assert obj["payload"]["component_count"] < 9
+
+
+def test_negative_budget_is_error(tmp_path):
+    code, obj = run_json(["components", "--region", "box:2,2,2,2", "--budget", "-5"])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "box:2,2,2,2")
+    assert obj["payload"]["message"] == "budget must be non-negative"
+    t = vertical_tiling(make_box((2, 2)), 2)
+    f = tmp_path / "t.txt"
+    f.write_text(t.to_text())
+    code, obj = run_json(["padding", "--t0", str(f), "--t1", str(f),
+                          "--floors", "2", "--budget", "-5"])
+    assert (code, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == "budget must be non-negative"
 
 
 def test_twist_of_file(tmp_path):

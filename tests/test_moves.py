@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from dominotwist.kasteleyn import twist
+from dominotwist import moves
+from dominotwist.kasteleyn import twist, twist_batch
 from dominotwist.moves import (
+    Component,
+    ComponentReport,
     Connectivity,
     apply_flip,
     apply_trit,
@@ -20,8 +24,14 @@ from dominotwist.moves import (
     trit_sites,
     unpack_state,
 )
-from dominotwist.regions import make_box, make_cylinder
-from dominotwist.tilings import Tiling, decompose_floors, enumerate_tilings, vertical_tiling
+from dominotwist.regions import from_cells, make_box, make_cylinder, parse_region_spec
+from dominotwist.tilings import (
+    Tiling,
+    all_partner_bytes,
+    decompose_floors,
+    enumerate_tilings,
+    vertical_tiling,
+)
 
 
 def test_pack_unpack_roundtrip():
@@ -135,6 +145,114 @@ def test_budget_exhaustion_is_indeterminate():
     rep = flip_components(r, budget=10)
     assert not rep.complete
     assert -1 in rep.comp_of
+
+
+def reference_components(region, budget=moves.DEFAULT_BUDGET) -> ComponentReport:
+    """Per-state BFS census on flip_neighbors_bytes: components started in
+    ascending order of their first state while fewer than `budget` states
+    were visited."""
+    states = all_partner_bytes(region)
+    squares = region.squares
+    id_of = {s: k for k, s in enumerate(states)}
+    comp_of = [-1] * len(states)
+    twists = twist_batch(region, states) if states else None
+    raw = []  # (size, representative)
+    visited = 0
+    complete = True
+    for start in range(len(states)):
+        if comp_of[start] >= 0:
+            continue
+        if visited >= budget:
+            complete = False
+            break
+        cid = len(raw)
+        comp_of[start] = cid
+        frontier = [states[start]]
+        members = [states[start]]
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for nb in flip_neighbors_bytes(s, squares):
+                    k = id_of[nb]
+                    if comp_of[k] < 0:
+                        comp_of[k] = cid
+                        nxt.append(nb)
+            members += nxt
+            frontier = nxt
+        visited += len(members)
+        raw.append((len(members), min(members)))
+    order = sorted(range(len(raw)), key=lambda k: (-raw[k][0], raw[k][1]))
+    remap = {old: new for new, old in enumerate(order)}
+    components = [Component(raw[k][0], int(twists[id_of[raw[k][1]]]), raw[k][1])
+                  for k in order]
+    edges = sum(len(flip_neighbors_bytes(s, squares)) for s in states)
+    assert edges % 2 == 0
+    return ComponentReport(region, states, components,
+                           [remap[c] if c >= 0 else -1 for c in comp_of], twists,
+                           complete, visited, edges // 2)
+
+
+def assert_same_report(got: ComponentReport, want: ComponentReport) -> None:
+    assert got.region == want.region
+    assert got.states == want.states
+    assert got.components == want.components
+    assert got.comp_of == want.comp_of
+    assert type(got.comp_of) is list
+    if want.twists is None:
+        assert got.twists is None
+    else:
+        assert np.array_equal(got.twists, want.twists)
+    assert (got.complete, got.visited, got.flip_edges) == (
+        want.complete, want.visited, want.flip_edges)
+
+
+def tailed_box():
+    """box:2,3,3 with a one-cell-wide tail of 26 cells: 22 black cells of up
+    to 6 neighbours need 66 key bits, more than a packed key holds."""
+    cells = [(x, y, z) for x in range(2) for y in range(3) for z in range(3)]
+    cells += [(x, 0, 0) for x in range(2, 28)]
+    return from_cells(3, cells)
+
+
+CENSUS_CASES = [
+    ("box:2,2,3", None), ("box:3,3,2", None), ("box:4,4", None), ("box:2,8", None),
+    ("box:2,2,2,2", None), ("box:2,2,2,2", 0), ("box:2,2,2,2", 10),
+    ("box:2,2,2,2", 264), ("cyl:2,2,2xN=3", None),
+    ("cyl:2,2,2xN=3", 10), ("cyl:2,2,2xN=3", 6000), ("box:3,3", None),
+]
+
+
+@pytest.mark.parametrize("spec,budget", CENSUS_CASES,
+                         ids=[f"{s}-{b}" for s, b in CENSUS_CASES])
+def test_census_kernel_matches_reference_bfs(spec, budget):
+    region = parse_region_spec(spec)
+    assert moves._packed_key_table(region) is not None
+    kw = {} if budget is None else {"budget": budget}
+    assert_same_report(flip_components(region, **kw), reference_components(region, **kw))
+
+
+def test_census_kernel_with_random_keys():
+    region = tailed_box()
+    assert moves._packed_key_table(region) is None
+    rep = flip_components(region)
+    assert len(rep.states) == 229
+    assert_same_report(rep, reference_components(region))
+
+
+def test_census_kernel_redraws_colliding_keys(monkeypatch):
+    region = tailed_box()
+    seeds = []
+    draw = moves._random_key_table
+
+    def first_collides(region, seed):
+        seeds.append(seed)
+        table = draw(region, seed)
+        return np.zeros_like(table) if seed == 0 else table
+
+    monkeypatch.setattr(moves, "_random_key_table", first_collides)
+    rep = flip_components(region)
+    assert seeds == [0, 1]
+    assert_same_report(rep, reference_components(region))
 
 
 def test_flip_connected_same_component():
