@@ -119,14 +119,15 @@ def _twist_tables(region: Region):
         raise KasteleynError("twist needs a balanced region")
     black = np.array(region.black_cells, dtype=np.int64)
     b = len(black)
-    wr = np.array(region.white_rank, dtype=np.int64)
+    wr = region.white_rank
     # neg_bit[r, s] = 1 when the edge from black label r to white label s has sign -1
     neg_bit = np.zeros((b, b), dtype=np.uint8)
     for r, i in enumerate(region.black_cells):
         for j in region.neighbors[i]:
             if canonical_sign(region, region.cells[i], region.cells[j]) < 0:
                 neg_bit[r, wr[j]] = 1
-    return black, wr, neg_bit
+    # twist_batch gathers byte ranks (at most 255 cells); black cells' -1 wraps, unused
+    return black, np.array(wr, dtype=np.int64).astype(np.uint8), neg_bit
 
 
 def permutation_of(tiling: Tiling) -> list[int]:
@@ -162,7 +163,7 @@ def inversion_parity(rows: np.ndarray) -> np.ndarray:
 def twist(tiling: Tiling) -> int:
     """Twist in Z/2 under the canonical labeling and sign system."""
     region = tiling.region
-    _, wr_np, neg_bit = _twist_tables(region)
+    _, _, neg_bit = _twist_tables(region)
     sigma = permutation_of(tiling)
     neg = int(sum(int(neg_bit[r, s]) for r, s in enumerate(sigma)))
     return (inversion_count(sigma) + neg) % 2
@@ -183,7 +184,7 @@ def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
             P = part
         else:
             P = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(len(part), n)
-        S = wr[P[:, black]].astype(np.uint8)
+        S = wr[P[:, black]]
         acc = inversion_parity(S)
         for i in range(b):
             acc ^= neg_bit[i, S[:, i]]

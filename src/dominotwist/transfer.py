@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
@@ -189,20 +189,81 @@ def _base_tables(base: Region) -> _BaseTables:
     return _BaseTables(base)
 
 
+_TRIPLE = np.dtype([("i", "<i4"), ("j", "<i4"), ("v", "<i8")])  # one cache entry
+
+
+@dataclass(frozen=True, eq=False)
+class _CSR:
+    """Square sparse integer matrix in compressed sparse row form: row i
+    has columns cols[indptr[i]:indptr[i + 1]] and entries vals[same]."""
+
+    indptr: np.ndarray  # int64
+    cols: np.ndarray  # int32
+    vals: np.ndarray  # int64
+
+    @classmethod
+    def from_rows(cls, rows) -> _CSR:
+        """From (columns, entries) array pairs, one per row."""
+        cols, vals = zip(*rows)
+        indptr = np.cumsum([0, *map(len, cols)], dtype=np.int64)
+        return cls(indptr, np.concatenate(cols).astype(np.int32),
+                   np.concatenate(vals).astype(np.int64))
+
+    @property
+    def size(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def row(self, i: int) -> list[tuple[int, int]]:
+        """Row i as (column, entry) pairs of Python ints."""
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return list(zip(self.cols[a:b].tolist(), self.vals[a:b].tolist()))
+
+    def __iter__(self):
+        return map(self.row, range(self.size))
+
+    def row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size, dtype=np.int32), np.diff(self.indptr))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.size, self.size), dtype=np.int64)
+        out[self.row_ids(), self.cols] = self.vals
+        return out
+
+    @cached_property
+    def _gather(self) -> tuple[list, list[int], list[int]]:
+        ids = list(range(self.size))  # one int object per column index
+        spans = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
+        return spans, list(map(ids.__getitem__, self.cols.tolist())), self.vals.tolist()
+
+    def step(self, vec: list[int]) -> list[int]:
+        """M v in exact Python integers: the one exact matrix-vector loop."""
+        spans, cols, vals = self._gather
+        get = vec.__getitem__
+        return [sum(map(mul, vals[a:b], map(get, cols[a:b]))) for a, b in spans]
+
+    def power(self, start: int, n: int) -> list[int]:
+        """M^n e_start: row `start` of M^n when M is symmetric, as A and At are."""
+        vec = [0] * self.size
+        vec[start] = 1
+        for _ in range(n):
+            vec = self.step(vec)
+        return vec
+
+
 @dataclass
 class TransferMatrices:
-    """Sparse count matrix A and signed matrix At over a base's plugs.
-
-    rows_count[i] and rows_signed[i] hold (column, value) pairs for plug
-    index i.  Entries are exact Python integers.
-    """
+    """Count matrix A and signed matrix At over a base's plugs, as CSR
+    matrices indexed by plug index."""
 
     base: Region
     plugs: list[int]
     plug_index: dict[int, int]
-    rows_count: list[list[tuple[int, int]]]
-    rows_signed: list[list[tuple[int, int]]]
-    _rows_sharp: list[list[tuple[int, int]]] | None = field(default=None, repr=False)
+    rows_count: _CSR
+    rows_signed: _CSR
 
     @property
     def size(self) -> int:
@@ -210,48 +271,19 @@ class TransferMatrices:
 
     @property
     def nnz(self) -> tuple[int, int]:
-        return (sum(len(r) for r in self.rows_count),
-                sum(len(r) for r in self.rows_signed))
-
-    @property
-    def rows_count_sharp(self) -> list[list[tuple[int, int]]]:
-        """A with vertical-floor transitions removed: entries where the two
-        plugs cover the whole base are zeroed."""
-        if self._rows_sharp is None:
-            full = (1 << len(self.base.cells)) - 1
-            self._rows_sharp = [
-                [(j, v) for j, v in row if self.plugs[i] | self.plugs[j] != full]
-                for i, row in enumerate(self.rows_count)
-            ]
-        return self._rows_sharp
+        return self.rows_count.nnz, self.rows_signed.nnz
 
     def entry_count(self, p0: int, p1: int) -> int:
-        i0, i1 = self.plug_index[p0], self.plug_index[p1]
-        for j, v in self.rows_count[i0]:
-            if j == i1:
-                return v
-        return 0
+        return dict(self.rows_count.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
 
     def entry_signed(self, p0: int, p1: int) -> int:
-        i0, i1 = self.plug_index[p0], self.plug_index[p1]
-        for j, v in self.rows_signed[i0]:
-            if j == i1:
-                return v
-        return 0
+        return dict(self.rows_signed.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
 
-    def dense_count(self) -> list[list[int]]:
-        return _dense(self.rows_count, self.size)
+    def dense_count(self) -> np.ndarray:
+        return self.rows_count.dense()
 
-    def dense_signed(self) -> list[list[int]]:
-        return _dense(self.rows_signed, self.size)
-
-
-def _dense(rows: list[list[tuple[int, int]]], n: int) -> list[list[int]]:
-    out = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, v in row:
-            out[i][j] = v
-    return out
+    def dense_signed(self) -> np.ndarray:
+        return self.rows_signed.dense()
 
 
 def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferMatrices:
@@ -262,12 +294,8 @@ def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferM
         raise TransferError(
             f"{len(plugs)} plugs exceeds the matrix limit {max_plugs};"
             " cylinder_count and cylinder_defect need no matrix")
-    rows_count: list[list[tuple[int, int]]] = []
-    rows_signed: list[list[tuple[int, int]]] = []
-    for i in range(len(plugs)):
-        for rows, signed in ((rows_count, False), (rows_signed, True)):
-            cols, vals = tables.row(i, signed)
-            rows.append(list(zip(cols.tolist(), vals.tolist())))
+    rows_count, rows_signed = (_CSR.from_rows(tables.row(i, signed) for i in range(len(plugs)))
+                               for signed in (False, True))
     plug_index = {p: i for i, p in enumerate(plugs)}
     return TransferMatrices(base, plugs, plug_index, rows_count, rows_signed)
 
@@ -381,30 +409,19 @@ def signed_floor_sum_by_enumeration(base: Region, cells_mask: int) -> int:
 
 # ------------------------------------------------------- powers and counts
 
-def _apply_rows(rows: list[list[tuple[int, int]]], vec: list[int]) -> list[int]:
-    out = [0] * len(vec)
-    for i, vi in enumerate(vec):
-        if vi:
-            for j, a in rows[i]:
-                out[j] += vi * a
-    return out
-
-
-def power_vector(rows: list[list[tuple[int, int]]], start: int, n: int,
-                 size: int) -> list[int]:
-    """Row `start` of the n-th power of a sparse matrix, exact integers."""
-    vec = [0] * size
-    vec[start] = 1
-    for _ in range(n):
-        vec = _apply_rows(rows, vec)
-    return vec
+def power_vector(matrix: _CSR, start: int, n: int, size: int) -> list[int]:
+    """Row `start` of the n-th power of a symmetric size x size matrix, exact."""
+    if matrix.size != size:
+        raise TransferError(f"matrix has {matrix.size} rows, not {size}")
+    return matrix.power(start, n)
 
 
 # A symmetry g of the base permutes its cells and so its plugs, with
-# A[gp][gq] = A[p][q].  The row e_empty A^N is then constant on each plug
-# orbit, and since A is symmetric its values at the orbits' representatives
-# evolve by the lumped matrix R[o][o'] = sum_{q in o'} A[rep_o][q], built
-# from the representatives' rows alone.
+# A[gp][gq] = A[p][q].  A maps vectors constant on each plug orbit, such as
+# e_empty, to such vectors, and on them (A v)[rep_o] = sum_o' R[o][o'] v[o']
+# with the lumped matrix R[o][o'] = sum_{q in o'} A[rep_o][q], built from the
+# representatives' rows alone.  g fixes the full plug, so the parts of A
+# where p | q is full (vertical floors) or not are invariant and lump alike.
 
 def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
     """Cell permutations of the reflections of single axes and transpositions
@@ -443,32 +460,18 @@ def _plug_image(tables: _BaseTables, perm: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Lumped:
-    """A lumped by the plug orbits of the base symmetries, as CSR arrays;
+    """A matrix over plugs lumped by the plug orbits of the base symmetries;
     orbit 0 is the empty plug alone."""
 
     reps: np.ndarray  # plug index of each orbit's representative
-    indptr: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def power(self, floors: int) -> list[int]:
-        """The orbit vector of e_empty A^floors: entry o is its value at
-        reps[o].  Exact Python integers."""
-        spans = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
-        ids = list(range(len(spans)))
-        cols = list(map(ids.__getitem__, self.cols))  # one int object per orbit
-        vals = self.vals.tolist()
-        vec = [0] * len(spans)
-        vec[0] = 1
-        for _ in range(floors):
-            vec = [sum(map(mul, vals[a:b], map(vec.__getitem__, cols[a:b])))
-                   for a, b in spans]
-        return vec
+    matrix: _CSR
 
 
 @lru_cache(maxsize=8)
-def _lumped(base: Region) -> _Lumped:
-    """A lumped by the plug orbits of the base."""
+def _lumped(base: Region, part: str = "all") -> _Lumped:
+    """A lumped by the plug orbits of the base: all of it, or only the
+    entries of its "vertical" floors (p | q is the full plug) or "sharp"
+    ones (the rest)."""
     tables = _base_tables(base)
     images = [_plug_image(tables, perm) for perm in _base_symmetries(base)]
     # orbit labels (least plug index) by propagation
@@ -479,18 +482,19 @@ def _lumped(base: Region) -> _Lumped:
             np.minimum(label, label[image], out=label)
     reps = np.flatnonzero(label == np.arange(len(label), dtype=np.int32))
     plug_orbit = np.searchsorted(reps, label)
-    indptr = np.zeros(len(reps) + 1, dtype=np.int64)
-    col_parts, val_parts = [], []
-    acc = np.zeros(len(reps), dtype=np.int64)
-    for o, r in enumerate(reps.tolist()):
+
+    def lumped_row(r: int) -> tuple[np.ndarray, np.ndarray]:
         cols, vals = tables.row(r, False)
-        acc[:] = 0
+        if part != "all":
+            vertical = (tables.plugs_np[cols] | tables.plugs[r]) == tables.full
+            keep = vertical if part == "vertical" else ~vertical
+            cols, vals = cols[keep], vals[keep]
+        acc = np.zeros(len(reps), dtype=np.int64)
         np.add.at(acc, plug_orbit[cols], vals)
         nz = np.flatnonzero(acc)
-        col_parts.append(nz.astype(np.int32))
-        val_parts.append(acc[nz])
-        indptr[o + 1] = indptr[o] + len(nz)
-    return _Lumped(reps, indptr, np.concatenate(col_parts), np.concatenate(val_parts))
+        return nz, acc[nz]
+
+    return _Lumped(reps, _CSR.from_rows(map(lumped_row, reps.tolist())))
 
 
 def cylinder_count(base: Region, floors: int) -> int:
@@ -498,7 +502,7 @@ def cylinder_count(base: Region, floors: int) -> int:
     lumped over plug orbits."""
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
-    return _lumped(base).power(floors)[0]
+    return _lumped(base).matrix.power(0, floors)[0]
 
 
 def cylinder_defect(base: Region, floors: int) -> int:
@@ -543,11 +547,12 @@ def cylinder_defect(base: Region, floors: int) -> int:
 def cork_count(base: Region, floors: int, p0: int, p_top: int) -> int:
     """Tilings of the cylinder with plug p0 removed at the bottom and p_top
     at the top (cells already covered by dominoes of neighboring regions)."""
+    if floors < 0:
+        raise TransferError("floor count must be nonnegative")
     _check_plug(base, p0)
     _check_plug(base, p_top)
     tm = get_transfer(base)
-    vec = power_vector(tm.rows_count, tm.plug_index[p0], floors, tm.size)
-    return vec[tm.plug_index[p_top]]
+    return tm.rows_count.power(tm.plug_index[p0], floors)[tm.plug_index[p_top]]
 
 
 def twist_split(base: Region, floors: int) -> tuple[int, int]:
@@ -567,28 +572,20 @@ def twist_split(base: Region, floors: int) -> tuple[int, int]:
 def count_with_few_vertical_floors(base: Region, floors: int, bound: int) -> int:
     """Tilings of base x [0, floors] with fewer than `bound` vertical floors.
 
-    A floor is vertical when its two plugs cover every base cell.  Layered
-    powers of the count matrix with vertical transitions split out."""
+    A floor is vertical when its two plugs cover every base cell.  Layer m
+    holds the tilings so far with m vertical floors, stepped by the lumped
+    sharp part of A and fed from layer m - 1 by the lumped vertical part."""
+    if floors < 0:
+        raise TransferError("floor count must be nonnegative")
     if bound <= 0:
         return 0
-    tm = get_transfer(base)
-    sharp = tm.rows_count_sharp
-    full = (1 << len(base.cells)) - 1
-    vert_rows = [
-        [(j, v) for j, v in row if tm.plugs[i] | tm.plugs[j] == full]
-        for i, row in enumerate(tm.rows_count)
-    ]
-    layers = [[0] * tm.size for _ in range(bound)]
+    sharp, vertical = _lumped(base, "sharp").matrix, _lumped(base, "vertical").matrix
+    layers = [[0] * sharp.size for _ in range(min(bound, floors + 1))]  # at most `floors` vertical
     layers[0][0] = 1
     for _ in range(floors):
-        new = []
-        for m in range(bound):
-            vec = _apply_rows(sharp, layers[m])
-            if m > 0:
-                up = _apply_rows(vert_rows, layers[m - 1])
-                vec = [a + b for a, b in zip(vec, up)]
-            new.append(vec)
-        layers = new
+        layers = [sharp.step(layers[0])] + [
+            list(map(add, sharp.step(layer), vertical.step(below)))
+            for below, layer in zip(layers, layers[1:])]
     return sum(layer[0] for layer in layers)
 
 
@@ -638,9 +635,8 @@ def spectral_estimates(base: Region, tol: float = 1e-9,
     root.  Raises unless the signed value is strictly below the count value.
     """
     tm = get_transfer(base)
-    a = np.array(tm.dense_count(), dtype=np.float64)
-    at = np.array(tm.dense_signed(), dtype=np.float64)
-    lam, resid, iters = _power_iteration(a, tol, max_iter)
+    lam, resid, iters = _power_iteration(tm.dense_count().astype(np.float64), tol, max_iter)
+    at = tm.dense_signed().astype(np.float64)
     lam2, resid2, iters2 = _power_iteration(at @ at, tol, max_iter)
     lam_tilde = math.sqrt(max(lam2, 0.0))
     if not lam_tilde < lam:
@@ -658,25 +654,23 @@ def transfer_to_json_obj(tm: TransferMatrices) -> dict:
         "version": CACHE_FORMAT_VERSION,
         "base": region_spec(tm.base),
         "plugs": list(tm.plugs),
-        "A": tm.dense_count(),
-        "Atilde": tm.dense_signed(),
+        "A": tm.dense_count().tolist(),
+        "Atilde": tm.dense_signed().tolist(),
     }
 
 
 def save_transfer_cache(tm: TransferMatrices, path: str) -> None:
-    """Compact binary cache: zlib-compressed sparse triples."""
+    """Compact binary cache: zlib-compressed (row, column, entry) triples
+    of the two CSR matrices."""
     header = json.dumps({
         "format": CACHE_FORMAT_VERSION,
         "base": region_spec(tm.base),
         "plugs": len(tm.plugs),
     }).encode()
-    chunks = [struct.pack("<I", len(header)), header]
-    chunks.append(struct.pack("<%dq" % len(tm.plugs), *tm.plugs))
-    for rows in (tm.rows_count, tm.rows_signed):
-        triples = [(i, j, v) for i, row in enumerate(rows) for j, v in row]
-        chunks.append(struct.pack("<q", len(triples)))
-        for i, j, v in triples:
-            chunks.append(struct.pack("<iiq", i, j, v))
+    chunks = [struct.pack("<I", len(header)), header, np.array(tm.plugs, dtype="<i8").tobytes()]
+    for matrix in (tm.rows_count, tm.rows_signed):
+        triples = np.rec.fromarrays([matrix.row_ids(), matrix.cols, matrix.vals], dtype=_TRIPLE)
+        chunks += [struct.pack("<q", matrix.nnz), triples.tobytes()]
     blob = zlib.compress(b"".join(chunks), 6)
     with open(path, "wb") as fh:
         fh.write(b"DTRC" + struct.pack("<I", CACHE_FORMAT_VERSION) + blob)
@@ -707,25 +701,28 @@ def load_transfer_cache(path: str, base: Region | None = None) -> TransferMatric
 
 
 def _read_cache_body(data: bytes):
-    """(base spec, plugs, [count rows, signed rows]) from a decompressed cache."""
+    """(base spec, plugs, [count matrix, signed matrix]) from a decompressed cache."""
     hlen = struct.unpack_from("<I", data)[0]
     header = json.loads(data[4:4 + hlen])
     spec, n = header["base"], header["plugs"]
     if not isinstance(spec, str) or not isinstance(n, int) or n < 0:
         raise ValueError("bad header")
     off = 4 + hlen
-    plugs = list(struct.unpack_from("<%dq" % n, data, off))
+    plugs = np.frombuffer(data, dtype="<i8", count=n, offset=off).tolist()
     off += 8 * n
     matrices = []
     for _ in range(2):
         count = struct.unpack_from("<q", data, off)[0]
         off += 8
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for _ in range(count):
-            i, j, v = struct.unpack_from("<iiq", data, off)
-            off += 16
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i}, {j}) outside {n} plugs")
-            rows[i].append((j, v))
-        matrices.append(rows)
+        if count < 0:
+            raise ValueError(f"negative entry count {count}")
+        triples = np.frombuffer(data, dtype=_TRIPLE, count=count, offset=off)
+        off += _TRIPLE.itemsize * count
+        if count and not (0 <= min(triples["i"].min(), triples["j"].min())
+                          and max(triples["i"].max(), triples["j"].max()) < n):
+            raise ValueError(f"entry index outside {n} plugs")
+        order = np.argsort(triples["i"], kind="stable")  # rows in any order
+        indptr = np.cumsum(np.bincount(triples["i"] + 1, minlength=n + 1), dtype=np.int64)
+        matrices.append(_CSR(indptr, triples["j"][order].astype(np.int32),
+                             triples["v"][order].astype(np.int64)))
     return spec, plugs, matrices

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib
 import importlib.metadata
 import io
@@ -8,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import zlib
 from decimal import Decimal
 from pathlib import Path
 
@@ -183,8 +185,25 @@ def test_transfer_export_files(tmp_path):
     tm = get_transfer(base)
     loaded = load_transfer_cache(str(cache), base)
     assert loaded.plugs == tm.plugs
-    assert loaded.rows_count == tm.rows_count
-    assert loaded.rows_signed == tm.rows_signed
+    assert list(loaded.rows_count) == list(tm.rows_count)
+    assert list(loaded.rows_signed) == list(tm.rows_signed)
+
+
+def test_transfer_export_bytes_are_pinned(tmp_path):
+    # the JSON export and the version-1 cache of box:2,2,2, byte for byte;
+    # the cache is pinned through its decompressed body, since the
+    # compressed bytes belong to the zlib build
+    out, cache = tmp_path / "m.json", tmp_path / "m.dtrc"
+    code, _ = run_json(["transfer-export", "--base", "box:2,2,2",
+                        "--out", str(out), "--binary", str(cache)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "bc29d9df3cb778a5716614c6ef371f2c5207ff3083c55875fd25f450edd7c4d4"
+    raw = cache.read_bytes()
+    body = zlib.decompress(raw[8:])
+    assert raw == raw[:8] + zlib.compress(body, 6)
+    assert hashlib.sha256(raw[:8] + body).hexdigest() == \
+        "8dbd65b487d054eb851b43bc0e27769057e5d8a4c49ea6362e2b4c596bb76a05"
 
 
 def test_spectral_payload():

@@ -9,7 +9,6 @@ from dominotwist.kasteleyn import defect_by_determinant, defect_by_enumeration, 
 from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
-    _apply_rows,
     _base_tables,
     _lumped,
     _parity_table,
@@ -95,8 +94,12 @@ def test_defect_transfer_vs_enumeration():
 
 
 def test_cylinder_count_rejects_negative():
-    with pytest.raises(TransferError):
-        cylinder_count(B222, -1)
+    for call in (lambda: cylinder_count(B222, -1),
+                 lambda: count_with_few_vertical_floors(B222, -1, 3),
+                 lambda: count_with_few_vertical_floors(B222, -1, 0),
+                 lambda: cork_count(B222, -2, 0, 0)):
+        with pytest.raises(TransferError, match="floor count"):
+            call()
 
 
 def test_twist_split_identities():
@@ -113,12 +116,16 @@ def test_twist_split_2222():
 
 
 def test_atilde_symmetric():
+    # CSR.step computes M v, which is a row of M^N only for symmetric M:
+    # A, At and both parts of A split by vertical floors must be symmetric
     for base in (B222, B223):
-        m = get_transfer(base).dense_signed()
-        n = len(m)
-        for i in range(n):
-            for j in range(i):
-                assert m[i][j] == m[j][i]
+        tm = get_transfer(base)
+        plugs = np.array(tm.plugs)
+        vertical = (plugs[:, None] | plugs[None, :]) == (1 << len(base.cells)) - 1
+        a = tm.dense_count()
+        for m in (a, tm.dense_signed(), np.where(vertical, 0, a), np.where(vertical, a, 0)):
+            assert m.any()
+            assert np.array_equal(m, m.T)
 
 
 def test_parity_table_matches_plug_inversions():
@@ -176,12 +183,27 @@ def _floor_tiling_of(base, p0, p1, pairs):
 
 
 def test_power_vector_matches_dense_power():
-    import numpy as np
     tm = get_transfer(make_box((2, 2)))
     a = np.array(tm.dense_count(), dtype=object)
     vec = power_vector(tm.rows_count, 0, 3, tm.size)
     expect = np.linalg.matrix_power(a, 3)[0]
     assert list(vec) == list(expect)
+
+
+def test_transfer_matrix_api():
+    # the calls bench/make_data.py and bench/wl_transfer.py make
+    tm = get_transfer(B222)
+    assert power_vector(tm.rows_count, 0, 3, tm.size)[0] == 6345
+    with pytest.raises(TransferError):
+        power_vector(tm.rows_count, 0, 3, tm.size + 1)
+    for dense, rows, nnz in ((tm.dense_count(), tm.rows_count, tm.nnz[0]),
+                             (tm.dense_signed(), tm.rows_signed, tm.nnz[1])):
+        a = np.array(dense, dtype=np.float64)
+        assert a.shape == (70, 70) and np.count_nonzero(a) == nnz == rows.nnz
+        pairs = [(i, j, v) for i, row in enumerate(rows) for j, v in row]
+        assert len(pairs) == nnz
+        assert all(type(j) is int and type(v) is int and a[i, j] == v for i, j, v in pairs)
+    assert tm.nnz == (559, 551)
 
 
 def test_cork_count_matches_enumeration():
@@ -210,6 +232,22 @@ def test_count_with_few_vertical_floors():
     assert count_with_few_vertical_floors(B222, 2, 1) == full2 - 1
     assert count_with_few_vertical_floors(B222, 2, 2) == full2 - 1
     assert count_with_few_vertical_floors(B222, 2, 3) == full2
+
+
+@pytest.mark.parametrize("base, max_floors", [(B222, 4), (make_box((2, 3)), 5)],
+                         ids=["2,2,2", "2,3"])
+def test_few_vertical_floors_match_enumeration(base, max_floors):
+    # bucket every tiling of base x [0, N] by its vertical floors (both
+    # plugs cover the base), against the lumped A-sharp layers
+    full = (1 << len(base.cells)) - 1
+    for n in range(max_floors + 1):
+        by_vertical = [0] * (n + 1)
+        for t in enumerate_tilings(make_cylinder(base, n)):
+            p = decompose_floors(t).plugs
+            by_vertical[sum(p[k] | p[k + 1] == full for k in range(n))] += 1
+        for bound in range(n + 2):
+            want = sum(by_vertical[:bound])
+            assert count_with_few_vertical_floors(base, n, bound) == want, (n, bound)
 
 
 def test_spectral_estimates_values():
@@ -241,8 +279,8 @@ def test_cache_roundtrip(tmp_path):
     save_transfer_cache(tm, path)
     back = load_transfer_cache(path)
     assert back.plugs == tm.plugs
-    assert back.dense_count() == tm.dense_count()
-    assert back.dense_signed() == tm.dense_signed()
+    assert np.array_equal(back.dense_count(), tm.dense_count())
+    assert np.array_equal(back.dense_signed(), tm.dense_signed())
 
 
 def test_cache_rejects_wrong_base(tmp_path):
@@ -305,8 +343,8 @@ def test_lumped_power_matches_unlumped(base):
     assert lumped.reps[0] == 0 and len(lumped.reps) < tm.size
     vec = power_vector(tm.rows_count, 0, 0, tm.size)
     for n in range(21):
-        assert lumped.power(n) == [vec[r] for r in lumped.reps.tolist()], n
-        vec = _apply_rows(tm.rows_count, vec)
+        assert lumped.matrix.power(0, n) == [vec[r] for r in lumped.reps.tolist()], n
+        vec = tm.rows_count.step(vec)
 
 
 def test_orbit_counts():
@@ -325,7 +363,7 @@ def test_block_defect_matches_signed_power(base):
     vec = power_vector(tm.rows_signed, 0, 0, tm.size)
     for n in range(21):
         assert cylinder_defect(base, n) == vec[0], n
-        vec = _apply_rows(tm.rows_signed, vec)
+        vec = tm.rows_signed.step(vec)
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 4), (4, 4, 4), (2, 2, 2, 4)],
