@@ -19,7 +19,6 @@ from .regions import (
     region_spec,
 )
 from .tilings import (
-    EnumerationLimitExceeded,
     FloorDecomposition,
     Tiling,
     TilingError,

@@ -340,9 +340,7 @@ def cork_filler(base: Region, plug: int) -> Tiling:
 # ------------------------------------------------------- generator tilings
 
 def _first_tiling(region: Region) -> Tiling | None:
-    for t in enumerate_tilings(region, limit=None):
-        return t
-    return None
+    return next(enumerate_tilings(region), None)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from random import Random
 import numpy as np
 
 from .regions import Region
-from .tilings import Tiling, all_partner_bytes, iter_partner_vectors
+from .tilings import Tiling, all_partner_bytes, enumerate_tilings
 
 
 class KasteleynError(ValueError):
@@ -242,34 +242,25 @@ def defect_by_determinant(region: Region) -> int:
     return bareiss_determinant(sign_matrix(region))
 
 
-def defect_by_enumeration(region: Region, limit: int | None = None) -> int:
+def defect_by_enumeration(region: Region) -> int:
     """#(twist 0) - #(twist 1) over all tilings, enumerated directly."""
-    n0, n1 = twist_census(region, limit)
+    n0, n1 = twist_census(region)
     return n0 - n1
 
 
-def twist_census(region: Region, limit: int | None = None) -> tuple[int, int]:
-    """(#twist 0, #twist 1) over all tilings of the region."""
+def twist_census(region: Region) -> tuple[int, int]:
+    """(#twist 0, #twist 1) over all tilings of the region: twist_batch
+    over packed bytes up to 255 cells, the scalar twist above."""
     if not region.balanced:
         return (0, 0)
     if len(region.cells) <= 255:
-        states = all_partner_bytes(region, limit)
-        if not states:
-            return (0, 0)
-        tw = twist_batch(region, states)
-        ones = int(tw.sum())
+        states = all_partner_bytes(region)
+        ones = int(np.count_nonzero(twist_batch(region, states)))
         return (len(states) - ones, ones)
-    n0 = n1 = 0
-    for count, vec in enumerate(iter_partner_vectors(region)):
-        if limit is not None and count >= limit:
-            from .tilings import EnumerationLimitExceeded
-
-            raise EnumerationLimitExceeded(f"more than {limit} tilings")
-        if twist(Tiling(region, vec)):
-            n1 += 1
-        else:
-            n0 += 1
-    return (n0, n1)
+    counts = [0, 0]
+    for t in enumerate_tilings(region):
+        counts[twist(t)] += 1
+    return (counts[0], counts[1])
 
 
 @dataclass
@@ -286,8 +277,7 @@ def gauge_twist_comparison(region: Region, system: SignSystem) -> GaugeReport:
     to the canonical ones across every tiling."""
     epsilon = None
     first = None
-    for vec in iter_partner_vectors(region):
-        t = Tiling(region, vec)
+    for t in enumerate_tilings(region):
         ratio = signed_det_term(t, system) * signed_det_term(t)
         if epsilon is None:
             epsilon = ratio

@@ -5,6 +5,11 @@ pair; it never changes the twist.  A trit acts on a 2x2x2 block (along any
 three axes) minus two opposite corners, replacing its three dominoes by
 the only other arrangement; it always toggles the twist.
 
+There is one flip path per state type.  Tilings go through flip_sites and
+apply_flip (flip_neighbors), at any region size.  Byte-packed partner
+vectors (pack_state, at most 255 cells) go through flip_neighbors_bytes,
+the hot kernel of the searches.
+
 The census (flip_components) is one numpy kernel over all tilings at
 once: the tilings packed into a states x cells uint8 matrix, an exact
 uint64 key per tiling, every flip edge found per unit square by key
@@ -38,21 +43,16 @@ class Connectivity(Enum):
 
 @dataclass(frozen=True)
 class MoveSite:
-    """A place where a move applies: cell indices plus the axes involved."""
+    """A place where a move applies: the cell indices involved."""
 
     kind: str  # "flip" or "trit"
     cells: tuple[int, ...]
-    axes: tuple[int, ...]
 
 
 def pack_state(tiling: Tiling) -> bytes:
     if len(tiling.region.cells) > 255:
         raise ValueError("byte packing needs a region with at most 255 cells")
     return bytes(tiling.partner)
-
-
-def unpack_state(region: Region, state: bytes) -> Tiling:
-    return Tiling(region, state)
 
 
 def flip_neighbors_bytes(state: bytes, squares) -> list[bytes]:
@@ -85,16 +85,8 @@ def flip_sites(tiling: Tiling) -> list[MoveSite]:
     sites = []
     for a, b, c, d in region.squares:
         if (partner[a] == b and partner[c] == d) or (partner[a] == c and partner[b] == d):
-            axes = _square_axes(region, a, b, c)
-            sites.append(MoveSite("flip", (a, b, c, d), axes))
+            sites.append(MoveSite("flip", (a, b, c, d)))
     return sites
-
-
-def _square_axes(region: Region, a: int, b: int, c: int) -> tuple[int, int]:
-    va, vb, vc = region.cells[a], region.cells[b], region.cells[c]
-    k0 = next(k for k in range(region.dim) if va[k] != vb[k])
-    k1 = next(k for k in range(region.dim) if va[k] != vc[k])
-    return (k0, k1)
 
 
 def apply_flip(tiling: Tiling, site: MoveSite) -> Tiling:
@@ -112,21 +104,17 @@ def apply_flip(tiling: Tiling, site: MoveSite) -> Tiling:
 
 
 def flip_neighbors(tiling: Tiling) -> list[Tiling]:
-    region = tiling.region
-    if len(region.cells) <= 255:
-        state = pack_state(tiling)
-        return [Tiling(region, s) for s in flip_neighbors_bytes(state, region.squares)]
     return [apply_flip(tiling, s) for s in flip_sites(tiling)]
 
 
 def trit_sites(tiling: Tiling) -> list[MoveSite]:
     partner = tiling.partner
     sites = []
-    for (x0, x1, x2, y01, y12, y02), axes in tiling.region.trit_blocks:
-        if partner[x0] == y01 and partner[x1] == y12 and partner[x2] == y02:
-            sites.append(MoveSite("trit", (x0, x1, x2, y01, y12, y02), axes))
-        elif partner[x0] == y02 and partner[x1] == y01 and partner[x2] == y12:
-            sites.append(MoveSite("trit", (x0, x1, x2, y01, y12, y02), axes))
+    for block in tiling.region.trit_blocks:
+        x0, x1, x2, y01, y12, y02 = block
+        if ((partner[x0] == y01 and partner[x1] == y12 and partner[x2] == y02)
+                or (partner[x0] == y02 and partner[x1] == y01 and partner[x2] == y12)):
+            sites.append(MoveSite("trit", block))
     return sites
 
 

@@ -10,6 +10,7 @@ plug bitmasks, serialization) is pinned to it.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 Cell = tuple[int, ...]
@@ -31,6 +32,11 @@ class RegionError(ValueError):
     pass
 
 
+def _check_size(cells: int) -> None:
+    if cells > MAX_REGION_CELLS:
+        raise RegionError(f"region too large: {cells} > {MAX_REGION_CELLS} cells")
+
+
 class Region:
     """Immutable cubiculated region. Do not mutate `cells` after construction."""
 
@@ -38,8 +44,7 @@ class Region:
         if dim < 1:
             raise RegionError(f"dimension must be >= 1, got {dim}")
         cells = sorted(cells, key=_colex)
-        if len(cells) > MAX_REGION_CELLS:
-            raise RegionError(f"region too large: {len(cells)} > {MAX_REGION_CELLS} cells")
+        _check_size(len(cells))
         for c in cells:
             if len(c) != dim or not all(isinstance(x, int) for x in c):
                 raise RegionError(f"bad cell {c!r} for dimension {dim}")
@@ -143,8 +148,8 @@ class Region:
         return tuple(out)
 
     @cached_property
-    def trit_blocks(self) -> tuple[tuple[tuple[int, ...], tuple[int, int, int]], ...]:
-        """2x2x2 blocks minus two opposite corners, as ((x0,x1,x2,y01,y12,y02), axes).
+    def trit_blocks(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """2x2x2 blocks minus two opposite corners, as (x0, x1, x2, y01, y12, y02).
 
         x_j = v + e_kj, y_jl = v + e_kj + e_kl; the anchor v itself and the far
         corner need not lie in the region.
@@ -169,7 +174,7 @@ class Region:
                 y01, y12, y02 = shifted(k0, k1), shifted(k1, k2), shifted(k0, k2)
                 if y01 is None or y12 is None or y02 is None:
                     continue
-                out.append(((x0, x1, x2, y01, y12, y02), (k0, k1, k2)))
+                out.append((x0, x1, x2, y01, y12, y02))
         return tuple(out)
 
     @cached_property
@@ -187,6 +192,7 @@ def make_box(dims) -> Region:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise RegionError(f"box dimensions must be positive, got {dims}")
+    _check_size(math.prod(dims))
     cells = itertools.product(*(range(d) for d in dims))
     return Region(len(dims), cells, spec="box:" + ",".join(map(str, dims)))
 
@@ -199,6 +205,7 @@ def make_cylinder(base: Region, floors: int) -> Region:
     """
     if floors < 0:
         raise RegionError(f"cylinder needs a nonnegative floor count, got {floors}")
+    _check_size(len(base) * floors)
     cells = [c + (h,) for h in range(floors) for c in base.cells]
     spec = None
     if base.spec and base.spec.startswith("box:"):
@@ -219,6 +226,7 @@ def make_cork(base: Region, floors: int, p0_mask: int, p_top_mask: int) -> Regio
         raise RegionError("plug mask has bits outside the base")
     if floors == 0 and (p0_mask or p_top_mask):
         raise RegionError("a zero-floor cork cannot have plugs removed")
+    _check_size(len(base) * floors)
     if floors == 1 and p0_mask & p_top_mask:
         raise RegionError("bottom and top plugs overlap in a single-floor cork")
     cells = []
@@ -260,7 +268,9 @@ def parse_region_spec(text: str) -> Region:
             dims_part, _, n_part = rest.partition("xN=")
             if not n_part:
                 raise RegionError("cylinder spec needs 'xN=<floors>'")
-            return make_cylinder(make_box(_parse_dims(dims_part)), int(n_part))
+            dims, floors = _parse_dims(dims_part), int(n_part)
+            _check_size(math.prod(dims) * floors)  # before the base is built
+            return make_cylinder(make_box(dims), floors)
         if kind == "cork":
             head, p0_part, pn_part = rest.split(":")
             dims_part, _, n_part = head.partition("xN=")
@@ -268,10 +278,9 @@ def parse_region_spec(text: str) -> Region:
                 raise RegionError("cork spec needs 'xN=<floors>'")
             if not p0_part.startswith("p0=") or not pn_part.startswith("pN="):
                 raise RegionError("cork spec needs ':p0=<mask>:pN=<mask>'")
-            return make_cork(
-                make_box(_parse_dims(dims_part)), int(n_part),
-                int(p0_part[3:], 0), int(pn_part[3:], 0),
-            )
+            dims, floors = _parse_dims(dims_part), int(n_part)
+            _check_size(math.prod(dims) * floors)  # before the base is built
+            return make_cork(make_box(dims), floors, int(p0_part[3:], 0), int(pn_part[3:], 0))
         if kind == "cells":
             dim_part, _, body = rest.partition(";")
             if not dim_part.startswith("dim="):

@@ -3,7 +3,9 @@
 A tiling is stored as a partner vector over canonical cell indices:
 partner[i] = index of the cell matched with cell i.  Enumeration is
 deterministic: branch on the lowest-labeled uncovered cell, partners in
-ascending label order.
+ascending label order.  enumerate_tilings yields Tilings lazily, at any
+size; all_partner_bytes builds the same list at once as packed bytes
+(up to 255 cells); count_tilings counts without enumerating.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ Domino = tuple[tuple[int, ...], tuple[int, ...]]  # (black cell, white cell)
 
 
 class TilingError(ValueError):
-    pass
-
-
-class EnumerationLimitExceeded(RuntimeError):
     pass
 
 
@@ -168,22 +166,19 @@ def _ensure_recursion_headroom(depth: int) -> None:
         sys.setrecursionlimit(need)
 
 
-def iter_partner_vectors(region: Region, mask: int | None = None):
-    """Yield partner vectors of all tilings of the masked sub-region.
-
-    Deterministic order; cells outside the mask get partner -1.  With the
-    default mask this enumerates tilings of the whole region.
-    """
+def enumerate_tilings(region: Region):
+    """Yield every tiling of the region, lazily, in ascending partner order."""
+    if not region.balanced:
+        return
     n = len(region.cells)
     _ensure_recursion_headroom(n // 2)
     nbrs = region.neighbors
     bit = [1 << i for i in range(n)]
-    partner = [-1] * n
-    full = (1 << n) - 1 if mask is None else mask
+    partner = [0] * n
 
     def rec(m):
         if not m:
-            yield tuple(partner)
+            yield Tiling(region, partner)
             return
         low = m & -m
         i = low.bit_length() - 1
@@ -194,27 +189,27 @@ def iter_partner_vectors(region: Region, mask: int | None = None):
                 partner[i] = j
                 partner[j] = i
                 yield from rec(m2 ^ bj)
-        partner[i] = -1
 
-    yield from rec(full)
+    yield from rec((1 << n) - 1)
 
 
-def all_partner_bytes(region: Region, limit: int | None = None) -> list[bytes]:
+def all_partner_bytes(region: Region) -> list[bytes]:
     """All tilings as packed partner byte strings (regions up to 255 cells).
 
-    Fast path used by censuses and flip searches; same order as
-    iter_partner_vectors, which is ascending byte order: two tilings first
-    differ at the lowest cell where the branch chose different partners.
+    The bulk form of enumerate_tilings, used by censuses: the same order,
+    which is ascending byte order, since two tilings first differ at the
+    lowest cell where the branch chose different partners.
     """
     n = len(region.cells)
     if n > 255:
         raise TilingError("byte-packed enumeration needs a region with at most 255 cells")
+    if not region.balanced:
+        return []
     _ensure_recursion_headroom(n // 2)
     nbrs = region.neighbors
     bit = [1 << i for i in range(n)]
     partner = bytearray(n)
     out: list[bytes] = []
-    full = (1 << n) - 1
 
     def rec(m):
         if not m:
@@ -229,66 +224,20 @@ def all_partner_bytes(region: Region, limit: int | None = None) -> list[bytes]:
                 partner[i] = j
                 partner[j] = i
                 rec(m2 ^ bj)
-                if limit is not None and len(out) > limit:
-                    raise EnumerationLimitExceeded(f"more than {limit} tilings")
 
-    rec(full)
+    rec((1 << n) - 1)
     return out
 
 
-class TilingStream:
-    """Iterator over tilings with a truncation flag.
-
-    After exhaustion, `truncated` says whether an optional limit cut the
-    enumeration short.
-    """
-
-    def __init__(self, region: Region, limit: int | None = None):
-        self.region = region
-        self.limit = limit
-        self.count = 0
-        self.truncated = False
-        self._done = False
-        self._source = iter_partner_vectors(region)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Tiling:
-        if self._done:
-            raise StopIteration
-        if self.limit is not None and self.count >= self.limit:
-            # peek to learn whether anything was cut off
-            self._done = True
-            for _ in self._source:
-                self.truncated = True
-                break
-            raise StopIteration
-        try:
-            vec = next(self._source)
-        except StopIteration:
-            self._done = True
-            raise
-        self.count += 1
-        return Tiling(self.region, vec)
-
-
-def enumerate_tilings(region: Region, limit: int | None = None) -> TilingStream:
-    return TilingStream(region, limit)
-
-
-def count_tilings(region: Region, mask: int | None = None, memo: dict | None = None) -> int:
+def count_tilings(region: Region) -> int:
     """Exact tiling count via memoized recursion on the uncovered-cell mask."""
-    if mask is None:
-        if not region.balanced:
-            return 0
-        mask = (1 << len(region.cells)) - 1
+    if not region.balanced:
+        return 0
     n = len(region.cells)
     _ensure_recursion_headroom(n // 2)
     nbrs = region.neighbors
     bit = [1 << i for i in range(n)]
-    if memo is None:
-        memo = {}
+    memo: dict[int, int] = {}
 
     def cnt(m):
         if not m:
@@ -306,7 +255,7 @@ def count_tilings(region: Region, mask: int | None = None, memo: dict | None = N
             memo[m] = val
         return val
 
-    return cnt(mask)
+    return cnt((1 << n) - 1)
 
 
 def vertical_tiling(base: Region, floors: int) -> Tiling:

@@ -320,10 +320,7 @@ def floor_tilings(base: Region, p0: int, p1: int) -> list[Tiling]:
     if p0 & p1:
         return []
     full = (1 << len(base.cells)) - 1
-    sub = floor_subregion(base, full ^ (p0 | p1))
-    if not sub.cells:
-        return [Tiling(sub, [])]
-    return list(enumerate_tilings(sub, limit=None))
+    return list(enumerate_tilings(floor_subregion(base, full ^ (p0 | p1))))
 
 
 def _check_mask(base: Region, cells_mask: int) -> None:
@@ -400,7 +397,7 @@ def signed_floor_sum_by_enumeration(base: Region, cells_mask: int) -> int:
         return 1
     index = base.index
     total = 0
-    for f in enumerate_tilings(sub, limit=None):
+    for f in enumerate_tilings(sub):
         pairs = [(index[v], index[w]) for v, w in f.dominoes()]
         tw = floor_twist_pairs(base, 0, 0, pairs)
         total += 1 - 2 * tw
@@ -725,4 +722,6 @@ def _read_cache_body(data: bytes):
         indptr = np.cumsum(np.bincount(triples["i"] + 1, minlength=n + 1), dtype=np.int64)
         matrices.append(_CSR(indptr, triples["j"][order].astype(np.int32),
                              triples["v"][order].astype(np.int64)))
+    if off != len(data):
+        raise ValueError(f"{len(data) - off} trailing bytes")
     return spec, plugs, matrices

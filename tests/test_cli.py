@@ -346,6 +346,9 @@ def test_bad_region_spec_is_error():
     assert obj["status"] == "error"
     code, obj = run_json(["count", "--region", "pyramid:3"])
     assert code == 1
+    code, obj = run_json(["count", "--region", "box:100000,100000"])
+    assert (code, obj["status"]) == (1, "error")
+    assert "region too large" in obj["payload"]["message"]
 
 
 def test_missing_tiling_file_is_error(tmp_path):

@@ -22,7 +22,7 @@ from dominotwist.kasteleyn import (
     twist_census,
 )
 from dominotwist.moves import pack_state
-from dominotwist.regions import make_box, make_cylinder
+from dominotwist.regions import Region, make_box, make_cylinder
 from dominotwist.tilings import Tiling, enumerate_tilings, vertical_tiling
 
 
@@ -81,6 +81,17 @@ def test_twist_batch_agrees_with_scalar():
 
 def test_twist_census_2222():
     assert twist_census(make_box((2, 2, 2, 2))) == (264, 8)
+
+
+def test_twist_census_past_255_cells():
+    # box:2,2,2,2 plus a 240-cell tail along the first axis: 256 cells, too
+    # many to pack in bytes, so the census runs the scalar twist over
+    # enumerate_tilings; the tail has one tiling, the box keeps its split
+    tail = [(x, 0, 0, 0) for x in range(2, 242)]
+    r = Region(4, list(make_box((2, 2, 2, 2)).cells) + tail)
+    assert len(r.cells) == 256
+    assert twist_census(r) == (264, 8)
+    assert defect_by_determinant(r) == 256
 
 
 def test_planar_tilings_have_twist_zero():

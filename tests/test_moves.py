@@ -22,7 +22,6 @@ from dominotwist.moves import (
     padded_merge_search,
     trit_neighbors,
     trit_sites,
-    unpack_state,
 )
 from dominotwist.regions import from_cells, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import (
@@ -39,7 +38,7 @@ def test_pack_unpack_roundtrip():
     for t in enumerate_tilings(r):
         s = pack_state(t)
         assert isinstance(s, bytes) and len(s) == 8
-        assert unpack_state(r, s).partner == t.partner
+        assert Tiling(r, s).partner == t.partner
 
 
 def test_flip_sites_and_apply():
@@ -58,11 +57,14 @@ def test_flip_sites_and_apply():
 
 
 def test_flip_neighbors_bytes_matches_tilings():
-    r = make_cylinder(make_box((2, 2)), 2)
-    for t in enumerate_tilings(r):
-        via_bytes = sorted(flip_neighbors_bytes(pack_state(t), r.squares))
-        via_tilings = sorted(pack_state(u) for u in flip_neighbors(t))
-        assert via_bytes == via_tilings
+    # the byte kernel against the flip_sites / apply_flip path
+    for spec in ("cyl:2,2xN=2", "box:2,2,2,2", "cyl:2,2,2xN=3", "box:3,3,2"):
+        r = parse_region_spec(spec)
+        for t in enumerate_tilings(r):
+            via_bytes = sorted(flip_neighbors_bytes(pack_state(t), r.squares))
+            via_sites = sorted(pack_state(apply_flip(t, s)) for s in flip_sites(t))
+            assert via_bytes == via_sites, spec
+            assert sorted(pack_state(u) for u in flip_neighbors(t)) == via_sites, spec
 
 
 def test_flip_graph_is_undirected():

@@ -125,6 +125,20 @@ def test_spec_cells_fallback():
     assert parse_region_spec(spec).cells == r.cells
 
 
+@pytest.mark.parametrize("spec", [
+    "box:100000,100000", "cyl:1000,1000xN=1000", "cork:1000,1000xN=1000:p0=0:pN=0"])
+def test_oversized_spec_is_rejected_before_it_is_built(spec):
+    with pytest.raises(RegionError, match="region too large"):
+        parse_region_spec(spec)
+
+
+def test_oversized_region_is_rejected_before_it_is_built():
+    with pytest.raises(RegionError, match="region too large"):
+        make_cylinder(make_box((2, 2)), 10**9)
+    with pytest.raises(RegionError, match="region too large"):
+        make_cork(make_box((2, 2)), 10**9, 0, 0)
+
+
 def test_bad_specs_raise():
     for bad in ("box", "box:", "cyl:2,2", "cork:2,2xN=2", "nope:1",
                 "cells:2;0,0", "box:2,a"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -302,7 +303,8 @@ def test_cache_rejects_garbage(tmp_path):
     lambda raw: raw[:len(raw) // 2],
     lambda raw: raw[:8] + b"\x78\x9c" + b"\xff" * (len(raw) - 10),
     lambda raw: raw[:4],
-], ids=["half-length", "bad-zlib-body", "four-bytes"])
+    lambda raw: raw[:8] + zlib.compress(zlib.decompress(raw[8:]) + bytes(40)),
+], ids=["half-length", "bad-zlib-body", "four-bytes", "trailing-bytes"])
 def test_cache_rejects_corrupt_file(tmp_path, corrupt):
     path = tmp_path / "b222.dtrc"
     save_transfer_cache(get_transfer(B222), str(path))
