@@ -10,14 +10,21 @@ apply_flip (flip_neighbors), at any region size.  Byte-packed partner
 vectors (pack_state, at most 255 cells) go through flip_neighbors_bytes,
 the hot kernel of the searches.
 
-The census (flip_components) is one numpy kernel over all tilings at
-once: the tilings packed into a states x cells uint8 matrix, an exact
-uint64 key per tiling, every flip edge found per unit square by key
-lookup, and components labelled by min-label hooking with pointer
-jumping.  Its budget truncates the report.  The pairwise searches
-(flip_connected, padded_merge_search) walk byte-packed partner vectors
-one state at a time; their budgets cap the states visited.  An exhausted
-budget yields INDETERMINATE, never a wrong boolean.
+Both numpy kernels key a tiling by one exact mixed-radix number
+(_key_table): a digit per black cell, the rank of its partner among its
+neighbours, packed into as many 64-bit words as the digits need, so keys
+are injective at any size with no random table.  A flip moves a key by a
+constant delta per square and orientation.
+
+The census (flip_components) runs over all tilings at once: the tilings
+packed into a states x cells uint8 matrix, every flip edge found per unit
+square by key lookup, and components labelled by min-label hooking with
+pointer jumping.  Its budget truncates the report.  The pairwise search
+flip_connected is a bidirectional BFS that expands one whole level at a
+time on frontier rows and their keys.  Both its budget and that of the
+best-first padded_merge_search, which walks byte-packed partner vectors
+one state at a time, cap the states visited.  An exhausted budget yields
+INDETERMINATE, never a wrong boolean.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .regions import Region
 from .tilings import Tiling, all_partner_bytes, as_cylinder, concat, vertical_tiling
 
 DEFAULT_BUDGET = 20_000_000
+FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
 
 
 class Connectivity(Enum):
@@ -191,59 +199,92 @@ def _packed_states(states: list[bytes], n: int, chunk: int = 1 << 16) -> np.ndar
     return P
 
 
-def _packed_key_table(region: Region) -> np.ndarray | None:
-    """Key table that puts the neighbour rank of black cell i's partner at
-    bit offset bits * (rank of i), which makes keys injective on tilings.
-    None when the keys would need more than 64 bits."""
-    black = region.black_cells
+def _key_table(region: Region) -> np.ndarray:
+    """Mixed-radix key table T, cells x cells x w uint64.
+
+    Black cell i with neighbours nbrs[i] gets a place value R_i in one word:
+    the product of the degrees of the earlier black cells in that word, a
+    new word starting when R * deg would pass 2^64.  Then T[i, j] = T[j, i]
+    = rank(j in nbrs[i]) * R_i in word(i).  Summed over the black cells of
+    a tiling, every word is a mixed-radix number below 2^64, so keys are
+    exact and injective on tilings at any region size.
+    """
+    n = len(region.cells)
     nbrs = region.neighbors
-    bits = max((len(nbrs[i]) - 1).bit_length() for i in black) if black else 0
-    if bits * len(black) > 64:
-        return None
-    n = len(region.cells)
-    table = np.zeros((n, n), dtype=np.uint64)
-    for r, i in enumerate(black):
-        for k, j in enumerate(nbrs[i]):
-            table[i, j] = table[j, i] = k << (bits * r)
-    return table
-
-
-def _random_key_table(region: Region, seed: int) -> np.ndarray:
-    """Key table of random 64-bit entries on the region's edges, from `seed`."""
-    n = len(region.cells)
-    values = np.random.default_rng(seed).integers(0, 1 << 64, size=(n, n), dtype=np.uint64)
-    table = np.zeros((n, n), dtype=np.uint64)
+    places = []
+    word, radix = 0, 1
     for i in region.black_cells:
-        for j in region.neighbors[i]:
-            table[i, j] = table[j, i] = values[i, j]
+        deg = len(nbrs[i])
+        if radix * deg > 1 << 64:
+            word, radix = word + 1, 1
+        places.append((i, word, radix))
+        radix *= deg
+    table = np.zeros((n, n, word + 1), dtype=np.uint64)
+    for i, word, radix in places:
+        for k, j in enumerate(nbrs[i]):
+            table[i, j, word] = table[j, i, word] = k * radix
     return table
+
+
+def _flip_moves(region: Region, table: np.ndarray):
+    """The two flips of every unit square (a, b, c, d): flip 2k from a-b,
+    c-d to a-c, b-d and flip 2k + 1 back.  Returns, per flip, the two
+    (cell, partner) pairs it needs, the four partner writes it makes (as
+    cells x4 and values x4 arrays) and its key delta (flips x w words).
+    Deltas are built on word arrays, so they wrap mod 2^64 silently."""
+    need, cols, vals, delta = [], [], [], []
+    for a, b, c, d in region.squares:
+        step = table[a, c] + table[b, d] - table[a, b] - table[c, d]
+        need += [((a, b), (c, d)), ((a, c), (b, d))]
+        cols += [(a, c, b, d), (a, b, c, d)]
+        vals += [(c, a, d, b), (b, a, d, c)]
+        delta += [step, -step]
+    w = table.shape[2]
+    return (need, np.array(cols, dtype=np.intp).reshape(-1, 4),
+            np.array(vals, dtype=np.uint8).reshape(-1, 4),
+            np.array(delta, dtype=np.uint64).reshape(-1, w))
+
+
+def _as_key(words: np.ndarray) -> np.ndarray:
+    """One comparable key per row of (k, w) uint64 words: uint64 when w = 1,
+    else a void of 8w bytes (sort, unique and searchsorted work on both)."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of `keys` occur in the nonempty sorted key array."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
+def _key_words(region: Region, table: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(states, w) key words of the states (rows of P): per word, the sum
+    over black cells i of T[i, partner(i)]."""
+    words = np.zeros((len(P), table.shape[2]), dtype=np.uint64)
+    for i in region.black_cells:
+        words += table[i][P[:, i]]
+    return words
 
 
 def _state_keys(region: Region, P: np.ndarray):
-    """Pairwise distinct uint64 keys of the states (rows of P): their argsort
-    order, the sorted keys and the key table T they came from.
+    """Keys of the states (rows of P) under the mixed-radix table T of
+    _key_table: their argsort order, the sorted key words and T.
 
-    A state's key is the XOR of T[i, partner(i)] over its black cells i.  T
-    is symmetric, so the flip on square (a, b, c, d) from a-b, c-d to a-c,
-    b-d moves a key by T[a,b] ^ T[c,d] ^ T[a,c] ^ T[b,d] whichever cells are
-    black.  Only a random table can give two tilings one key; it is then
-    drawn again from the next seed.
+    T is symmetric, so the flip on square (a, b, c, d) from a-b, c-d to
+    a-c, b-d moves a key by T[a,c] + T[b,d] - T[a,b] - T[c,d] whichever
+    cells are black.  Keys are injective on tilings; two equal keys mean
+    equal rows, which the census never holds.
     """
-    table = _packed_key_table(region)
-    seed = 0
-    while True:
-        if table is None:
-            table = _random_key_table(region, seed)
-            seed += 1
-        keys = np.zeros(len(P), dtype=np.uint64)
-        for i in region.black_cells:
-            keys ^= table[i][P[:, i]]
-        order = np.argsort(keys).astype(np.int32)
-        sorted_keys = keys[order]
-        del keys
-        if not (sorted_keys[1:] == sorted_keys[:-1]).any():
-            return order, sorted_keys, table
-        table = None
+    table = _key_table(region)
+    words = _key_words(region, table, P)
+    order = np.argsort(_as_key(words)).astype(np.int32)
+    words = words[order]
+    keys = _as_key(words)
+    if (keys[1:] == keys[:-1]).any():
+        raise RuntimeError("two states share a key")
+    return order, words, table
 
 
 def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,28 +293,30 @@ def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d) pairs a-b and c-d; its other end is looked up by key.  Every flip
     neighbour of a state must be a state too.
 
-    The rows of P are permuted into key order in place.  A flip changes a
-    key only in the fields of the square's two black cells, which are the
-    same on every state of that side; so with a packed table the looked-up
-    keys come out sorted too, and searchsorted runs near linear.
+    The rows of P are permuted into key order in place.  With one key word
+    no looked-up key wraps, so adding a square's constant delta keeps the
+    keys of its side sorted, and searchsorted runs near linear.
     """
-    order, sorted_keys, table = _state_keys(region, P)
+    order, words, table = _state_keys(region, P)
+    sorted_keys = _as_key(words)
     for j in range(P.shape[1]):
         P[:, j] = P[order, j]
+    need, _, _, delta = _flip_moves(region, table)
+    need, delta = need[::2], delta[::2]
 
-    def side(a, b, c, d):
+    def side(k):
+        (a, b), (c, d) = need[k]
         return (P[:, a] == b) & (P[:, c] == d)
 
-    squares = region.squares
-    counts = [int(np.count_nonzero(side(*sq))) for sq in squares]
+    counts = [int(np.count_nonzero(side(k))) for k in range(len(need))]
     src = np.empty(sum(counts), dtype=np.int32)
     dst = np.empty_like(src)
     pos = 0
-    for (a, b, c, d), cnt in zip(squares, counts):
+    for k, cnt in enumerate(counts):
         if not cnt:
             continue
-        at = np.flatnonzero(side(a, b, c, d))
-        keys = sorted_keys[at] ^ (table[a, b] ^ table[c, d] ^ table[a, c] ^ table[b, d])
+        at = np.flatnonzero(side(k))
+        keys = _as_key(words[at] + delta[k])
         to = np.minimum(np.searchsorted(sorted_keys, keys), len(P) - 1)
         if not (sorted_keys[to] == keys).all():
             raise RuntimeError("a flip neighbour is missing from the states")
@@ -356,10 +399,14 @@ def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentRe
 
 
 def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Connectivity:
-    """Bidirectional BFS on the implicit flip graph.
+    """Bidirectional BFS on the implicit flip graph, one level at a time.
 
     The twist shortcut is sound: flips preserve twist, so tilings with
-    different twists are disconnected without any search.
+    different twists are disconnected without any search.  Each side keeps
+    its sorted seen keys and its frontier (rows of partner bytes and their
+    key words); the side with the smaller frontier expands a whole level
+    through _expand.  `budget` caps the states visited: it is checked after
+    each level, and a meeting anywhere in a level answers CONNECTED first.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -369,29 +416,68 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
         return Connectivity.CONNECTED
     if twist(t0) != twist(t1):
         return Connectivity.DISCONNECTED
-    squares = t0.region.squares
-    s0, s1 = pack_state(t0), pack_state(t1)
-    sides = [({s0}, [s0]), ({s1}, [s1])]  # (visited, frontier)
-    visited_total = 2
-    while sides[0][1] and sides[1][1]:
+    region = t0.region
+    rows = np.frombuffer(pack_state(t0) + pack_state(t1), dtype=np.uint8).reshape(2, -1)
+    table = _key_table(region)
+    moves = _flip_moves(region, table)
+    words = _key_words(region, table, rows)
+    sides = [(_as_key(words[k:k + 1]).copy(), rows[k:k + 1], words[k:k + 1]) for k in (0, 1)]
+    visited = 2
+    while len(sides[0][1]) and len(sides[1][1]):
         # expand the smaller frontier
         i = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
-        seen, frontier = sides[i]
-        other_seen = sides[1 - i][0]
-        next_frontier = []
-        for s in frontier:
-            for nb in flip_neighbors_bytes(s, squares):
-                if nb in seen:
-                    continue
-                if nb in other_seen:
-                    return Connectivity.CONNECTED
-                seen.add(nb)
-                next_frontier.append(nb)
-        visited_total += len(next_frontier)
-        sides[i] = (seen, next_frontier)
-        if visited_total > budget:
+        level = _expand(*sides[i], sides[1 - i][0], moves)
+        if level is None:
+            return Connectivity.CONNECTED
+        sides[i] = level
+        visited += len(level[1])
+        if visited > budget:
             return Connectivity.INDETERMINATE
     return Connectivity.DISCONNECTED
+
+
+def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray, other: np.ndarray, moves):
+    """One BFS level of flip_connected: the new (seen, rows, words) of a side
+    with sorted seen keys `seen` and frontier rows/words, or None when a
+    flip reaches `other`, the other side's sorted seen keys.
+
+    The frontier is walked in chunks of FRONTIER_CHUNK rows.  Per chunk,
+    each flip's candidate keys are the key words of the rows it applies to
+    plus its delta; the distinct candidates not yet seen are tested against
+    `other`, and only (parent row, flip) is kept per new key.  The new rows
+    are built once, after the chunks are deduplicated against each other.
+    """
+    need, cols, vals, delta = moves
+    parts = []  # per chunk: (new key words, parent row, flip)
+    for lo in range(0, len(rows), FRONTIER_CHUNK):
+        F = np.asfortranarray(rows[lo:lo + FRONTIER_CHUNK])
+        K = words[lo:lo + FRONTIER_CHUNK]
+        at, flip, cand = [], [], []
+        for m, ((a, b), (c, d)) in enumerate(need):
+            hit = np.flatnonzero((F[:, a] == b) & (F[:, c] == d))
+            if len(hit):
+                at.append(hit)
+                flip.append(np.full(len(hit), m, dtype=np.int32))
+                cand.append(K[hit] + delta[m])
+        if not at:
+            continue
+        cand = np.concatenate(cand)
+        keys, first = np.unique(_as_key(cand), return_index=True)
+        fresh = ~_member(seen, keys)
+        keys, first = keys[fresh], first[fresh]
+        if _member(other, keys).any():
+            return None
+        parts.append((cand[first], np.concatenate(at)[first] + lo, np.concatenate(flip)[first]))
+    if not parts:
+        return seen, rows[:0], words[:0]
+    new_words, parent, flip = (np.concatenate(x) for x in zip(*parts))
+    keys, first = np.unique(_as_key(new_words), return_index=True)
+    new_words, parent, flip = new_words[first], parent[first], flip[first]
+    new_rows = rows[parent]
+    at = np.arange(len(new_rows))
+    for k in range(4):
+        new_rows[at, cols[flip, k]] = vals[flip, k]
+    return np.insert(seen, np.searchsorted(seen, keys), keys), new_rows, new_words
 
 
 def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,

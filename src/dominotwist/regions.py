@@ -279,7 +279,10 @@ def parse_region_spec(text: str) -> Region:
             if not p0_part.startswith("p0=") or not pn_part.startswith("pN="):
                 raise RegionError("cork spec needs ':p0=<mask>:pN=<mask>'")
             dims, floors = _parse_dims(dims_part), int(n_part)
-            _check_size(math.prod(dims) * floors)  # before the base is built
+            base = math.prod(dims)  # checked before the base is built
+            if base > MAX_BASE_CELLS:
+                raise RegionError(f"base too large for plug masks: {base} > {MAX_BASE_CELLS}")
+            _check_size(base * floors)
             return make_cork(make_box(dims), floors, int(p0_part[3:], 0), int(pn_part[3:], 0))
         if kind == "cells":
             dim_part, _, body = rest.partition(";")

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import importlib.metadata
 import io
+import itertools
 import json
 import shutil
 import subprocess
@@ -16,8 +17,10 @@ from pathlib import Path
 import pytest
 
 from dominotwist.cli import main, render_tiling
-from dominotwist.regions import make_box, make_cylinder
-from dominotwist.tilings import Tiling, tiling_from_text, vertical_tiling
+from dominotwist.kasteleyn import twist
+from dominotwist.moves import flip_neighbors
+from dominotwist.regions import Region, make_box, make_cylinder
+from dominotwist.tilings import Tiling, enumerate_tilings, tiling_from_text, vertical_tiling
 from dominotwist.transfer import cylinder_count, get_transfer, load_transfer_cache
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -243,6 +246,24 @@ def test_padding_connected_and_indeterminate(tmp_path):
     assert code == 2
     assert obj["status"] == "indeterminate"
     assert obj["payload"]["connected"] is None
+
+
+def test_padding_past_255_cells_is_error(tmp_path):
+    # 256 cells, one more than byte packing takes: box:2,2,2,2 plus a
+    # 240-cell tail (not a cylinder), and cyl:2,2,2xN=32
+    tail = [(x, 0, 0, 0) for x in range(2, 242)]
+    region = Region(4, list(make_box((2, 2, 2, 2)).cells) + tail)
+    tailed = [t for t in itertools.islice(enumerate_tilings(region), 20) if twist(t) == 0][:2]
+    tall = vertical_tiling(make_box((2, 2, 2)), 32)
+    messages = []
+    for k, (t0, t1) in enumerate((tailed, (tall, flip_neighbors(tall)[0]))):
+        f0 = _write_tiling(tmp_path, f"t0_{k}.txt", t0)
+        f1 = _write_tiling(tmp_path, f"t1_{k}.txt", t1)
+        code, obj = run_json(["padding", "--t0", f0, "--t1", f1, "--floors", "0"])
+        assert code == 1
+        assert obj["status"] == "error"
+        messages.append(obj["payload"]["message"])
+    assert "byte packing" in messages[1]
 
 
 def test_generators_inline_and_files(tmp_path):

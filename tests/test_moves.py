@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,11 @@ from dominotwist.moves import (
     trit_neighbors,
     trit_sites,
 )
-from dominotwist.regions import from_cells, make_box, make_cylinder, parse_region_spec
+from dominotwist.regions import Region, from_cells, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import (
     Tiling,
     all_partner_bytes,
+    concat,
     decompose_floors,
     enumerate_tilings,
     vertical_tiling,
@@ -209,10 +212,10 @@ def assert_same_report(got: ComponentReport, want: ComponentReport) -> None:
 
 
 def tailed_box():
-    """box:2,3,3 with a one-cell-wide tail of 26 cells: 22 black cells of up
-    to 6 neighbours need 66 key bits, more than a packed key holds."""
+    """box:2,3,3 with a one-cell-wide tail of 140 cells: 158 cells, whose
+    79 black cells need about 87 mixed-radix bits, so keys take two words."""
     cells = [(x, y, z) for x in range(2) for y in range(3) for z in range(3)]
-    cells += [(x, 0, 0) for x in range(2, 28)]
+    cells += [(x, 0, 0) for x in range(2, 142)]
     return from_cells(3, cells)
 
 
@@ -228,33 +231,119 @@ CENSUS_CASES = [
                          ids=[f"{s}-{b}" for s, b in CENSUS_CASES])
 def test_census_kernel_matches_reference_bfs(spec, budget):
     region = parse_region_spec(spec)
-    assert moves._packed_key_table(region) is not None
+    assert moves._key_table(region).shape[2] == 1
     kw = {} if budget is None else {"budget": budget}
     assert_same_report(flip_components(region, **kw), reference_components(region, **kw))
 
 
-def test_census_kernel_with_random_keys():
+def test_census_kernel_with_multiword_keys():
     region = tailed_box()
-    assert moves._packed_key_table(region) is None
+    assert len(region.cells) == 158
+    assert moves._key_table(region).shape[2] >= 2
     rep = flip_components(region)
     assert len(rep.states) == 229
     assert_same_report(rep, reference_components(region))
+    rng = np.random.default_rng(3)
+    ts = [Tiling(region, s) for s in rep.states]
+    for _ in range(6):
+        t0, t1 = (ts[k] for k in rng.choice(len(ts), 2, replace=False))
+        for budget in (0, 5, moves.DEFAULT_BUDGET):
+            assert flip_connected(t0, t1, budget) is reference_connected(t0, t1, budget)
 
 
-def test_census_kernel_redraws_colliding_keys(monkeypatch):
-    region = tailed_box()
-    seeds = []
-    draw = moves._random_key_table
+def test_key_table_words_are_exact():
+    # each black cell's digits sit in one word, and in every word the sum of
+    # the largest digits, the largest key, is below 2^64
+    for spec, words in (("cyl:2,2,2xN=6", 1), ("cyl:2,2,2xN=8", 2), ("cyl:2,2,3xN=5", 2)):
+        region = parse_region_spec(spec)
+        table = moves._key_table(region)
+        assert table.shape[2] == words, spec
+        tops = table[list(region.black_cells)].max(axis=1)
+        assert ((tops > 0).sum(axis=1) <= 1).all()
+        assert all(sum(map(int, tops[:, k])) < 1 << 64 for k in range(words))
 
-    def first_collides(region, seed):
-        seeds.append(seed)
-        table = draw(region, seed)
-        return np.zeros_like(table) if seed == 0 else table
 
-    monkeypatch.setattr(moves, "_random_key_table", first_collides)
-    rep = flip_components(region)
-    assert seeds == [0, 1]
-    assert_same_report(rep, reference_components(region))
+def reference_connected(t0: Tiling, t1: Tiling, budget: int = moves.DEFAULT_BUDGET) -> Connectivity:
+    """Per-state bidirectional BFS on flip_neighbors_bytes: the side with
+    the smaller frontier expands one level, and `budget` caps the states
+    visited, checked after each level."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    if t0.region != t1.region:
+        raise ValueError("tilings live on different regions")
+    if t0.partner == t1.partner:
+        return Connectivity.CONNECTED
+    if twist(t0) != twist(t1):
+        return Connectivity.DISCONNECTED
+    squares = t0.region.squares
+    s0, s1 = pack_state(t0), pack_state(t1)
+    sides = [({s0}, [s0]), ({s1}, [s1])]  # (visited, frontier)
+    visited_total = 2
+    while sides[0][1] and sides[1][1]:
+        i = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
+        seen, frontier = sides[i]
+        other_seen = sides[1 - i][0]
+        next_frontier = []
+        for s in frontier:
+            for nb in flip_neighbors_bytes(s, squares):
+                if nb in seen:
+                    continue
+                if nb in other_seen:
+                    return Connectivity.CONNECTED
+                seen.add(nb)
+                next_frontier.append(nb)
+        visited_total += len(next_frontier)
+        sides[i] = (seen, next_frontier)
+        if visited_total > budget:
+            return Connectivity.INDETERMINATE
+    return Connectivity.DISCONNECTED
+
+
+SEARCH_BUDGETS = (0, 2, 5, 50, 500, moves.DEFAULT_BUDGET)
+
+
+def search_pairs(spec: str, count: int, seed: int) -> list[tuple[Tiling, Tiling]]:
+    """`count` seeded pairs of distinct tilings of the region, plus one pair
+    a single flip apart."""
+    region = parse_region_spec(spec)
+    states = all_partner_bytes(region)
+    rng = np.random.default_rng(seed)
+    pairs = [tuple(Tiling(region, states[k]) for k in rng.choice(len(states), 2, replace=False))
+             for _ in range(count)]
+    t = Tiling(region, states[int(rng.integers(len(states)))])
+    return pairs + [(t, flip_neighbors(t)[0])]
+
+
+@pytest.mark.parametrize("chunk", [moves.FRONTIER_CHUNK, 64])
+def test_frontier_search_matches_reference(monkeypatch, chunk):
+    monkeypatch.setattr(moves, "FRONTIER_CHUNK", chunk)
+    seen = set()
+    for spec, count in (("box:2,2,2,2", 12), ("cyl:2,2,2xN=3", 12),
+                        ("cyl:2,2,3xN=2", 8), ("box:3,3,2", 12)):
+        for t0, t1 in search_pairs(spec, count, seed=7):
+            for budget in SEARCH_BUDGETS:
+                got = flip_connected(t0, t1, budget)
+                assert got is reference_connected(t0, t1, budget), (spec, budget)
+                seen.add(got)
+        # one flip apart: the sides meet on the first level, even at budget 0
+        assert flip_connected(t0, t1, 0) is Connectivity.CONNECTED
+    pad = vertical_tiling(make_box((2, 2, 2)), 2)
+    for t0, t1 in search_pairs("cyl:2,2,2xN=3", 6, seed=8):
+        for budget in SEARCH_BUDGETS:
+            got = connected_with_padding(t0, t1, 2, budget)
+            assert got is reference_connected(concat(t0, pad), concat(t1, pad), budget), budget
+            seen.add(got)
+    assert seen == set(Connectivity)
+
+
+def test_flip_connected_needs_byte_packing():
+    # box:2,2,2,2 plus the 240-cell tail: 256 cells, one too many for bytes
+    tail = [(x, 0, 0, 0) for x in range(2, 242)]
+    region = Region(4, list(make_box((2, 2, 2, 2)).cells) + tail)
+    ts = [t for t in itertools.islice(enumerate_tilings(region), 20) if twist(t) == 0]
+    assert len(ts) >= 2
+    with pytest.raises(ValueError, match="byte packing"):
+        flip_connected(ts[0], ts[1])
 
 
 def test_flip_connected_same_component():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dominotwist import regions
 from dominotwist.regions import (
     Region,
     RegionError,
@@ -126,9 +129,18 @@ def test_spec_cells_fallback():
 
 
 @pytest.mark.parametrize("spec", [
-    "box:100000,100000", "cyl:1000,1000xN=1000", "cork:1000,1000xN=1000:p0=0:pN=0"])
-def test_oversized_spec_is_rejected_before_it_is_built(spec):
-    with pytest.raises(RegionError, match="region too large"):
+    "box:100000,100000", "cyl:1000,1000xN=1000", "cork:1000,1000xN=1000:p0=0:pN=0",
+    "cork:1000,1000xN=0:p0=0:pN=0", "cork:1000,1000xN=1:p0=0:pN=0"])
+def test_oversized_spec_is_rejected_before_it_is_built(monkeypatch, spec):
+    def small_box(dims):
+        assert math.prod(dims) <= regions.MAX_BASE_CELLS, "cork base built before its check"
+        return make_box(dims)
+
+    message = "region too large"
+    if spec.startswith("cork"):
+        monkeypatch.setattr(regions, "make_box", small_box)
+        message = "base too large"
+    with pytest.raises(RegionError, match=message):
         parse_region_spec(spec)
 
 
