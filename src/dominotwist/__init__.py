@@ -25,6 +25,7 @@ from .tilings import (
     count_tilings,
     decompose_floors,
     enumerate_tilings,
+    partner_matrix,
     recompose_floors,
     tiling_from_json_obj,
     tiling_from_text,

@@ -20,7 +20,7 @@ from random import Random
 import numpy as np
 
 from .regions import Region
-from .tilings import Tiling, all_partner_bytes, enumerate_tilings
+from .tilings import Tiling, enumerate_tilings, partner_matrix
 
 
 class KasteleynError(ValueError):
@@ -250,11 +250,11 @@ def defect_by_enumeration(region: Region) -> int:
 
 def twist_census(region: Region) -> tuple[int, int]:
     """(#twist 0, #twist 1) over all tilings of the region: twist_batch
-    over packed bytes up to 255 cells, the scalar twist above."""
+    over the partner matrix up to 255 cells, the scalar twist above."""
     if not region.balanced:
         return (0, 0)
     if len(region.cells) <= 255:
-        states = all_partner_bytes(region)
+        states = partner_matrix(region)
         ones = int(np.count_nonzero(twist_batch(region, states)))
         return (len(states) - ones, ones)
     counts = [0, 0]

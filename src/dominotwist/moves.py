@@ -16,12 +16,13 @@ neighbours, packed into as many 64-bit words as the digits need, so keys
 are injective at any size with no random table.  A flip moves a key by a
 constant delta per square and orientation.
 
-The census (flip_components) runs over all tilings at once: the tilings
-packed into a states x cells uint8 matrix, every flip edge found per unit
-square by key lookup, and components labelled by min-label hooking with
-pointer jumping.  Its budget truncates the report.  The pairwise search
-flip_connected is a bidirectional BFS that expands one whole level at a
-time on frontier rows and their keys.  Both its budget and that of the
+The census (flip_components) runs over all tilings at once: the states x
+cells uint8 matrix of tilings.partner_matrix, which the report keeps as
+its states, every flip edge found per unit square by key lookup, and
+components labelled by min-label hooking with pointer jumping.  Its
+budget truncates the report.  The pairwise search flip_connected is a
+bidirectional BFS that expands one whole level at a time on frontier
+rows and their keys.  Both its budget and that of the
 best-first padded_merge_search, which walks byte-packed partner vectors
 one state at a time, cap the states visited.  An exhausted budget yields
 INDETERMINATE, never a wrong boolean.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .kasteleyn import twist, twist_batch
 from .regions import Region
-from .tilings import Tiling, all_partner_bytes, as_cylinder, concat, vertical_tiling
+from .tilings import Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
 DEFAULT_BUDGET = 20_000_000
 FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
@@ -158,21 +159,27 @@ class Component:
 class ComponentReport:
     """Flip-graph components of a region's tilings.
 
-    components are sorted by size descending, then by representative bytes;
-    comp_of[i] is the component id of states[i] (-1 if the budget ran out
-    before that state's component was kept); complete says whether every
-    component was kept within budget; flip_edges counts the edges of the
-    whole flip graph, each flip once.
+    states is the states x cells uint8 matrix of partner_matrix: every
+    tiling, one row each, in ascending byte order; state(i) is row i as
+    packed bytes.  components are sorted by size descending, then by
+    representative bytes; comp_of[i] is the component id of state i (-1 if
+    the budget ran out before that state's component was kept); twists[i]
+    is its twist; complete says whether every component was kept within
+    budget; flip_edges counts the edges of the whole flip graph, each flip
+    once.
     """
 
     region: Region
-    states: list[bytes]
+    states: np.ndarray
     components: list[Component]
     comp_of: list[int]
     twists: "object"  # np.ndarray of per-state twists, aligned with states
     complete: bool
     visited: int
     flip_edges: int
+
+    def state(self, i: int) -> bytes:
+        return self.states[i].tobytes()
 
     def representative_tiling(self, k: int) -> Tiling:
         return Tiling(self.region, self.components[k].representative)
@@ -186,17 +193,6 @@ class ComponentReport:
             }
             for c in self.components
         ]
-
-
-def _packed_states(states: list[bytes], n: int, chunk: int = 1 << 16) -> np.ndarray:
-    """States as a column-major states x cells uint8 matrix.  Packed in
-    chunks: one bytes.join over all states holds a buffer record per state,
-    more than twice the matrix."""
-    P = np.empty((len(states), n), dtype=np.uint8, order="F")
-    for lo in range(0, len(states), chunk):
-        part = states[lo:lo + chunk]
-        P[lo:lo + len(part)] = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(len(part), n)
-    return P
 
 
 def _key_table(region: Region) -> np.ndarray:
@@ -293,14 +289,14 @@ def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d) pairs a-b and c-d; its other end is looked up by key.  Every flip
     neighbour of a state must be a state too.
 
-    The rows of P are permuted into key order in place.  With one key word
-    no looked-up key wraps, so adding a square's constant delta keeps the
-    keys of its side sorted, and searchsorted runs near linear.
+    P is only read.  The side masks of eight squares at a time are packed
+    into the bits of one uint8 per state and gathered into key order at
+    once, so each square's states come in key order.  With one key word no
+    looked-up key wraps, so adding the square's constant delta keeps them
+    sorted, and searchsorted runs near linear.
     """
     order, words, table = _state_keys(region, P)
     sorted_keys = _as_key(words)
-    for j in range(P.shape[1]):
-        P[:, j] = P[order, j]
     need, _, _, delta = _flip_moves(region, table)
     need, delta = need[::2], delta[::2]
 
@@ -312,17 +308,23 @@ def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src = np.empty(sum(counts), dtype=np.int32)
     dst = np.empty_like(src)
     pos = 0
-    for k, cnt in enumerate(counts):
-        if not cnt:
+    for lo in range(0, len(need), 8):
+        group = [k for k in range(lo, min(lo + 8, len(need))) if counts[k]]
+        if not group:
             continue
-        at = np.flatnonzero(side(k))
-        keys = _as_key(words[at] + delta[k])
-        to = np.minimum(np.searchsorted(sorted_keys, keys), len(P) - 1)
-        if not (sorted_keys[to] == keys).all():
-            raise RuntimeError("a flip neighbour is missing from the states")
-        src[pos:pos + cnt] = order[at]
-        dst[pos:pos + cnt] = order[to]
-        pos += cnt
+        bits = np.zeros(len(P), dtype=np.uint8)
+        for k in group:
+            bits |= side(k).view(np.uint8) << (k - lo)
+        bits = bits[order]
+        for k in group:
+            at = np.flatnonzero((bits & (1 << (k - lo))) != 0)
+            keys = _as_key(words[at] + delta[k])
+            to = np.minimum(np.searchsorted(sorted_keys, keys), len(P) - 1)
+            if not (sorted_keys[to] == keys).all():
+                raise RuntimeError("a flip neighbour is missing from the states")
+            src[pos:pos + len(at)] = order[at]
+            dst[pos:pos + len(at)] = order[to]
+            pos += len(at)
     return src, dst
 
 
@@ -376,14 +378,12 @@ def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentRe
         raise ValueError("budget must be non-negative")
     # in ascending byte order, so a component's smallest state id is its
     # smallest state
-    states = all_partner_bytes(region)
-    m = len(states)
+    P = partner_matrix(region)
+    m = len(P)
     if not m:
-        return ComponentReport(region, states, [], [], None, True, 0, 0)
-    P = _packed_states(states, len(region.cells))
+        return ComponentReport(region, P, [], [], None, True, 0, 0)
     twists = twist_batch(region, P)
     src, dst = _flip_edges(region, P)
-    del P
     flip_edges = len(src)
     lab = _min_labels(m, src, dst)
     del src, dst
@@ -393,8 +393,8 @@ def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentRe
                  key=lambda c: (-c[0], c[1]))
     cid = np.full(m, -1, dtype=np.int32)
     cid[[root for _, root in raw]] = np.arange(len(raw))
-    components = [Component(size, int(twists[root]), states[root]) for size, root in raw]
-    return ComponentReport(region, states, components, cid[lab].tolist(), twists,
+    components = [Component(size, int(twists[root]), P[root].tobytes()) for size, root in raw]
+    return ComponentReport(region, P, components, cid[lab].tolist(), twists,
                            kept == len(roots), int(sizes[:kept].sum()), flip_edges)
 
 
@@ -443,11 +443,13 @@ def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray, other: np.nda
 
     The frontier is walked in chunks of FRONTIER_CHUNK rows.  Per chunk,
     each flip's candidate keys are the key words of the rows it applies to
-    plus its delta; the distinct candidates not yet seen are tested against
-    `other`, and only (parent row, flip) is kept per new key.  The new rows
-    are built once, after the chunks are deduplicated against each other.
+    plus its delta; the distinct candidates seen neither before nor earlier
+    in this level are tested against `other`, merged into the level's
+    sorted keys, and only (parent row, flip) is kept per new key, so a
+    level holds each new state once.  The new rows are built at the end.
     """
     need, cols, vals, delta = moves
+    level = seen[:0]  # sorted keys of the states new in this level
     parts = []  # per chunk: (new key words, parent row, flip)
     for lo in range(0, len(rows), FRONTIER_CHUNK):
         F = np.asfortranarray(rows[lo:lo + FRONTIER_CHUNK])
@@ -464,20 +466,22 @@ def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray, other: np.nda
         cand = np.concatenate(cand)
         keys, first = np.unique(_as_key(cand), return_index=True)
         fresh = ~_member(seen, keys)
+        if len(level):
+            fresh &= ~_member(level, keys)
         keys, first = keys[fresh], first[fresh]
         if _member(other, keys).any():
             return None
+        level = np.insert(level, np.searchsorted(level, keys), keys)
         parts.append((cand[first], np.concatenate(at)[first] + lo, np.concatenate(flip)[first]))
     if not parts:
         return seen, rows[:0], words[:0]
     new_words, parent, flip = (np.concatenate(x) for x in zip(*parts))
-    keys, first = np.unique(_as_key(new_words), return_index=True)
-    new_words, parent, flip = new_words[first], parent[first], flip[first]
+    del parts
     new_rows = rows[parent]
     at = np.arange(len(new_rows))
     for k in range(4):
         new_rows[at, cols[flip, k]] = vals[flip, k]
-    return np.insert(seen, np.searchsorted(seen, keys), keys), new_rows, new_words
+    return np.insert(seen, np.searchsorted(seen, level), level), new_rows, new_words
 
 
 def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,
@@ -485,9 +489,9 @@ def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,
     """Append `extra_floors` vertical floors to both tilings, then test."""
     if extra_floors % 2:
         raise ValueError("padding must use an even number of floors")
-    base, _ = as_cylinder(t0.region)
-    if extra_floors == 0:
+    if extra_floors == 0:  # any region, cylinder or not
         return flip_connected(t0, t1, budget)
+    base, _ = as_cylinder(t0.region)
     pad = vertical_tiling(base, extra_floors)
     return flip_connected(concat(t0, pad), concat(t1, pad), budget)
 

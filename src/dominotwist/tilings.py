@@ -4,16 +4,20 @@ A tiling is stored as a partner vector over canonical cell indices:
 partner[i] = index of the cell matched with cell i.  Enumeration is
 deterministic: branch on the lowest-labeled uncovered cell, partners in
 ascending label order.  enumerate_tilings yields Tilings lazily, at any
-size; all_partner_bytes builds the same list at once as packed bytes
-(up to 255 cells); count_tilings counts without enumerating.
+size; partner_matrix builds all of them at once, in the same order, as
+one states x cells uint8 matrix (up to 255 cells), floor by floor on a
+cylinder; count_tilings counts without enumerating.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .regions import Region, RegionError, make_cylinder, parse_region_spec, region_spec
 
@@ -193,40 +197,155 @@ def enumerate_tilings(region: Region):
     yield from rec((1 << n) - 1)
 
 
-def all_partner_bytes(region: Region) -> list[bytes]:
-    """All tilings as packed partner byte strings (regions up to 255 cells).
+def partner_matrix(region: Region) -> np.ndarray:
+    """All tilings as a column-major states x cells uint8 matrix of partner
+    vectors (regions up to 255 cells), in the order of enumerate_tilings,
+    which is ascending byte order: two tilings first differ at the lowest
+    cell where the branch chose different partners.
 
-    The bulk form of enumerate_tilings, used by censuses: the same order,
-    which is ascending byte order, since two tilings first differ at the
-    lowest cell where the branch chose different partners.
+    A cylinder (any box, read over its first axes) is built floor by floor
+    (_cylinder_matrix); any other region packs enumerate_tilings in chunks.
     """
     n = len(region.cells)
     if n > 255:
         raise TilingError("byte-packed enumeration needs a region with at most 255 cells")
     if not region.balanced:
-        return []
-    _ensure_recursion_headroom(n // 2)
-    nbrs = region.neighbors
-    bit = [1 << i for i in range(n)]
-    partner = bytearray(n)
-    out: list[bytes] = []
+        return np.empty((0, n), dtype=np.uint8, order="F")
+    try:
+        base, floors = as_cylinder(region)
+    except (TilingError, RegionError):  # RegionError: a 1-dimensional region has no base
+        return _packed_tilings(region, n)
+    return _cylinder_matrix(base, floors)
 
-    def rec(m):
+
+def _packed_tilings(region: Region, n: int, chunk: int = 1 << 16) -> np.ndarray:
+    tilings = enumerate_tilings(region)
+    parts = []
+    while part := b"".join(bytes(t.partner) for t in itertools.islice(tilings, chunk)):
+        parts.append(np.frombuffer(part, dtype=np.uint8).reshape(-1, n))
+    if not parts:
+        return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")
+    return np.asfortranarray(np.concatenate(parts))
+
+
+def _cylinder_matrix(base: Region, floors: int) -> np.ndarray:
+    """partner_matrix of base x [0, floors], one floor at a time.
+
+    Floor h of a tiling is a segment of the partner vector, fixed by its
+    plug u (the base cells matched down into floor h - 1) and an option:
+    an up-plug v, disjoint from u, plus a matching of the other cells in
+    the floor.  Each plug's options are sorted by segment (_floor_options)
+    and every row expands into its options in that order, so rows come out
+    in ascending byte order with no sort.  Options whose up-plug cannot be
+    completed in the floors above are pruned before the expansion.  Each
+    floor keeps one (parent row, option) pair per row; one walk back from
+    the top floor writes the columns.
+    """
+    nb = len(base.cells)
+    if not floors:
+        return np.empty((1, 0), dtype=np.uint8, order="F")
+    options = _floor_options(base)
+    full = (1 << nb) - 1
+    levels = []  # per floor: plug -> (segments, up-plugs) of its options
+    plugs = {0}
+    for h in range(floors):
+        level = {}
+        for u in plugs:
+            seg, ups = options(full ^ u, h < floors - 1)
+            seg = seg.copy()
+            down = [c for c in range(nb) if u >> c & 1]
+            seg[:, down] = np.array(down, dtype=np.int16) - nb
+            level[u] = (seg, ups)
+        levels.append(level)
+        plugs = {v for _, ups in level.values() for v in ups}
+    alive = {0}
+    tables = []
+    for level in reversed(levels):
+        plugs, keep = [], []
+        for u, (seg, ups) in level.items():
+            k = [i for i, v in enumerate(ups) if v in alive]
+            if k:
+                plugs.append(u)
+                keep.append((seg[k], [ups[i] for i in k]))
+        tables.append((plugs, keep))
+        alive = set(plugs)
+    tables.reverse()
+    if not tables[0][0]:
+        return np.empty((0, nb * floors), dtype=np.uint8, order="F")
+    # per floor: option segments (cells x options), first option and count
+    # per plug index, and the next floor's plug index of each option
+    links = []
+    state = np.zeros(1, dtype=np.int32)  # floor-0 plug index (plug 0) per row
+    for h, (plugs, keep) in enumerate(tables):
+        nxt = {v: k for k, v in enumerate(tables[h + 1][0])} if h + 1 < floors else {0: 0}
+        seg = np.concatenate([s for s, _ in keep]) + h * nb
+        count = np.array([len(s) for s, _ in keep], dtype=np.int32)
+        first = (np.cumsum(count) - count).astype(np.int32)
+        to = np.array([nxt[v] for _, ups in keep for v in ups], dtype=np.int32)
+        c = count[state]
+        parent = np.repeat(np.arange(len(state), dtype=np.int32), c)
+        # a new row's option: its plug's first option plus its rank among its siblings
+        opt = np.arange(len(parent), dtype=np.int32)
+        opt += np.repeat(first[state] - (np.cumsum(c) - c).astype(np.int32), c)
+        state = to[opt]
+        links.append((np.ascontiguousarray(seg.T.astype(np.uint8)), parent, opt))
+    del state
+    M = np.empty((len(links[-1][1]), nb * floors), dtype=np.uint8, order="F")
+    at = None  # row of each tiling on the current floor; None: the tiling itself
+    for h in reversed(range(floors)):
+        seg, parent, opt = links.pop()
+        if at is not None:
+            opt = opt[at]
+        np.take(seg, opt, axis=1, out=M[:, h * nb:(h + 1) * nb].T, mode="clip")
+        at = parent if at is None else parent[at]
+        del seg, parent, opt
+    return M
+
+
+def _floor_options(base: Region):
+    """options(m, up) -> (segments, up-plugs): the ways to cover the base
+    cells in mask m within one floor, each cell matched to an in-floor
+    neighbour or (when up) sent up, sorted by floor segment.
+
+    A segment is an int16 row over the base cells, relative to the floor:
+    an in-floor partner j, c + nb for a cell c sent up (columns outside m
+    are left for the caller).  Branching on the lowest cell of m, in-floor
+    partners ascending and up last, gives segment order directly.
+    """
+    nb = len(base.cells)
+    nbrs = base.neighbors
+    memo: dict[tuple[int, bool], tuple[np.ndarray, list[int]]] = {}
+
+    def options(m: int, up: bool):
+        got = memo.get((m, up))
+        if got is not None:
+            return got
         if not m:
-            out.append(bytes(partner))
-            return
-        low = m & -m
-        i = low.bit_length() - 1
-        m2 = m ^ low
-        for j in nbrs[i]:
-            bj = bit[j]
-            if m2 & bj:
-                partner[i] = j
-                partner[j] = i
-                rec(m2 ^ bj)
+            got = np.zeros((1, nb), dtype=np.int16), [0]
+        else:
+            low = m & -m
+            i = low.bit_length() - 1
+            m2 = m ^ low
+            segs, ups = [], []
+            for j in nbrs[i]:
+                if m2 >> j & 1:
+                    s, v = options(m2 ^ (1 << j), up)
+                    s = s.copy()
+                    s[:, i] = j
+                    s[:, j] = i
+                    segs.append(s)
+                    ups += v
+            if up:
+                s, v = options(m2, up)
+                s = s.copy()
+                s[:, i] = i + nb
+                segs.append(s)
+                ups += [x | low for x in v]
+            got = (np.concatenate(segs) if segs else np.empty((0, nb), dtype=np.int16)), ups
+        memo[(m, up)] = got
+        return got
 
-    rec((1 << n) - 1)
-    return out
+    return options
 
 
 def count_tilings(region: Region) -> int:

@@ -148,7 +148,7 @@ def test_criterion_06_determinant_equals_signed_enumeration():
 
 def _assert_flip_edges_twist_equal(tc) -> int:
     rep = tc.report
-    twist_of = dict(zip(rep.states, (int(x) for x in rep.twists)))
+    twist_of = {rep.state(i): int(x) for i, x in enumerate(rep.twists)}
     squares = rep.region.squares
     half_edges = 0
     for s, tw in twist_of.items():
@@ -228,7 +228,7 @@ def test_criterion_11a_small_component_merges_under_padding(census_223_n3):
     base = B223
     nb = len(base.cells)
     # component 0 is the big twist-0 one; components 2.. are the size-16s
-    targets = {s for s, c in zip(rep.states, rep.comp_of) if c == 0}
+    targets = {rep.state(i) for i, c in enumerate(rep.comp_of) if c == 0}
     assert len(targets) == 762572
     sixteen = rep.components[2]
     assert (sixteen.size, sixteen.twist) == (16, 0)

@@ -7,6 +7,8 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import dominotwist as dt
 from dominotwist import enumerate_tilings, parse_region_spec
 
@@ -39,3 +41,17 @@ def test_enumerate_tilings_is_lazy():
     first = next(iter(enumerate_tilings(region)))
     first.validate()
     assert first.region == region
+
+
+def test_component_report_surface_used_by_bench():
+    # bench/wl_census.py counts len(rep.states), passes rep.states to
+    # twist_batch, rebuilds the giant component as {bytes(row), ...} and
+    # starts the merge search from a representative
+    region = parse_region_spec("cyl:2,2,2xN=3")
+    rep = dt.flip_components(region)
+    assert len(rep.states) == dt.count_tilings(region) == 6345
+    assert all(bytes(row) == rep.state(i) for i, row in enumerate(rep.states))
+    assert np.array_equal(dt.twist_batch(region, rep.states), rep.twists)
+    assert all(type(c.representative) is bytes for c in rep.components)
+    giant = {bytes(s) for s, c in zip(rep.states, rep.comp_of) if int(c) == 0}
+    assert len(giant) == rep.components[0].size == 5985

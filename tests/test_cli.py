@@ -263,7 +263,18 @@ def test_padding_past_255_cells_is_error(tmp_path):
         assert code == 1
         assert obj["status"] == "error"
         messages.append(obj["payload"]["message"])
-    assert "byte packing" in messages[1]
+    assert all("byte packing" in m for m in messages)
+
+
+def test_padding_zero_floors_on_a_non_cylinder(tmp_path):
+    tail = [(x, 0, 0, 0) for x in range(2, 12)]
+    region = Region(4, list(make_box((2, 2, 2, 2)).cells) + tail)
+    t0, t1 = [t for t in itertools.islice(enumerate_tilings(region), 20) if twist(t) == 0][:2]
+    f0 = _write_tiling(tmp_path, "t0.txt", t0)
+    f1 = _write_tiling(tmp_path, "t1.txt", t1)
+    code, obj = run_json(["padding", "--t0", f0, "--t1", f1, "--floors", "0"])
+    assert code == 0
+    assert obj["payload"]["connected"] is True
 
 
 def test_generators_inline_and_files(tmp_path):

@@ -403,8 +403,8 @@ def test_unfold_preserves_twist_223_n3(census_223_n3):
     rep = census_223_n3.report
     region = rep.region
     checked = 0
-    for idx, state in enumerate(rep.states):
-        t = Tiling(region, state)
+    for idx in range(len(rep.states)):
+        t = Tiling(region, rep.state(idx))
         if not respects_path(p, t):
             continue
         flat = unfold(t, p, s)

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dominotwist import moves
-from dominotwist.kasteleyn import twist, twist_batch
+from dominotwist.kasteleyn import twist, twist_batch, twist_census
 from dominotwist.moves import (
     Component,
     ComponentReport,
@@ -28,10 +30,10 @@ from dominotwist.moves import (
 from dominotwist.regions import Region, from_cells, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import (
     Tiling,
-    all_partner_bytes,
     concat,
     decompose_floors,
     enumerate_tilings,
+    partner_matrix,
     vertical_tiling,
 )
 
@@ -138,8 +140,8 @@ def test_component_representatives_are_canonical(census_2222):
         assert twist(t) == comp.twist
     # representative is the smallest state of its component
     states_by_comp = {}
-    for s, c in zip(rep.states, rep.comp_of):
-        states_by_comp.setdefault(c, []).append(s)
+    for i, c in enumerate(rep.comp_of):
+        states_by_comp.setdefault(c, []).append(rep.state(i))
     for k, comp in enumerate(rep.components):
         assert comp.representative == min(states_by_comp[k])
         assert comp.size == len(states_by_comp[k])
@@ -152,11 +154,42 @@ def test_budget_exhaustion_is_indeterminate():
     assert -1 in rep.comp_of
 
 
+def reference_partner_bytes(region) -> list[bytes]:
+    """Every tiling as packed partner bytes, by one recursive DFS that
+    branches on the lowest uncovered cell, partners ascending: the order of
+    enumerate_tilings, which is ascending byte order."""
+    n = len(region.cells)
+    assert n <= 255
+    if not region.balanced:
+        return []
+    nbrs = region.neighbors
+    bit = [1 << i for i in range(n)]
+    partner = bytearray(n)
+    out: list[bytes] = []
+
+    def rec(m):
+        if not m:
+            out.append(bytes(partner))
+            return
+        low = m & -m
+        i = low.bit_length() - 1
+        m2 = m ^ low
+        for j in nbrs[i]:
+            bj = bit[j]
+            if m2 & bj:
+                partner[i] = j
+                partner[j] = i
+                rec(m2 ^ bj)
+
+    rec((1 << n) - 1)
+    return out
+
+
 def reference_components(region, budget=moves.DEFAULT_BUDGET) -> ComponentReport:
     """Per-state BFS census on flip_neighbors_bytes: components started in
     ascending order of their first state while fewer than `budget` states
-    were visited."""
-    states = all_partner_bytes(region)
+    were visited.  Its states are a list of packed bytes."""
+    states = reference_partner_bytes(region)
     squares = region.squares
     id_of = {s: k for k, s in enumerate(states)}
     comp_of = [-1] * len(states)
@@ -199,7 +232,8 @@ def reference_components(region, budget=moves.DEFAULT_BUDGET) -> ComponentReport
 
 def assert_same_report(got: ComponentReport, want: ComponentReport) -> None:
     assert got.region == want.region
-    assert got.states == want.states
+    assert got.states.shape == (len(want.states), len(got.region.cells))
+    assert [got.state(i) for i in range(len(got.states))] == want.states
     assert got.components == want.components
     assert got.comp_of == want.comp_of
     assert type(got.comp_of) is list
@@ -244,11 +278,59 @@ def test_census_kernel_with_multiword_keys():
     assert len(rep.states) == 229
     assert_same_report(rep, reference_components(region))
     rng = np.random.default_rng(3)
-    ts = [Tiling(region, s) for s in rep.states]
+    ts = [Tiling(region, rep.state(i)) for i in range(len(rep.states))]
     for _ in range(6):
         t0, t1 = (ts[k] for k in rng.choice(len(ts), 2, replace=False))
         for budget in (0, 5, moves.DEFAULT_BUDGET):
             assert flip_connected(t0, t1, budget) is reference_connected(t0, t1, budget)
+
+
+PACKER_CASES = sorted({spec for spec, _ in CENSUS_CASES} | {
+    "cyl:2,2,2xN=4", "cyl:2,2,3xN=3", "cyl:3,3xN=2", "cyl:2,5xN=3",
+    "cork:2,2,2xN=3:p0=0x3:pN=0x3"})
+
+
+@pytest.mark.parametrize("spec", PACKER_CASES + ["tailed"])
+def test_partner_matrix_matches_reference_packer(spec):
+    # cylinders (every box among them) are built floor by floor; the
+    # tailed box and the cork pack enumerate_tilings
+    region = tailed_box() if spec == "tailed" else parse_region_spec(spec)
+    n = len(region.cells)
+    want = reference_partner_bytes(region)
+    got = partner_matrix(region)
+    assert got.dtype == np.uint8 and got.flags.f_contiguous
+    assert got.shape == (len(want), n)
+    assert np.array_equal(got, np.frombuffer(b"".join(want), dtype=np.uint8).reshape(-1, n))
+    ones = int(np.count_nonzero(twist_batch(region, want))) if want else 0
+    assert twist_census(region) == (len(want) - ones, ones)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1),
+       st.integers(1, 4), st.booleans())
+def test_partner_matrix_on_random_regions(base_cells, floors, trim):
+    # a cylinder over a random planar base, or (trim) one cell short of it
+    cells = [c + (h,) for h in range(floors) for c in sorted(base_cells)]
+    region = Region(3, cells[:-1] if trim else cells)
+    want = reference_partner_bytes(region)
+    got = partner_matrix(region)
+    assert got.shape == (len(want), len(region.cells))
+    assert [row.tobytes() for row in got] == want
+
+
+def test_regions_past_255_cells_keep_their_routes(monkeypatch):
+    # box:2,2,2,2 plus a 240-cell tail: 256 cells, too many to pack in bytes
+    tail = [(x, 0, 0, 0) for x in range(2, 242)]
+    region = Region(4, list(make_box((2, 2, 2, 2)).cells) + tail)
+    for build in (partner_matrix, flip_components):
+        with pytest.raises(ValueError, match="at most 255 cells"):
+            build(region)
+
+    def refuse(region):
+        raise AssertionError("twist_census packed a region past 255 cells")
+
+    monkeypatch.setattr("dominotwist.kasteleyn.partner_matrix", refuse)
+    assert twist_census(region) == (264, 8)  # the scalar twist over enumerate_tilings
 
 
 def test_key_table_words_are_exact():
@@ -306,7 +388,7 @@ def search_pairs(spec: str, count: int, seed: int) -> list[tuple[Tiling, Tiling]
     """`count` seeded pairs of distinct tilings of the region, plus one pair
     a single flip apart."""
     region = parse_region_spec(spec)
-    states = all_partner_bytes(region)
+    states = reference_partner_bytes(region)
     rng = np.random.default_rng(seed)
     pairs = [tuple(Tiling(region, states[k]) for k in rng.choice(len(states), 2, replace=False))
              for _ in range(count)]
@@ -385,6 +467,17 @@ def test_connected_with_padding_smoke():
     verdict = flip_connected(ts[0], ts[5])
     assert verdict is Connectivity.CONNECTED
     assert connected_with_padding(ts[0], ts[5], 2) is Connectivity.CONNECTED
+
+
+def test_connected_with_padding_zero_floors_on_any_region():
+    # box:2,2,2,2 plus a 10-cell tail is no cylinder; zero floors add nothing
+    tail = [(x, 0, 0, 0) for x in range(2, 12)]
+    region = Region(4, list(make_box((2, 2, 2, 2)).cells) + tail)
+    t0, t1 = [t for t in itertools.islice(enumerate_tilings(region), 20) if twist(t) == 0][:2]
+    assert flip_connected(t0, t1) is Connectivity.CONNECTED
+    assert connected_with_padding(t0, t1, 0) is Connectivity.CONNECTED
+    with pytest.raises(ValueError, match="not a cylinder"):
+        connected_with_padding(t0, t1, 2)
 
 
 def test_connected_with_padding_rejects_odd():
