@@ -6,6 +6,12 @@ text.  The timing field is wall-clock seconds and is the only part of the
 output that varies between runs.  Exit codes: 0 ok, 2 indeterminate
 (budget exhausted, no wrong answer), 1 error.  All configuration is by
 flags; no environment variables are consulted.
+
+Start-up is most of a short call, so the module imports only the scalar,
+pure-Python engines.  A command imports moves or transfer, and with them
+numpy, where it runs their array code: twist, render, fold, flux,
+generators, count on a box and defect --method det never load numpy.  The
+timing of a command that does includes that import.
 """
 
 from __future__ import annotations
@@ -19,18 +25,8 @@ from pathlib import Path
 
 from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
-from .moves import DEFAULT_BUDGET, Connectivity, connected_with_padding, flip_components
-from .regions import Region, RegionError, parse_region_spec, region_spec
-from .tilings import Tiling, TilingError, _is_int_cell, count_tilings, tiling_from_text
-from .transfer import (
-    TransferError,
-    cylinder_count,
-    cylinder_defect,
-    get_transfer,
-    save_transfer_cache,
-    spectral_estimates,
-    transfer_to_json_obj,
-)
+from .regions import DEFAULT_BUDGET, Region, parse_region_spec, region_spec
+from .tilings import Tiling, _is_int_cell, count_tilings, tiling_from_json_obj, tiling_from_text
 
 DIRECTION_GLYPHS = ("[]", "nu", "fb", "ws")  # in-floor axes 0..3
 FLOOR_GLYPHS = "UD"  # partner above / below
@@ -79,7 +75,6 @@ def _read_tiling(args, path: str) -> Tiling:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        from .tilings import tiling_from_json_obj
         t = tiling_from_json_obj(json.loads(text))
     else:
         t = tiling_from_text(text)
@@ -124,6 +119,7 @@ def cmd_count(args) -> CommandResult:
         if region.base is None:
             return _fail("count", "transfer method needs a cyl: region",
                          region_spec(region))
+        from .transfer import cylinder_count
         n = cylinder_count(region.base, region.floors)
     else:
         n = count_tilings(region)
@@ -132,6 +128,7 @@ def cmd_count(args) -> CommandResult:
 
 
 def cmd_components(args) -> CommandResult:
+    from .moves import flip_components
     region = _region_arg(args, args.region)
     report = flip_components(region, budget=args.budget)
     payload = {
@@ -163,6 +160,7 @@ def cmd_defect(args) -> CommandResult:
         if region.base is None:
             return _fail("defect", "transfer method needs a cyl: region",
                          region_spec(region))
+        from .transfer import cylinder_defect
         value = cylinder_defect(region.base, region.floors)
     payload = {
         "defect": value,
@@ -175,6 +173,7 @@ def cmd_defect(args) -> CommandResult:
 
 
 def cmd_transfer_export(args) -> CommandResult:
+    from .transfer import get_transfer, save_transfer_cache, transfer_to_json_obj
     base = _region_arg(args, args.base)
     tm = get_transfer(base)
     obj = transfer_to_json_obj(tm)
@@ -190,6 +189,7 @@ def cmd_transfer_export(args) -> CommandResult:
 
 
 def cmd_spectral(args) -> CommandResult:
+    from .transfer import spectral_estimates
     base = _region_arg(args, args.base)
     rep = spectral_estimates(base, tol=args.tol)
     payload = {
@@ -203,6 +203,7 @@ def cmd_spectral(args) -> CommandResult:
 
 
 def cmd_padding(args) -> CommandResult:
+    from .moves import Connectivity, connected_with_padding
     t0 = _read_tiling(args, args.t0)
     t1 = _read_tiling(args, args.t1)
     verdict = connected_with_padding(t0, t1, args.floors, budget=args.budget)
@@ -468,8 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         result: CommandResult = args.func(args)
-    except (RegionError, TilingError, TransferError, ham.HamiltonianError,
-            OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # package errors subclass ValueError
         result = _fail(args.subcommand, str(e), getattr(args, "named_region", None))
     result.timing = round(time.perf_counter() - start, 6)
     # exact answers can exceed the interpreter's limit on the digits of an

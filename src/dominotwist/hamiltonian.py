@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .kasteleyn import twist
+from .plugs import enumerate_plugs
 from .regions import Cell, Region, make_box, make_cork, make_cylinder
 from .tilings import Tiling, decompose_floors, enumerate_tilings
-from .transfer import enumerate_plugs
 
 MAX_FLUX_BASE_CELLS = 16
 DEFAULT_HALF_FLOOR_CAP = 40

@@ -8,7 +8,8 @@ induces from black to white labels:
     (-1)^twist(t) = sign(sigma_t) * prod_i K[i, sigma_t(i)]
 
 and the defect of a region is det K = #(twist 0) - #(twist 1), both taken
-in the canonical labeling.
+in the canonical labeling.  The scalar twist and the determinant are pure
+Python; twist_batch and twist_census load numpy when called.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-
-import numpy as np
 
 from .regions import Region
 from .tilings import Tiling, enumerate_tilings, partner_matrix
@@ -113,21 +112,31 @@ class SignSystem:
 
 
 @lru_cache(maxsize=8)
-def _twist_tables(region: Region):
-    """Per-region tables for twist evaluation, shared by equal regions."""
+def _negative_edges(region: Region) -> tuple[frozenset[int], ...]:
+    """White labels joined to each black label by an edge of sign -1."""
     if not region.balanced:
         raise KasteleynError("twist needs a balanced region")
-    black = np.array(region.black_cells, dtype=np.int64)
-    b = len(black)
     wr = region.white_rank
+    return tuple(
+        frozenset(wr[j] for j in region.neighbors[i]
+                  if canonical_sign(region, region.cells[i], region.cells[j]) < 0)
+        for i in region.black_cells)
+
+
+@lru_cache(maxsize=8)
+def _twist_tables(region: Region):
+    """Per-region arrays for twist_batch, shared by equal regions."""
+    import numpy as np
+
+    negative = _negative_edges(region)
+    b = len(negative)
     # neg_bit[r, s] = 1 when the edge from black label r to white label s has sign -1
     neg_bit = np.zeros((b, b), dtype=np.uint8)
-    for r, i in enumerate(region.black_cells):
-        for j in region.neighbors[i]:
-            if canonical_sign(region, region.cells[i], region.cells[j]) < 0:
-                neg_bit[r, wr[j]] = 1
+    for r, whites in enumerate(negative):
+        neg_bit[r, list(whites)] = 1
+    black = np.array(region.black_cells, dtype=np.int64)
     # twist_batch gathers byte ranks (at most 255 cells); black cells' -1 wraps, unused
-    return black, np.array(wr, dtype=np.int64).astype(np.uint8), neg_bit
+    return black, np.array(region.white_rank, dtype=np.int64).astype(np.uint8), neg_bit
 
 
 def permutation_of(tiling: Tiling) -> list[int]:
@@ -152,6 +161,8 @@ def inversion_count(seq) -> int:
 
 def inversion_parity(rows: np.ndarray) -> np.ndarray:
     """Inversion parity of each row of a 2-D array, as uint8 0/1."""
+    import numpy as np
+
     acc = np.zeros(len(rows), dtype=np.uint8)
     for i in range(rows.shape[1]):
         ri = rows[:, i]
@@ -162,10 +173,9 @@ def inversion_parity(rows: np.ndarray) -> np.ndarray:
 
 def twist(tiling: Tiling) -> int:
     """Twist in Z/2 under the canonical labeling and sign system."""
-    region = tiling.region
-    _, _, neg_bit = _twist_tables(region)
+    negative = _negative_edges(tiling.region)
     sigma = permutation_of(tiling)
-    neg = int(sum(int(neg_bit[r, s]) for r, s in enumerate(sigma)))
+    neg = sum(s in whites for whites, s in zip(negative, sigma))
     return (inversion_count(sigma) + neg) % 2
 
 
@@ -174,6 +184,8 @@ def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
 
     states is a list of partner byte strings or a states x cells uint8
     matrix of partner vectors."""
+    import numpy as np
+
     black, wr, neg_bit = _twist_tables(region)
     n = len(region.cells)
     b = len(black)
@@ -255,7 +267,7 @@ def twist_census(region: Region) -> tuple[int, int]:
         return (0, 0)
     if len(region.cells) <= 255:
         states = partner_matrix(region)
-        ones = int(np.count_nonzero(twist_batch(region, states)))
+        ones = int(twist_batch(region, states).sum())
         return (len(states) - ones, ones)
     counts = [0, 0]
     for t in enumerate_tilings(region):

@@ -37,10 +37,9 @@ from enum import Enum
 import numpy as np
 
 from .kasteleyn import twist, twist_batch
-from .regions import Region
+from .regions import DEFAULT_BUDGET, Region
 from .tilings import Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
-DEFAULT_BUDGET = 20_000_000
 FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
 
 

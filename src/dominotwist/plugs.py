@@ -1,0 +1,43 @@
+"""Plugs of a cylinder base, in pure Python.
+
+A plug is a balanced subset of base cells, encoded as a bitmask over the
+base's cell order.  The transfer engines index their matrices by plugs and
+the Hamiltonian-path code computes the flux of each plug; this module
+holds what both need, so that the path code imports no array library.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from .regions import Region
+
+MAX_PLUG_BASE_CELLS = 24
+
+
+class TransferError(ValueError):
+    pass
+
+
+def enumerate_plugs(base: Region) -> list[int]:
+    """All balanced subsets of base cells as bitmasks, ascending.
+
+    Index 0 is the empty plug; the last entry is the full plug.
+    """
+    nc = len(base.cells)
+    if nc > MAX_PLUG_BASE_CELLS:
+        raise TransferError(
+            f"plug enumeration needs a base with at most {MAX_PLUG_BASE_CELLS}"
+            f" cells, got {nc}")
+    if not base.balanced:
+        raise TransferError("plug enumeration needs a balanced base")
+    blacks = base.black_cells
+    whites = base.white_cells
+    plugs = []
+    for k in range(len(blacks) + 1):
+        for bsub in combinations(blacks, k):
+            bmask = sum(1 << i for i in bsub)
+            for wsub in combinations(whites, k):
+                plugs.append(bmask + sum(1 << i for i in wsub))
+    plugs.sort()
+    return plugs

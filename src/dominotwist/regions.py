@@ -17,6 +17,7 @@ Cell = tuple[int, ...]
 
 MAX_REGION_CELLS = 1 << 20
 MAX_BASE_CELLS = 64  # plug bitmask budget
+DEFAULT_BUDGET = 20_000_000  # states a flip search visits before it gives up
 
 
 def cell_color(cell: Cell) -> int:

@@ -6,7 +6,8 @@ deterministic: branch on the lowest-labeled uncovered cell, partners in
 ascending label order.  enumerate_tilings yields Tilings lazily, at any
 size; partner_matrix builds all of them at once, in the same order, as
 one states x cells uint8 matrix (up to 255 cells), floor by floor on a
-cylinder; count_tilings counts without enumerating.
+cylinder; count_tilings counts without enumerating.  Only partner_matrix
+and its helpers use numpy, and they import it when called.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .regions import Region, RegionError, make_cylinder, parse_region_spec, region_spec
 
@@ -206,6 +205,8 @@ def partner_matrix(region: Region) -> np.ndarray:
     A cylinder (any box, read over its first axes) is built floor by floor
     (_cylinder_matrix); any other region packs enumerate_tilings in chunks.
     """
+    import numpy as np
+
     n = len(region.cells)
     if n > 255:
         raise TilingError("byte-packed enumeration needs a region with at most 255 cells")
@@ -219,6 +220,8 @@ def partner_matrix(region: Region) -> np.ndarray:
 
 
 def _packed_tilings(region: Region, n: int, chunk: int = 1 << 16) -> np.ndarray:
+    import numpy as np
+
     tilings = enumerate_tilings(region)
     parts = []
     while part := b"".join(bytes(t.partner) for t in itertools.islice(tilings, chunk)):
@@ -241,6 +244,8 @@ def _cylinder_matrix(base: Region, floors: int) -> np.ndarray:
     floor keeps one (parent row, option) pair per row; one walk back from
     the top floor writes the columns.
     """
+    import numpy as np
+
     nb = len(base.cells)
     if not floors:
         return np.empty((1, 0), dtype=np.uint8, order="F")
@@ -312,6 +317,8 @@ def _floor_options(base: Region):
     are left for the caller).  Branching on the lowest cell of m, in-floor
     partners ascending and up last, gives segment order directly.
     """
+    import numpy as np
+
     nb = len(base.cells)
     nbrs = base.neighbors
     memo: dict[tuple[int, bool], tuple[np.ndarray, list[int]]] = {}

@@ -1,8 +1,9 @@
 """Plug/floor transfer matrices for cylinders base x [0,N].
 
 A plug is a balanced subset of base cells, encoded as a bitmask over the
-base's cell order.  Entry A[p0][p1] counts the tilings of one floor given
-vertical dominoes entering from below at p0 and leaving upward at p1, so
+base's cell order (plugs.enumerate_plugs, re-exported here).  Entry
+A[p0][p1] counts the tilings of one floor given vertical dominoes
+entering from below at p0 and leaving upward at p1, so
 (A^N)[empty][empty] counts cylinder tilings.  The signed companion At
 weights each floor tiling by its twist contribution
 
@@ -37,42 +38,12 @@ from .kasteleyn import (
     inversion_parity,
     sign_matrix,
 )
+from .plugs import MAX_PLUG_BASE_CELLS, TransferError, enumerate_plugs  # noqa: F401 (re-exported)
 from .regions import Region, region_spec
 from .tilings import Tiling, enumerate_tilings
 
-MAX_PLUG_BASE_CELLS = 24
 MAX_MATRIX_PLUGS = 4096
 CACHE_FORMAT_VERSION = 1
-
-
-class TransferError(ValueError):
-    pass
-
-
-def enumerate_plugs(base: Region) -> list[int]:
-    """All balanced subsets of base cells as bitmasks, ascending.
-
-    Index 0 is the empty plug; the last entry is the full plug.
-    """
-    nc = len(base.cells)
-    if nc > MAX_PLUG_BASE_CELLS:
-        raise TransferError(
-            f"plug enumeration needs a base with at most {MAX_PLUG_BASE_CELLS}"
-            f" cells, got {nc}")
-    if not base.balanced:
-        raise TransferError("plug enumeration needs a balanced base")
-    from itertools import combinations
-
-    blacks = base.black_cells
-    whites = base.white_cells
-    plugs = []
-    for k in range(len(blacks) + 1):
-        for bsub in combinations(blacks, k):
-            bmask = sum(1 << i for i in bsub)
-            for wsub in combinations(whites, k):
-                plugs.append(bmask + sum(1 << i for i in wsub))
-    plugs.sort()
-    return plugs
 
 
 class _BaseTables:
@@ -631,6 +602,8 @@ def spectral_estimates(base: Region, tol: float = 1e-9,
     At's value comes from power iteration on At @ At followed by a square
     root.  Raises unless the signed value is strictly below the count value.
     """
+    if not (math.isfinite(tol) and tol > 0):  # nan, inf, 0 or below never converge
+        raise TransferError("tol must be a positive finite number")
     tm = get_transfer(base)
     lam, resid, iters = _power_iteration(tm.dense_count().astype(np.float64), tol, max_iter)
     at = tm.dense_signed().astype(np.float64)

@@ -223,6 +223,24 @@ def test_spectral_payload():
     assert p["residual_tilde"] <= 1e-12 * max(1.0, p["lambda_tilde"] ** 2)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+def test_spectral_rejects_bad_tol_before_building(monkeypatch, tol):
+    # a tolerance that can never be met used to run all 200,000 power
+    # iterations before it failed
+    def refuse(base):
+        raise AssertionError("built a transfer matrix for a bad tol")
+
+    monkeypatch.setattr("dominotwist.transfer.get_transfer", refuse)
+    code, out, err = run_cli(["spectral", "--base", "box:2,2", "--tol", tol, "--json"])
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    obj = json.loads(out)
+    assert obj["status"] == "error"
+    assert obj["payload"]["message"] == "tol must be a positive finite number"
+    assert obj["timing"] < 1.0
+    assert "Traceback" not in err
+
+
 def _write_tiling(tmp_path, name: str, t: Tiling) -> str:
     f = tmp_path / name
     f.write_text(t.to_text())
@@ -460,6 +478,66 @@ def _declared_script_spec(name: str = "dominotwist") -> str | None:
             return tomllib.load(fh)["project"]["scripts"][name]
     eps = importlib.metadata.entry_points(group="console_scripts", name=name)
     return next((ep.value for ep in eps), None)
+
+
+# Runs one command in a fresh interpreter, then reports whether numpy was
+# imported: the first line of stdout is the JSON result, the last the flag.
+NUMPY_PROBE = (
+    "import sys\n"
+    "from dominotwist.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _probe_numpy(argv: list[str]) -> tuple[dict, bool]:
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv, "--json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    obj = json.loads(lines[0])
+    assert obj["status"] == "ok"
+    return obj, {"True": True, "False": False}[lines[1]]
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory) -> dict:
+    d = tmp_path_factory.mktemp("probe")
+    cube = vertical_tiling(make_box((2, 2)), 2)
+    strip = vertical_tiling(make_box((4,)), 2)
+    (d / "cube.json").write_text(json.dumps(cube.to_json_obj()))
+    return {"cube_txt": _write_tiling(d, "cube.txt", cube),
+            "cube_json": str(d / "cube.json"),
+            "strip": _write_tiling(d, "strip.txt", strip)}
+
+
+NUMPY_FREE_COMMANDS = {
+    "twist-text": ["twist", "--tiling", "{cube_txt}"],
+    "twist-json": ["twist", "--tiling", "{cube_json}"],
+    "render": ["render", "--tiling", "{cube_txt}"],
+    "fold": ["fold", "--tiling", "{strip}", "--src", "box:4", "--dst", "box:2,2"],
+    "flux": ["flux", "--base", "box:2,3"],
+    "flux-d": ["flux", "--base", "box:2,3", "--d", "1,4"],
+    "generators": ["generators", "--base", "box:2,3"],
+    "count-box": ["count", "--region", "box:2,2,2,2"],
+    "defect-det": ["defect", "--region", "box:2,2,2,2", "--method", "det"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE_COMMANDS))
+def test_scalar_commands_do_not_import_numpy(probe_inputs, name):
+    argv = [a.format(**probe_inputs) for a in NUMPY_FREE_COMMANDS[name]]
+    _, loaded = _probe_numpy(argv)
+    assert not loaded, f"{name} imported numpy"
+
+
+def test_array_commands_import_numpy():
+    # the control: the probe does see numpy when a command runs array code
+    obj, loaded = _probe_numpy(["components", "--region", "box:2,2,2"])
+    assert obj["payload"]["component_count"] >= 1
+    assert loaded
 
 
 def test_console_script_entry_point():

@@ -22,8 +22,8 @@ from dominotwist.kasteleyn import (
     twist_census,
 )
 from dominotwist.moves import pack_state
-from dominotwist.regions import Region, make_box, make_cylinder
-from dominotwist.tilings import Tiling, enumerate_tilings, vertical_tiling
+from dominotwist.regions import Region, make_box, make_cylinder, parse_region_spec
+from dominotwist.tilings import Tiling, enumerate_tilings, partner_matrix, vertical_tiling
 
 
 def test_canonical_sign_depends_on_prefix_parity():
@@ -77,6 +77,29 @@ def test_twist_batch_agrees_with_scalar():
     states = [pack_state(t) for t in ts]
     tw = twist_batch(r, states)
     assert [int(x) for x in tw] == [twist(t) for t in ts]
+
+
+@pytest.mark.parametrize("spec", ["cyl:2,2,2xN=2", "box:2,2,2,2", "box:2,2,2,2,2", "cyl:2,5xN=2"])
+def test_scalar_twist_matches_batch_twist(spec):
+    # the pure-Python twist reads its signs from _negative_edges, the batch
+    # twist from the numpy table built out of it; signed_det_term takes every
+    # sign from canonical_sign on its own, on every tiling of the small
+    # regions and on about 5,000 of the 589,185 of the 5-cube
+    region = parse_region_spec(spec)
+    batch = twist_batch(region, partner_matrix(region)).tolist()
+    stride = max(1, len(batch) // 5000)
+    for k, (t, tw) in enumerate(zip(enumerate_tilings(region), batch, strict=True)):
+        assert twist(t) == tw
+        if k % stride == 0:
+            assert signed_det_term(t) == (-1) ** tw
+
+
+def test_twist_of_unbalanced_region_is_error():
+    region = make_box((3,))
+    with pytest.raises(KasteleynError, match="^twist needs a balanced region$"):
+        twist(Tiling(region, (1, 0, 1)))
+    with pytest.raises(KasteleynError, match="^twist needs a balanced region$"):
+        twist_batch(region, [bytes((1, 0, 1))])
 
 
 def test_twist_census_2222():
