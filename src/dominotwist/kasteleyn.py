@@ -146,9 +146,22 @@ def permutation_of(tiling: Tiling) -> list[int]:
     return [wr[tiling.partner[i]] for i in region.black_cells]
 
 
+def permutation_parity(sigma) -> int:
+    """Parity of a permutation of range(b), 0 or 1: (b - #cycles) mod 2."""
+    seen = [False] * len(sigma)
+    cycles = 0
+    for x in range(len(sigma)):
+        if not seen[x]:
+            cycles += 1
+            while not seen[x]:
+                seen[x] = True
+                x = sigma[x]
+    return (len(sigma) - cycles) % 2
+
+
 def inversion_count(seq) -> int:
-    """Exact number of inversions of a sequence; the scalar reference for
-    inversion_parity."""
+    """Exact number of inversions of a sequence, permutation or not; the
+    scalar reference for inversion_parity and permutation_parity."""
     # b stays small in the exact paths, the quadratic loop is fine
     inv = 0
     for x in range(len(seq)):
@@ -176,7 +189,7 @@ def twist(tiling: Tiling) -> int:
     negative = _negative_edges(tiling.region)
     sigma = permutation_of(tiling)
     neg = sum(s in whites for whites, s in zip(negative, sigma))
-    return (inversion_count(sigma) + neg) % 2
+    return (permutation_parity(sigma) + neg) % 2
 
 
 def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
@@ -205,14 +218,13 @@ def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
 
 
 def signed_det_term(tiling: Tiling, system: SignSystem | None = None) -> int:
-    """det of the tiling's one-permutation matrix: sign(sigma) * product of edge signs."""
-    region = tiling.region
-    sigma = permutation_of(tiling)
-    sgn = -1 if inversion_count(sigma) % 2 else 1
-    for i in region.black_cells:
-        j = tiling.partner[i]
-        s = system.signs[(i, j)] if system else _edge_sign_by_index(region, i, j)
-        sgn *= s
+    """det of the tiling's one-permutation matrix: sign(sigma) * product of
+    edge signs.  Under the canonical signs (no system) that is (-1)^twist."""
+    if system is None:
+        return -1 if twist(tiling) else 1
+    sgn = -1 if permutation_parity(permutation_of(tiling)) else 1
+    for i in tiling.region.black_cells:
+        sgn *= system.signs[(i, tiling.partner[i])]
     return sgn
 
 

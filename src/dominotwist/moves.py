@@ -7,10 +7,11 @@ the only other arrangement; it always toggles the twist.
 
 There is one flip path per state type.  Tilings go through flip_sites and
 apply_flip (flip_neighbors), at any region size.  Byte-packed partner
-vectors (pack_state, at most 255 cells) go through flip_neighbors_bytes,
-the hot kernel of the searches.
+vectors (pack_state, at most 255 cells) go through the numpy kernels
+below, in rows of a uint8 matrix; flip_neighbors_bytes, one state at a
+time, is kept as the independent check behind is_flip_pair.
 
-Both numpy kernels key a tiling by one exact mixed-radix number
+The numpy kernels key a tiling by one exact mixed-radix number
 (_key_table): a digit per black cell, the rank of its partner among its
 neighbours, packed into as many 64-bit words as the digits need, so keys
 are injective at any size with no random table.  A flip moves a key by a
@@ -20,17 +21,18 @@ The census (flip_components) runs over all tilings at once: the states x
 cells uint8 matrix of tilings.partner_matrix, which the report keeps as
 its states, every flip edge found per unit square by key lookup, and
 components labelled by min-label hooking with pointer jumping.  Its
-budget truncates the report.  The pairwise search flip_connected is a
-bidirectional BFS that expands one whole level at a time on frontier
-rows and their keys.  Both its budget and that of the
-best-first padded_merge_search, which walks byte-packed partner vectors
-one state at a time, cap the states visited.  An exhausted budget yields
-INDETERMINATE, never a wrong boolean.
+budget truncates the report.  Both searches expand whole frontiers of
+rows and their keys through one kernel, _expand: flip_connected is a
+bidirectional BFS, one level at a time, and padded_merge_search a
+best-first search, one score level at a time, that returns a path.  The
+budget of flip_connected caps the states visited, and an exhausted
+budget yields INDETERMINATE, never a wrong boolean; the budget of
+padded_merge_search caps the states stored, and yields no path.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -339,9 +341,15 @@ def _min_labels(m: int, src: np.ndarray, dst: np.ndarray, chunk: int = 1 << 20) 
     every label is its component's smallest state.  Dropping is safe
     because every pointer a hook overwrites came from a kept edge.  Kept
     edges are compacted to the front of src and dst in place, so both
-    arrays are overwritten.
+    arrays are overwritten.  In the first round every label is its own
+    state and no edge is a loop, so that round hooks on the state ids
+    directly, with no gather and no edge dropped.
     """
     lab = np.arange(m, dtype=np.int32)
+    for lo in range(0, len(src), chunk):
+        s, d = src[lo:lo + chunk], dst[lo:lo + chunk]
+        np.minimum.at(lab, np.maximum(s, d), np.minimum(s, d))
+    lab = _jump(lab)
     while len(src):
         kept = 0
         for lo in range(0, len(src), chunk):
@@ -356,12 +364,17 @@ def _min_labels(m: int, src: np.ndarray, dst: np.ndarray, chunk: int = 1 << 20) 
             dst[kept:kept + len(s)] = d
             kept += len(s)
         src, dst = src[:kept], dst[:kept]
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
+        lab = _jump(lab)
     return lab
+
+
+def _jump(lab: np.ndarray) -> np.ndarray:
+    """Pointer jumping: follow labels until every label is a root."""
+    while True:
+        jumped = lab[lab]
+        if np.array_equal(jumped, lab):
+            return lab
+        lab = jumped
 
 
 def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentReport:
@@ -428,17 +441,21 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
         level = _expand(*sides[i], sides[1 - i][0], moves)
         if level is None:
             return Connectivity.CONNECTED
-        sides[i] = level
+        sides[i] = level = level[:3]  # drops the parent ids
         visited += len(level[1])
         if visited > budget:
             return Connectivity.INDETERMINATE
     return Connectivity.DISCONNECTED
 
 
-def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray, other: np.ndarray, moves):
-    """One BFS level of flip_connected: the new (seen, rows, words) of a side
-    with sorted seen keys `seen` and frontier rows/words, or None when a
-    flip reaches `other`, the other side's sorted seen keys.
+def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray,
+            other: np.ndarray | None, moves):
+    """Expand a whole frontier by one flip: the new (seen, rows, words,
+    parent) of a search with sorted seen keys `seen` and frontier
+    rows/words, where parent[k] is the frontier row that new row k came
+    from; or None when a flip reaches `other`, the sorted seen keys of the
+    other side of a bidirectional search (None when there is no other
+    side).
 
     The frontier is walked in chunks of FRONTIER_CHUNK rows.  Per chunk,
     each flip's candidate keys are the key words of the rows it applies to
@@ -468,19 +485,19 @@ def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray, other: np.nda
         if len(level):
             fresh &= ~_member(level, keys)
         keys, first = keys[fresh], first[fresh]
-        if _member(other, keys).any():
+        if other is not None and _member(other, keys).any():
             return None
         level = np.insert(level, np.searchsorted(level, keys), keys)
         parts.append((cand[first], np.concatenate(at)[first] + lo, np.concatenate(flip)[first]))
     if not parts:
-        return seen, rows[:0], words[:0]
+        return seen, rows[:0], words[:0], np.empty(0, dtype=np.intp)
     new_words, parent, flip = (np.concatenate(x) for x in zip(*parts))
     del parts
     new_rows = rows[parent]
     at = np.arange(len(new_rows))
     for k in range(4):
         new_rows[at, cols[flip, k]] = vals[flip, k]
-    return np.insert(seen, np.searchsorted(seen, level), level), new_rows, new_words
+    return np.insert(seen, np.searchsorted(seen, level), level), new_rows, new_words, parent
 
 
 def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,
@@ -500,10 +517,16 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     """Flip path from t_start + vertical padding to some (w + same padding)
     with packed w in bottom_targets.
 
-    Best-first search ordered by how much of the padding slab is back in
-    vertical position, FIFO within equal scores.  Returns the byte-state
-    path (both endpoints included), or None when the budget is exhausted.
-    Any returned path is a certificate: every step is a legal flip.
+    Best-first search on rows and exact keys, one score level at a time.
+    The score of a state is how many slab pairs of the padding are back in
+    vertical position.  Each round expands every open state of the top
+    score at once through _expand, which drops the states already seen;
+    the round's new rows, key words and parent ids are kept as one block.
+    The goal test runs on the new rows of full score.  Returns the
+    byte-state path (both endpoints included), walked back along the
+    parent ids, or None when no open state is left or `budget` states are
+    stored, checked after each round.  Any returned path is a
+    certificate: every step is a legal flip.
     """
     if extra_floors % 2 or extra_floors <= 0:
         raise ValueError("padding must use a positive even number of floors")
@@ -511,46 +534,58 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     nb = len(base.cells)
     padded = concat(t_start, vertical_tiling(base, extra_floors))
     region = padded.region
-    squares = region.squares
+    rows = np.frombuffer(pack_state(padded), dtype=np.uint8).reshape(1, -1)
     bottom_len = n0 * nb
+    # slab pair k is vertical when row[lower[k]] == upper[k] = lower[k] + nb
+    lower = np.array([h * nb + i for h in range(n0, n0 + extra_floors, 2) for i in range(nb)],
+                     dtype=np.intp)
+    upper = (lower + nb).astype(np.uint8)
 
-    slab_pairs = []
-    for h in range(n0, n0 + extra_floors, 2):
-        for i in range(nb):
-            slab_pairs.append((h * nb + i, (h + 1) * nb + i))
-    max_score = len(slab_pairs)
+    def scores(rows: np.ndarray) -> np.ndarray:
+        return (rows[:, lower] == upper).sum(1)
 
-    def score(state: bytes) -> int:
-        return sum(1 for i, j in slab_pairs if state[i] == j)
+    def goal(rows: np.ndarray, score: np.ndarray) -> int | None:
+        for k in np.flatnonzero(score == len(lower)).tolist():
+            if rows[k, :bottom_len].tobytes() in bottom_targets:
+                return k
+        return None
 
-    def is_goal(state: bytes) -> bool:
-        return score(state) == max_score and state[:bottom_len] in bottom_targets
-
-    start = pack_state(padded)
-    if is_goal(start):
-        return [start]
-    parent: dict[bytes, bytes | None] = {start: None}
-    counter = 0
-    heap = [(-score(start), counter, start)]
-    while heap:
-        _, _, s = heapq.heappop(heap)
-        for nb_state in flip_neighbors_bytes(s, squares):
-            if nb_state in parent:
-                continue
-            parent[nb_state] = s
-            if is_goal(nb_state):
-                path = [nb_state]
-                cur = s
-                while cur is not None:
-                    path.append(cur)
-                    cur = parent[cur]
-                path.reverse()
-                return path
-            if len(parent) >= budget:
-                return None
-            counter += 1
-            heapq.heappush(heap, (-score(nb_state), counter, nb_state))
-    return None
+    table = _key_table(region)
+    moves = _flip_moves(region, table)
+    words = _key_words(region, table, rows)
+    seen = _as_key(words).copy()
+    score = scores(rows)
+    hit = goal(rows, score)
+    blocks = [(rows, words, np.full(1, -1, dtype=np.intp))]  # per round: rows, words, parent ids
+    first = [0]  # id of each block's first state
+    stored = 1
+    open_ = {int(score[0]): [(0, np.zeros(1, dtype=np.intp))]}  # score -> [(block, rows)]
+    while hit is None:
+        if not open_ or stored >= budget:
+            return None
+        top = open_.pop(max(open_))
+        ids = np.concatenate([first[b] + at for b, at in top])
+        seen, rows, words, parent = _expand(
+            seen, np.concatenate([blocks[b][0][at] for b, at in top]),
+            np.concatenate([blocks[b][1][at] for b, at in top]), None, moves)
+        if not len(rows):
+            continue
+        score = scores(rows)
+        hit = goal(rows, score)
+        blocks.append((rows, words, ids[parent]))
+        first.append(stored)
+        stored += len(rows)
+        for s in np.unique(score).tolist():
+            open_.setdefault(s, []).append((len(blocks) - 1, np.flatnonzero(score == s)))
+    b, k = len(blocks) - 1, hit
+    path = []
+    while True:
+        rows, _, parent = blocks[b]
+        path.append(rows[k].tobytes())
+        if parent[k] < 0:
+            return path[::-1]
+        b = bisect_right(first, parent[k]) - 1
+        k = parent[k] - first[b]
 
 
 def is_flip_pair(region: Region, s0: bytes, s1: bytes) -> bool:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dominotwist.kasteleyn import (
@@ -15,6 +15,7 @@ from dominotwist.kasteleyn import (
     gauge_twist_comparison,
     inversion_count,
     inversion_parity,
+    permutation_parity,
     sign_matrix,
     signed_det_term,
     twist,
@@ -59,6 +60,14 @@ def test_inversion_parity_matches_inversion_count():
         assert inversion_parity(batch).tolist() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda b: st.permutations(range(b))))
+@example([])
+@example(list(range(9)))
+def test_permutation_parity_matches_inversion_count(sigma):
+    assert permutation_parity(sigma) == inversion_count(sigma) % 2
+
+
 def test_vertical_tiling_twist_zero():
     for dims, floors in (((2, 2), 2), ((2, 2, 2), 4), ((2, 3), 2)):
         t = vertical_tiling(make_box(dims), floors)
@@ -82,16 +91,19 @@ def test_twist_batch_agrees_with_scalar():
 @pytest.mark.parametrize("spec", ["cyl:2,2,2xN=2", "box:2,2,2,2", "box:2,2,2,2,2", "cyl:2,5xN=2"])
 def test_scalar_twist_matches_batch_twist(spec):
     # the pure-Python twist reads its signs from _negative_edges, the batch
-    # twist from the numpy table built out of it; signed_det_term takes every
-    # sign from canonical_sign on its own, on every tiling of the small
-    # regions and on about 5,000 of the 589,185 of the 5-cube
+    # twist from the numpy table built out of it; the canonical SignSystem
+    # takes every sign from canonical_sign on its own, and signed_det_term
+    # under it takes the parity from the cycles, the batch twist from the
+    # inversions; on every tiling of the small regions and on about 20,000
+    # of the 589,185 of the 5-cube
     region = parse_region_spec(spec)
+    canonical = SignSystem.canonical(region)
     batch = twist_batch(region, partner_matrix(region)).tolist()
-    stride = max(1, len(batch) // 5000)
+    stride = max(1, len(batch) // 20000)
     for k, (t, tw) in enumerate(zip(enumerate_tilings(region), batch, strict=True)):
         assert twist(t) == tw
         if k % stride == 0:
-            assert signed_det_term(t) == (-1) ** tw
+            assert signed_det_term(t) == signed_det_term(t, canonical) == (-1) ** tw
 
 
 def test_twist_of_unbalanced_region_is_error():

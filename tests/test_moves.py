@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
@@ -30,6 +31,7 @@ from dominotwist.moves import (
 from dominotwist.regions import Region, from_cells, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import (
     Tiling,
+    as_cylinder,
     concat,
     decompose_floors,
     enumerate_tilings,
@@ -505,3 +507,117 @@ def test_padded_merge_search_finds_certificate():
     nb = len(base.cells)
     assert fd.plugs[3] == (1 << nb) - 1  # slab between floors 2 and 3 all vertical
     assert path[-1][: 2 * nb] in targets
+
+
+def reference_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floors: int,
+                           budget: int = 2_000_000) -> list[bytes] | None:
+    """One byte state at a time: best-first on flip_neighbors_bytes through a
+    heap, ordered by how many slab pairs of the padding are vertical, FIFO
+    within equal scores.  The goal test runs on each new state, and
+    `budget` caps the states stored."""
+    base, n0 = as_cylinder(t_start.region)
+    nb = len(base.cells)
+    padded = concat(t_start, vertical_tiling(base, extra_floors))
+    squares = padded.region.squares
+    slab_pairs = [(h * nb + i, (h + 1) * nb + i)
+                  for h in range(n0, n0 + extra_floors, 2) for i in range(nb)]
+
+    def score(state: bytes) -> int:
+        return sum(state[i] == j for i, j in slab_pairs)
+
+    def is_goal(state: bytes) -> bool:
+        return score(state) == len(slab_pairs) and state[:n0 * nb] in bottom_targets
+
+    start = pack_state(padded)
+    if is_goal(start):
+        return [start]
+    parent = {start: None}
+    heap = [(-score(start), 0, start)]
+    while heap:
+        _, _, s = heapq.heappop(heap)
+        for t in flip_neighbors_bytes(s, squares):
+            if t in parent:
+                continue
+            parent[t] = s
+            if is_goal(t):
+                path = [t]
+                while s is not None:
+                    path.append(s)
+                    s = parent[s]
+                return path[::-1]
+            if len(parent) >= budget:
+                return None
+            heapq.heappush(heap, (-score(t), len(parent), t))
+    return None
+
+
+def assert_merge_certificate(start: Tiling, targets: set[bytes], extra_floors: int, path) -> None:
+    """path runs from start + vertical padding by legal flips to a state
+    whose padding slab is vertical again and whose bottom is in targets."""
+    base, n0 = as_cylinder(start.region)
+    nb = len(base.cells)
+    padded = concat(start, vertical_tiling(base, extra_floors))
+    assert path[0] == pack_state(padded)
+    for a, b in zip(path, path[1:]):
+        assert is_flip_pair(padded.region, a, b)
+    final = path[-1]
+    for h in range(n0, n0 + extra_floors, 2):
+        assert all(final[h * nb + i] == (h + 1) * nb + i for i in range(nb))
+    assert final[:n0 * nb] in targets
+
+
+@pytest.mark.parametrize("chunk", [moves.FRONTIER_CHUNK, 64])
+def test_merge_search_matches_reference(monkeypatch, chunk):
+    # found versus None, from one twist-1 tiling of cyl:2,2,2xN=2 to each
+    # other one and to none (each is isolated; padded, they fall into two
+    # twin components), and from a quarter of the tilings of cyl:2,3xN=2
+    # to the last one and to none
+    monkeypatch.setattr(moves, "FRONTIER_CHUNK", chunk)
+    region = parse_region_spec("cyl:2,2,2xN=2")
+    P = partner_matrix(region)
+    ones = [row.tobytes() for row in P[twist_batch(region, P) == 1]]
+    assert len(ones) == 8
+    cases = [(Tiling(region, ones[0]), targets) for targets in [set()] + [{b} for b in ones[1:]]]
+    region = parse_region_spec("cyl:2,3xN=2")
+    states = [row.tobytes() for row in partner_matrix(region)]
+    cases += [(Tiling(region, s), targets) for s in states[::4]
+              for targets in (set(), {states[-1]})]
+    found = []
+    for start, targets in cases:
+        path = padded_merge_search(start, targets, 2)
+        assert (path is None) == (reference_merge_search(start, targets, 2) is None)
+        if path is not None:
+            assert_merge_certificate(start, targets, 2, path)
+        found.append(path is not None)
+    assert found[1:8].count(True) == 3  # the twin of ones[0] holds three others
+    assert found[8:] == [False, True] * 8
+
+
+def test_merge_search_start_is_goal():
+    region = parse_region_spec("cyl:2,3xN=2")
+    t = next(iter(enumerate_tilings(region)))
+    padded = concat(t, vertical_tiling(make_box((2, 3)), 2))
+    assert padded_merge_search(t, {pack_state(t)}, 2) == [pack_state(padded)]
+
+
+def test_merge_search_budget_runs_out(census_223_n3):
+    rep = census_223_n3.report
+    giant = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 0)}
+    start = rep.representative_tiling(2)
+    assert padded_merge_search(start, giant, 2, budget=1000) is None
+    assert reference_merge_search(start, giant, 2, budget=1000) is None
+
+
+def test_small_components_merge_into_giant_under_padding(census_223_n3):
+    # every component of cyl:2,2,3xN=3 outside the two giants (sixteen of
+    # 16 tilings and two of 2, all of twist 0) reaches the twist-0 giant
+    # with two padding floors
+    rep = census_223_n3.report
+    giant = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 0)}
+    small = range(2, len(rep.components))
+    assert [rep.components[k].twist for k in small] == [0] * 18
+    for k in small:
+        start = rep.representative_tiling(k)
+        path = padded_merge_search(start, giant, 2)
+        assert path is not None, k
+        assert_merge_certificate(start, giant, 2, path)
