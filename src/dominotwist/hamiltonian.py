@@ -19,8 +19,8 @@ from functools import cached_property
 
 from .kasteleyn import twist
 from .plugs import enumerate_plugs
-from .regions import Cell, Region, make_box, make_cork, make_cylinder
-from .tilings import Tiling, decompose_floors, enumerate_tilings
+from .regions import Cell, Region, RegionError, make_box, make_cork, make_cylinder
+from .tilings import Tiling, TilingError, as_cylinder, decompose_floors, enumerate_tilings
 
 MAX_FLUX_BASE_CELLS = 16
 DEFAULT_HALF_FLOOR_CAP = 40
@@ -189,14 +189,12 @@ def flux_set(path: HamiltonianPath, d: tuple[int, int]) -> set[tuple[int, int, i
 # ------------------------------------------------------------- fold/unfold
 
 def _cylinder_over(path: HamiltonianPath, tiling: Tiling) -> int:
-    region = tiling.region
-    base_cells = {c[:-1] for c in region.cells}
-    if base_cells != set(path.region.cells):
+    try:
+        base, floors = as_cylinder(tiling.region)
+    except (TilingError, RegionError):  # RegionError: a 1-dimensional region has no base
+        raise HamiltonianError("tiling region is not a full cylinder") from None
+    if base != path.region:
         raise HamiltonianError("tiling does not live on a cylinder over the path's region")
-    heights = {c[-1] for c in region.cells}
-    floors = max(heights) + 1
-    if min(heights) != 0 or len(region.cells) != floors * len(path):
-        raise HamiltonianError("tiling region is not a full cylinder")
     return floors
 
 

@@ -21,6 +21,8 @@ from random import Random
 from .regions import Region
 from .tilings import Tiling, enumerate_tilings, partner_matrix
 
+TWIST_CHUNK = 1 << 18  # states per chunk of twist_batch
+
 
 class KasteleynError(ValueError):
     pass
@@ -192,7 +194,7 @@ def twist(tiling: Tiling) -> int:
     return (permutation_parity(sigma) + neg) % 2
 
 
-def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
+def twist_batch(region: Region, states) -> np.ndarray:
     """Twists of many byte-packed tilings at once. Exact uint8 arithmetic.
 
     states is a list of partner byte strings or a states x cells uint8
@@ -203,8 +205,8 @@ def twist_batch(region: Region, states, chunk: int = 1 << 18) -> np.ndarray:
     n = len(region.cells)
     b = len(black)
     out = np.empty(len(states), dtype=np.uint8)
-    for lo in range(0, len(states), chunk):
-        part = states[lo:lo + chunk]
+    for lo in range(0, len(states), TWIST_CHUNK):
+        part = states[lo:lo + TWIST_CHUNK]
         if isinstance(part, np.ndarray):
             P = part
         else:

@@ -43,6 +43,7 @@ from .regions import DEFAULT_BUDGET, Region
 from .tilings import Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
 FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
+LABEL_CHUNK = 1 << 20  # edges per chunk of a _min_labels round
 
 
 class Connectivity(Enum):
@@ -329,7 +330,7 @@ def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def _min_labels(m: int, src: np.ndarray, dst: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
+def _min_labels(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Smallest state id of each state's component (Shiloach-Vishkin style).
 
     Each round walks the edges in chunks.  An edge whose ends carry the same
@@ -346,14 +347,14 @@ def _min_labels(m: int, src: np.ndarray, dst: np.ndarray, chunk: int = 1 << 20) 
     directly, with no gather and no edge dropped.
     """
     lab = np.arange(m, dtype=np.int32)
-    for lo in range(0, len(src), chunk):
-        s, d = src[lo:lo + chunk], dst[lo:lo + chunk]
+    for lo in range(0, len(src), LABEL_CHUNK):
+        s, d = src[lo:lo + LABEL_CHUNK], dst[lo:lo + LABEL_CHUNK]
         np.minimum.at(lab, np.maximum(s, d), np.minimum(s, d))
     lab = _jump(lab)
     while len(src):
         kept = 0
-        for lo in range(0, len(src), chunk):
-            s, d = src[lo:lo + chunk], dst[lo:lo + chunk]
+        for lo in range(0, len(src), LABEL_CHUNK):
+            s, d = src[lo:lo + LABEL_CHUNK], dst[lo:lo + LABEL_CHUNK]
             low, top = lab[s], lab[d]
             open_ = low != top
             s, d, low, top = s[open_], d[open_], low[open_], top[open_]
@@ -524,9 +525,10 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     the round's new rows, key words and parent ids are kept as one block.
     The goal test runs on the new rows of full score.  Returns the
     byte-state path (both endpoints included), walked back along the
-    parent ids, or None when no open state is left or `budget` states are
-    stored, checked after each round.  Any returned path is a
-    certificate: every step is a legal flip.
+    parent ids, or None when no open state is left or when a round with
+    no goal would take the states stored past `budget`, so at most
+    `budget` states are ever kept.  Any returned path is a certificate:
+    every step is a legal flip.
     """
     if extra_floors % 2 or extra_floors <= 0:
         raise ValueError("padding must use a positive even number of floors")
@@ -561,7 +563,7 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     stored = 1
     open_ = {int(score[0]): [(0, np.zeros(1, dtype=np.intp))]}  # score -> [(block, rows)]
     while hit is None:
-        if not open_ or stored >= budget:
+        if not open_:
             return None
         top = open_.pop(max(open_))
         ids = np.concatenate([first[b] + at for b, at in top])
@@ -572,6 +574,8 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
             continue
         score = scores(rows)
         hit = goal(rows, score)
+        if hit is None and stored + len(rows) > budget:
+            return None
         blocks.append((rows, words, ids[parent]))
         first.append(stored)
         stored += len(rows)

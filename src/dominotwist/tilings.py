@@ -13,7 +13,6 @@ and its helpers use numpy, and they import it when called.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 from .regions import Region, RegionError, make_cylinder, parse_region_spec, region_spec
 
 Domino = tuple[tuple[int, ...], tuple[int, ...]]  # (black cell, white cell)
+PACK_CHUNK = 1 << 16  # tilings packed per chunk outside cylinders
 
 
 class TilingError(ValueError):
@@ -159,10 +159,6 @@ def _is_int_cell(cell) -> bool:
         isinstance(x, int) and not isinstance(x, bool) for x in cell)
 
 
-def tiling_from_json(text: str, region: Region | None = None) -> Tiling:
-    return tiling_from_json_obj(json.loads(text), region)
-
-
 def _ensure_recursion_headroom(depth: int) -> None:
     need = depth + 200
     if sys.getrecursionlimit() < need:
@@ -219,12 +215,12 @@ def partner_matrix(region: Region) -> np.ndarray:
     return _cylinder_matrix(base, floors)
 
 
-def _packed_tilings(region: Region, n: int, chunk: int = 1 << 16) -> np.ndarray:
+def _packed_tilings(region: Region, n: int) -> np.ndarray:
     import numpy as np
 
     tilings = enumerate_tilings(region)
     parts = []
-    while part := b"".join(bytes(t.partner) for t in itertools.islice(tilings, chunk)):
+    while part := b"".join(bytes(t.partner) for t in itertools.islice(tilings, PACK_CHUNK)):
         parts.append(np.frombuffer(part, dtype=np.uint8).reshape(-1, n))
     if not parts:
         return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")

@@ -43,11 +43,49 @@ from .regions import Region, region_spec
 from .tilings import Tiling, enumerate_tilings
 
 MAX_MATRIX_PLUGS = 4096
+MAX_POWER_ITERATIONS = 200_000
 CACHE_FORMAT_VERSION = 1
 
 
+# A symmetry g of the base permutes its cells and so its plugs, with
+# A[gp][gq] = A[p][q].  A maps vectors constant on each plug orbit, such as
+# e_empty, to such vectors, and on them (A v)[rep_o] = sum_o' R[o][o'] v[o']
+# with the lumped matrix R[o][o'] = sum_{q in o'} A[rep_o][q], built from the
+# representatives' rows alone.  A floor is vertical when p | q is full; as
+# A[p][q] != 0 needs p & q = 0, then q = ~p and A[p][q] = 1 (no cells left).
+# So the vertical part of A is the complement map J, which commutes with g:
+# on orbit vectors (J v)[o] = v[comp[o]], comp[o] being the orbit of ~rep_o.
+
+def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
+    """Cell permutations of the reflections of single axes and transpositions
+    of equal-extent axes of the bounding box that map the cells onto
+    themselves; identities and repeats are dropped."""
+    if not base.cells:
+        return []
+    bbox = base.bounding_box
+    maps = []
+    for k, (lo, hi) in enumerate(bbox):
+        maps.append(lambda c, k=k, s=lo + hi: c[:k] + (s - c[k],) + c[k + 1:])
+    for k in range(base.dim):
+        for m in range(k + 1, base.dim):
+            d = bbox[m][0] - bbox[k][0]
+            if bbox[k][1] + d == bbox[m][1]:
+                maps.append(lambda c, k=k, m=m, d=d: tuple(
+                    c[m] - d if a == k else c[k] + d if a == m else x
+                    for a, x in enumerate(c)))
+    index = base.index
+    identity = tuple(range(len(base.cells)))
+    perms = []
+    for f in maps:
+        perm = tuple(index.get(f(c), -1) for c in base.cells)
+        if -1 not in perm and perm != identity and perm not in perms:
+            perms.append(perm)
+    return perms
+
+
 class _BaseTables:
-    """Per-base plugs and lookup tables, and the one row kernel of A and At.
+    """Everything derived from one base, built on first use: plugs, lookup
+    tables, the one row kernel of A and At, their CSRs and the lumped A.
 
     count_table[m] counts tilings of the cells in mask m using only
     in-base dominoes; signed_table[m] is the corresponding sum of
@@ -87,13 +125,8 @@ class _BaseTables:
         nbrs = base.neighbors
         colors = base.colors
         white_bits = sum(1 << i for i in base.white_cells)
-        wr_below = [0] * len(base.cells)
-        for w in base.white_cells:
-            wr_below[w] = white_bits & ((1 << w) - 1)
-        sign_of = {}
-        for i in base.black_cells:
-            for j in nbrs[i]:
-                sign_of[(i, j)] = _edge_sign_by_index(base, i, j)
+        wr_below = [white_bits & ((1 << j) - 1) for j in range(len(base.cells))]
+        sign_of = {(i, j): _edge_sign_by_index(base, i, j) for i in base.black_cells for j in nbrs[i]}
         table = [0] * (self.full + 1)
         table[0] = 1
         black_bits = self.full ^ white_bits
@@ -131,11 +164,57 @@ class _BaseTables:
         live = vals != 0
         return cols[live], vals[live]
 
+    @cached_property
+    def rows_count(self) -> _CSR:
+        return _CSR.from_rows(self.row(i, False) for i in range(len(self.plugs)))
 
-def _project(plugs: np.ndarray, colored_cells: tuple[int, ...]) -> np.ndarray:
-    """Each plug's bits at the given cells, packed in label order."""
+    @cached_property
+    def rows_signed(self) -> _CSR:
+        return _CSR.from_rows(self.row(i, True) for i in range(len(self.plugs)))
+
+    @cached_property
+    def plug_orbit(self) -> np.ndarray:
+        """Orbit of each plug under the base symmetries, numbered in the
+        order of their least plugs, so orbit 0 is the empty plug alone."""
+        # a plug's bits read through a cell permutation give its inverse image,
+        # which generates the same group; orbit labels (least plug index) propagate
+        images = [np.searchsorted(self.plugs_np, _project(self.plugs_np, perm))
+                  for perm in _base_symmetries(self.base)]
+        label, settled = np.arange(len(self.plugs)), None
+        while not np.array_equal(label, settled):
+            settled = label.copy()
+            for image in images:
+                np.minimum(label, label[image], out=label)
+        return np.unique(label, return_inverse=True)[1]
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """Plug index of each orbit's representative, its least plug."""
+        return np.unique(self.plug_orbit, return_index=True)[1]
+
+    @cached_property
+    def lumped(self) -> _CSR:
+        """R: A lumped over the plug orbits, from the representatives' rows."""
+        def lumped_row(r: int) -> tuple[np.ndarray, np.ndarray]:
+            cols, vals = self.row(r, False)
+            acc = np.zeros(len(self.reps), dtype=np.int64)
+            np.add.at(acc, self.plug_orbit[cols], vals)
+            nz = np.flatnonzero(acc)
+            return nz, acc[nz]
+
+        return _CSR.from_rows(map(lumped_row, self.reps.tolist()))
+
+    @cached_property
+    def complement_orbit(self) -> list[int]:
+        """comp[o]: the orbit of the complement of orbit o's representative."""
+        comp = np.searchsorted(self.plugs_np, self.full ^ self.plugs_np[self.reps])
+        return self.plug_orbit[comp].tolist()
+
+
+def _project(plugs: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
+    """Each plug's bits at the given cells, packed in their order."""
     out = np.zeros_like(plugs)
-    for r, i in enumerate(colored_cells):
+    for r, i in enumerate(cells):
         out |= (plugs >> i & 1) << r
     return out
 
@@ -258,22 +337,19 @@ class TransferMatrices:
 
 
 def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferMatrices:
-    """Construct A and At for a base region."""
+    """A and At of a base region, as cached with its tables."""
     tables = _base_tables(base)
     plugs = list(tables.plugs)
     if len(plugs) > max_plugs:
         raise TransferError(
             f"{len(plugs)} plugs exceeds the matrix limit {max_plugs};"
             " cylinder_count and cylinder_defect need no matrix")
-    rows_count, rows_signed = (_CSR.from_rows(tables.row(i, signed) for i in range(len(plugs)))
-                               for signed in (False, True))
     plug_index = {p: i for i, p in enumerate(plugs)}
-    return TransferMatrices(base, plugs, plug_index, rows_count, rows_signed)
+    return TransferMatrices(base, plugs, plug_index, tables.rows_count, tables.rows_signed)
 
 
-@lru_cache(maxsize=4)
 def get_transfer(base: Region) -> TransferMatrices:
-    """build_transfer(base), cached for the most recently used bases."""
+    """build_transfer(base) under the default plug limit."""
     return build_transfer(base)
 
 
@@ -384,93 +460,12 @@ def power_vector(matrix: _CSR, start: int, n: int, size: int) -> list[int]:
     return matrix.power(start, n)
 
 
-# A symmetry g of the base permutes its cells and so its plugs, with
-# A[gp][gq] = A[p][q].  A maps vectors constant on each plug orbit, such as
-# e_empty, to such vectors, and on them (A v)[rep_o] = sum_o' R[o][o'] v[o']
-# with the lumped matrix R[o][o'] = sum_{q in o'} A[rep_o][q], built from the
-# representatives' rows alone.  g fixes the full plug, so the parts of A
-# where p | q is full (vertical floors) or not are invariant and lump alike.
-
-def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
-    """Cell permutations of the reflections of single axes and transpositions
-    of equal-extent axes of the bounding box that map the cells onto
-    themselves; identities and repeats are dropped."""
-    if not base.cells:
-        return []
-    bbox = base.bounding_box
-    maps = []
-    for k, (lo, hi) in enumerate(bbox):
-        maps.append(lambda c, k=k, s=lo + hi: c[:k] + (s - c[k],) + c[k + 1:])
-    for k in range(base.dim):
-        for m in range(k + 1, base.dim):
-            d = bbox[m][0] - bbox[k][0]
-            if bbox[k][1] + d == bbox[m][1]:
-                maps.append(lambda c, k=k, m=m, d=d: tuple(
-                    c[m] - d if a == k else c[k] + d if a == m else x
-                    for a, x in enumerate(c)))
-    index = base.index
-    identity = tuple(range(len(base.cells)))
-    perms = []
-    for f in maps:
-        perm = tuple(index.get(f(c), -1) for c in base.cells)
-        if -1 not in perm and perm != identity and perm not in perms:
-            perms.append(perm)
-    return perms
-
-
-def _plug_image(tables: _BaseTables, perm: tuple[int, ...]) -> np.ndarray:
-    """Index of the image of every plug under the cell permutation."""
-    moved = np.zeros_like(tables.plugs_np)
-    for c, pc in enumerate(perm):
-        moved |= (tables.plugs_np >> c & 1) << pc
-    return np.searchsorted(tables.plugs_np, moved).astype(np.int32)
-
-
-@dataclass(frozen=True)
-class _Lumped:
-    """A matrix over plugs lumped by the plug orbits of the base symmetries;
-    orbit 0 is the empty plug alone."""
-
-    reps: np.ndarray  # plug index of each orbit's representative
-    matrix: _CSR
-
-
-@lru_cache(maxsize=8)
-def _lumped(base: Region, part: str = "all") -> _Lumped:
-    """A lumped by the plug orbits of the base: all of it, or only the
-    entries of its "vertical" floors (p | q is the full plug) or "sharp"
-    ones (the rest)."""
-    tables = _base_tables(base)
-    images = [_plug_image(tables, perm) for perm in _base_symmetries(base)]
-    # orbit labels (least plug index) by propagation
-    label, settled = np.arange(len(tables.plugs), dtype=np.int32), None
-    while not np.array_equal(label, settled):
-        settled = label.copy()
-        for image in images:
-            np.minimum(label, label[image], out=label)
-    reps = np.flatnonzero(label == np.arange(len(label), dtype=np.int32))
-    plug_orbit = np.searchsorted(reps, label)
-
-    def lumped_row(r: int) -> tuple[np.ndarray, np.ndarray]:
-        cols, vals = tables.row(r, False)
-        if part != "all":
-            vertical = (tables.plugs_np[cols] | tables.plugs[r]) == tables.full
-            keep = vertical if part == "vertical" else ~vertical
-            cols, vals = cols[keep], vals[keep]
-        acc = np.zeros(len(reps), dtype=np.int64)
-        np.add.at(acc, plug_orbit[cols], vals)
-        nz = np.flatnonzero(acc)
-        return nz, acc[nz]
-
-    return _Lumped(reps, _CSR.from_rows(map(lumped_row, reps.tolist())))
-
-
 def cylinder_count(base: Region, floors: int) -> int:
     """Number of tilings of base x [0, floors], by the exact power of A
     lumped over plug orbits."""
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
-    return _lumped(base).matrix.power(0, floors)[0]
+    return _base_tables(base).lumped.power(0, floors)[0]
 
 
 def cylinder_defect(base: Region, floors: int) -> int:
@@ -541,19 +536,20 @@ def count_with_few_vertical_floors(base: Region, floors: int, bound: int) -> int
     """Tilings of base x [0, floors] with fewer than `bound` vertical floors.
 
     A floor is vertical when its two plugs cover every base cell.  Layer m
-    holds the tilings so far with m vertical floors, stepped by the lumped
-    sharp part of A and fed from layer m - 1 by the lumped vertical part."""
+    holds the tilings so far with m vertical floors.  Vertical floors act on
+    orbit vectors as the complement map J and the others as R - J (see the
+    notes on orbits), so a floor takes layer m to R v_m + J (v_{m-1} - v_m)."""
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
     if bound <= 0:
         return 0
-    sharp, vertical = _lumped(base, "sharp").matrix, _lumped(base, "vertical").matrix
-    layers = [[0] * sharp.size for _ in range(min(bound, floors + 1))]  # at most `floors` vertical
-    layers[0][0] = 1
+    tables = _base_tables(base)
+    lumped, comp = tables.lumped, tables.complement_orbit
+    zero = [0] * lumped.size
+    layers = [[1] + zero[1:]] + [zero] * min(bound - 1, floors)  # at most `floors` vertical
     for _ in range(floors):
-        layers = [sharp.step(layers[0])] + [
-            list(map(add, sharp.step(layer), vertical.step(below)))
-            for below, layer in zip(layers, layers[1:])]
+        layers = [list(map(add, lumped.step(layer), (below[c] - layer[c] for c in comp)))
+                  for below, layer in zip([zero] + layers, layers)]
     return sum(layer[0] for layer in layers)
 
 
@@ -575,12 +571,13 @@ class SpectralReport:
         return iter((self.lam, self.lam_tilde, self.ratio))
 
 
-def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> tuple[float, float, int]:
+def _power_iteration(mat: np.ndarray, tol: float) -> tuple[float, float, int]:
+    """(Rayleigh quotient, residual, iterations) of the converged unit vector."""
     n = mat.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     resid = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_POWER_ITERATIONS + 1):
         w = mat @ v
         lam = float(v @ w)
         resid = float(np.linalg.norm(w - lam * v))
@@ -591,29 +588,31 @@ def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> tuple[float,
         if resid <= tol * max(1.0, abs(lam)):
             return lam, resid, it
     raise TransferError(
-        f"power iteration did not converge in {max_iter} steps;"
+        f"power iteration did not converge in {MAX_POWER_ITERATIONS} steps;"
         f" residual {resid:.3e}")
 
 
-def spectral_estimates(base: Region, tol: float = 1e-9,
-                       max_iter: int = 200_000) -> SpectralReport:
+def spectral_estimates(base: Region, tol: float = 1e-9) -> SpectralReport:
     """Dominant eigenvalue of A, dominant |eigenvalue| of At, and their ratio.
 
     At's value comes from power iteration on At @ At followed by a square
-    root.  Raises unless the signed value is strictly below the count value.
+    root.  A Rayleigh quotient of a symmetric matrix lies within its
+    residual of an eigenvalue, so the signed value is reported below the
+    count value only when lam - residual > sqrt(lam2 + residual_tilde),
+    lam2 being the estimate for At @ At; otherwise this raises.
     """
     if not (math.isfinite(tol) and tol > 0):  # nan, inf, 0 or below never converge
         raise TransferError("tol must be a positive finite number")
     tm = get_transfer(base)
-    lam, resid, iters = _power_iteration(tm.dense_count().astype(np.float64), tol, max_iter)
+    lam, resid, iters = _power_iteration(tm.dense_count().astype(np.float64), tol)
     at = tm.dense_signed().astype(np.float64)
-    lam2, resid2, iters2 = _power_iteration(at @ at, tol, max_iter)
+    lam2, resid2, iters2 = _power_iteration(at @ at, tol)
     lam_tilde = math.sqrt(max(lam2, 0.0))
-    if not lam_tilde < lam:
+    if not lam - resid > math.sqrt(max(lam2, 0.0) + resid2):
         raise TransferError(
-            f"expected the signed spectral value {lam_tilde} to sit strictly"
-            f" below the count value {lam}")
-    return SpectralReport(lam, lam_tilde, lam_tilde / lam if lam else math.nan,
+            f"cannot separate the signed spectral value {lam_tilde} from the count value"
+            f" {lam} within the residuals {resid:.1e} and {resid2:.1e}")
+    return SpectralReport(lam, lam_tilde, lam_tilde / lam,
                           resid, resid2, iters, iters2)
 
 

@@ -223,6 +223,13 @@ def test_spectral_payload():
     assert p["residual_tilde"] <= 1e-12 * max(1.0, p["lambda_tilde"] ** 2)
 
 
+def test_spectral_without_a_certain_gap_is_an_error():
+    code, obj = run_json(["spectral", "--base", "box:2,2"])
+    assert code == 1
+    assert obj["status"] == "error"
+    assert "cannot separate" in obj["payload"]["message"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
 def test_spectral_rejects_bad_tol_before_building(monkeypatch, tol):
     # a tolerance that can never be met used to run all 200,000 power

@@ -219,6 +219,18 @@ def test_fold_global_condition_rejected():
         fold(t, box_path((2, 2)), straight_path(4))
 
 
+def test_fold_rejects_tiling_off_the_path_cylinder():
+    # a cylinder over another base, a cork and a 1-dimensional strip
+    p22 = box_path((2, 2))
+    with pytest.raises(HamiltonianError, match="cylinder over the path's region"):
+        fold(vertical_tiling(make_box((2, 3)), 2), p22, straight_path(4))
+    cork = next(iter(enumerate_tilings(make_cork(make_box((2, 2)), 2, 0b0011, 0))))
+    strip = next(iter(enumerate_tilings(make_box((4,)))))
+    for t in (cork, strip):
+        with pytest.raises(HamiltonianError, match="not a full cylinder"):
+            fold(t, p22, straight_path(4))
+
+
 def test_unfold_counterexample_axis_two_domino():
     # the domino (0,0)-(0,1) joins path positions 1 and 4 of the [0,2]x[0,4]
     # serpentine; positions 1 and 4 of the [0,4]x[0,2] serpentine are the

@@ -600,11 +600,25 @@ def test_merge_search_start_is_goal():
     assert padded_merge_search(t, {pack_state(t)}, 2) == [pack_state(padded)]
 
 
-def test_merge_search_budget_runs_out(census_223_n3):
+def test_merge_search_budget_runs_out(census_223_n3, monkeypatch):
+    # the search keeps at most `budget` states: it stops at the round that
+    # would take it past the budget (the rows of every round are counted)
     rep = census_223_n3.report
     giant = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 0)}
     start = rep.representative_tiling(2)
-    assert padded_merge_search(start, giant, 2, budget=1000) is None
+    expand, rounds = moves._expand, []
+
+    def counted(*args):
+        out = expand(*args)
+        rounds.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(moves, "_expand", counted)
+    for budget in (1000, 5000):
+        rounds.clear()
+        assert padded_merge_search(start, giant, 2, budget=budget) is None
+        kept = 1 + sum(rounds[:-1])
+        assert kept <= budget < kept + rounds[-1], budget
     assert reference_merge_search(start, giant, 2, budget=1000) is None
 
 

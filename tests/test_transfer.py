@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from operator import add
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from dominotwist.kasteleyn import defect_by_determinant, defect_by_enumeration, 
 from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
+    _CSR,
     _base_tables,
-    _lumped,
     _parity_table,
     TransferError,
     build_transfer,
@@ -259,6 +260,12 @@ def test_spectral_estimates_values():
     assert math.isclose(ratio, lam_tilde / lam, rel_tol=1e-12)
 
 
+def test_spectral_refuses_a_gap_within_the_residuals():
+    # every tiling of 2x2xN has twist 0, so lambda = lambda_tilde = 2 + sqrt(3)
+    with pytest.raises(TransferError, match="cannot separate"):
+        spectral_estimates(make_box((2, 2)), tol=1e-12)
+
+
 def test_spectral_growth_matches_lambda():
     lam = spectral_estimates(B222, tol=1e-12).lam
     c20, c21 = cylinder_count(B222, 20), cylinder_count(B222, 21)
@@ -341,18 +348,61 @@ SMALL_IDS = [",".join(map(str, dims)) for dims in LUMP_BASES] + ["ring"]
 @pytest.mark.parametrize("base", SMALL_BASES, ids=SMALL_IDS)
 def test_lumped_power_matches_unlumped(base):
     tm = get_transfer(base)
-    lumped = _lumped(base)
-    assert lumped.reps[0] == 0 and len(lumped.reps) < tm.size
+    tables = _base_tables(base)
+    assert tables.reps[0] == 0 and len(tables.reps) < tm.size
     vec = power_vector(tm.rows_count, 0, 0, tm.size)
     for n in range(21):
-        assert lumped.matrix.power(0, n) == [vec[r] for r in lumped.reps.tolist()], n
+        assert tables.lumped.power(0, n) == [vec[r] for r in tables.reps.tolist()], n
         vec = tm.rows_count.step(vec)
 
 
 def test_orbit_counts():
     # plug orbits under the base symmetries
     for dims, orbits in (((2, 2, 2, 2), 93), ((2, 2, 3), 95), ((3, 4), 274), ((2, 5), 82)):
-        assert len(_lumped(make_box(dims)).reps) == orbits
+        assert len(_base_tables(make_box(dims)).reps) == orbits
+
+
+@pytest.mark.parametrize("base", [B222, make_box((2, 3)), B223, make_box((3, 4)), RING],
+                         ids=["2,2,2", "2,3", "2,2,3", "3,4", "ring"])
+def test_vertical_floors_are_the_complement_map(base):
+    # in row p of A the only column q with p | q full is ~p, with entry 1:
+    # the vertical part of A is a permutation, which count_with_few_vertical_floors
+    # subtracts from the lumped A
+    tm = get_transfer(base)
+    full = (1 << len(base.cells)) - 1
+    for p, row in zip(tm.plugs, tm.rows_count):
+        assert [(tm.plugs[j], v) for j, v in row if p | tm.plugs[j] == full] == [(full ^ p, 1)]
+
+
+def reference_few_vertical(base, max_floors: int, max_bound: int) -> list[list[int]]:
+    """counts[n][b]: tilings of base x [0, n] with fewer than b vertical
+    floors, from the unlumped rows of A split by p | q = full into a sharp
+    and a vertical matrix, layer m holding the tilings with m vertical floors."""
+    tm = get_transfer(base)
+    a, plugs = tm.rows_count, np.array(tm.plugs)
+    rows = a.row_ids()
+    vertical = (plugs[rows] | plugs[a.cols]) == (1 << len(base.cells)) - 1
+
+    def part(keep):
+        indptr = np.cumsum(np.bincount(rows[keep] + 1, minlength=a.size + 1))
+        return _CSR(indptr, a.cols[keep], a.vals[keep])
+
+    sharp, vert = part(~vertical), part(vertical)
+    layers = [[0] * a.size for _ in range(max_bound)]
+    layers[0][0] = 1
+    counts = []
+    for _ in range(max_floors + 1):
+        counts.append([sum(layer[0] for layer in layers[:b]) for b in range(max_bound + 1)])
+        layers = [sharp.step(layers[0])] + [list(map(add, sharp.step(layer), vert.step(below)))
+                                            for below, layer in zip(layers, layers[1:])]
+    return counts
+
+
+@pytest.mark.parametrize("base", [B223, make_box((3, 4)), make_box((2, 5)), RING],
+                         ids=["2,2,3", "3,4", "2,5", "ring"])
+def test_few_vertical_floors_match_unlumped_split(base):
+    for n, want in enumerate(reference_few_vertical(base, 12, 4)):
+        assert [count_with_few_vertical_floors(base, n, b) for b in range(5)] == want, n
 
 
 # ------------------------------------------------ block-tridiagonal defects
