@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .kasteleyn import twist
-from .plugs import enumerate_plugs
+from .plugs import enumerate_plugs, is_plug
 from .regions import Cell, Region, RegionError, make_box, make_cork, make_cylinder
 from .tilings import Tiling, TilingError, as_cylinder, decompose_floors, enumerate_tilings
 
@@ -146,9 +146,10 @@ def path_domino_cells(path: HamiltonianPath, d: tuple[int, int]) -> tuple[Cell, 
 # -------------------------------------------------------------------- flux
 
 def plug_compatible(path: HamiltonianPath, d: tuple[int, int], plug: int) -> bool:
+    """Whether plug is a plug of the path's region that avoids both cells of d."""
     lo, hi = path_domino_cells(path, d)
     index = path.region.index
-    return not (plug >> index[lo] & 1 or plug >> index[hi] & 1)
+    return is_plug(path.region, plug) and not (plug >> index[lo] & 1 or plug >> index[hi] & 1)
 
 
 def flux(path: HamiltonianPath, d: tuple[int, int], plug: int) -> tuple[int, int, int]:
@@ -159,7 +160,8 @@ def flux(path: HamiltonianPath, d: tuple[int, int], plug: int) -> tuple[int, int
     plugs are balanced and path position parity tracks cell color.
     """
     if not plug_compatible(path, d, plug):
-        raise HamiltonianError(f"plug {plug:#x} includes a cell of the domino {d}")
+        raise HamiltonianError(f"plug {plug:#x} is not a balanced subset of the"
+                               f" base cells off the domino {d}")
     i_minus, i_plus = d
     index = path.region.index
     phi = [0, 0, 0]
@@ -327,9 +329,8 @@ def cork_filler(base: Region, plug: int) -> Tiling:
     rows of horizontal dominoes along a shortest base path between them in
     the top two floors, and fills the rest with verticals.
     """
-    nb = (plug & sum(1 << i for i in base.black_cells)).bit_count()
-    if 2 * nb != plug.bit_count():
-        raise HamiltonianError(f"plug {plug:#x} is not balanced")
+    if not is_plug(base, plug):
+        raise HamiltonianError(f"plug {plug:#x} is not a balanced subset of the base cells")
     dominoes, floors = _filler_dominoes(base, plug)
     region = make_cork(base, floors, 0, plug)
     return Tiling.from_dominoes(region, dominoes)
@@ -367,7 +368,8 @@ def generator_tiling(path: HamiltonianPath, d: tuple[int, int], plug: int,
     """
     lo_cell, hi_cell = path_domino_cells(path, d)
     if not plug_compatible(path, d, plug):
-        raise HamiltonianError(f"plug {plug:#x} includes a cell of the domino {d}")
+        raise HamiltonianError(f"plug {plug:#x} is not a balanced subset of the"
+                               f" base cells off the domino {d}")
     base = path.region
     index = base.index
     m = len(path)

@@ -19,6 +19,14 @@ class TransferError(ValueError):
     pass
 
 
+def is_plug(base: Region, mask: int) -> bool:
+    """Whether mask is a plug of base: a balanced subset of its cells."""
+    if not 0 <= mask < 1 << len(base.cells):
+        return False
+    black = (mask & sum(1 << i for i in base.black_cells)).bit_count()
+    return 2 * black == mask.bit_count()
+
+
 def enumerate_plugs(base: Region) -> list[int]:
     """All balanced subsets of base cells as bitmasks, ascending.
 

@@ -5,22 +5,21 @@ partner[i] = index of the cell matched with cell i.  Enumeration is
 deterministic: branch on the lowest-labeled uncovered cell, partners in
 ascending label order.  enumerate_tilings yields Tilings lazily, at any
 size; partner_matrix builds all of them at once, in the same order, as
-one states x cells uint8 matrix (up to 255 cells), floor by floor on a
-cylinder; count_tilings counts without enumerating.  Only partner_matrix
-and its helpers use numpy, and they import it when called.
+one states x cells uint8 matrix (up to 255 cells), layer by layer on
+every region (a layer: the cells that share a last coordinate);
+count_tilings counts without enumerating.  Only partner_matrix and its
+helper use numpy, and they import it when called.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from dataclasses import dataclass
 
-from .regions import Region, RegionError, make_cylinder, parse_region_spec, region_spec
+from .regions import Region, make_cylinder, parse_region_spec, region_spec
 
 Domino = tuple[tuple[int, ...], tuple[int, ...]]  # (black cell, white cell)
-PACK_CHUNK = 1 << 16  # tilings packed per chunk outside cylinders
 
 
 class TilingError(ValueError):
@@ -109,7 +108,7 @@ _HEADER_RE = re.compile(r"^tiling v1 dim=(\d+) region=(\S+)$")
 _DOMINO_RE = re.compile(r"^\((-?\d+(?:,-?\d+)*)\)-\((-?\d+(?:,-?\d+)*)\)$")
 
 
-def tiling_from_text(text: str, region: Region | None = None) -> Tiling:
+def tiling_from_text(text: str) -> Tiling:
     lines = text.splitlines()
     if not lines:
         raise TilingError("empty tiling text")
@@ -117,8 +116,7 @@ def tiling_from_text(text: str, region: Region | None = None) -> Tiling:
     if not m:
         raise TilingError(f"line 1: bad header {lines[0]!r}")
     dim = int(m.group(1))
-    if region is None:
-        region = parse_region_spec(m.group(2))
+    region = parse_region_spec(m.group(2))
     if region.dim != dim:
         raise TilingError(f"line 1: header says dim={dim}, region has dim={region.dim}")
     pairs = []
@@ -137,13 +135,12 @@ def tiling_from_text(text: str, region: Region | None = None) -> Tiling:
     return Tiling.from_dominoes(region, pairs)
 
 
-def tiling_from_json_obj(obj, region: Region | None = None) -> Tiling:
+def tiling_from_json_obj(obj) -> Tiling:
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise TilingError("expected a tiling object with version 1")
-    if region is None:
-        if not isinstance(obj.get("region"), str):
-            raise TilingError("tiling object needs a 'region' spec string")
-        region = parse_region_spec(obj["region"])
+    if not isinstance(obj.get("region"), str):
+        raise TilingError("tiling object needs a 'region' spec string")
+    region = parse_region_spec(obj["region"])
     dominoes = obj.get("dominoes")
     if not isinstance(dominoes, list) or not all(
             isinstance(d, list) and len(d) == 2 and all(_is_int_cell(c) for c in d)
@@ -198,64 +195,44 @@ def partner_matrix(region: Region) -> np.ndarray:
     which is ascending byte order: two tilings first differ at the lowest
     cell where the branch chose different partners.
 
-    A cylinder (any box, read over its first axes) is built floor by floor
-    (_cylinder_matrix); any other region packs enumerate_tilings in chunks.
+    Built layer by layer on every region.  Colex labels are layer-major: a
+    layer is a run of labels that share a last coordinate, and a cell's
+    only neighbours outside its layer are the cell below (its least
+    neighbour) and the cell above.  Layer k of a tiling is a segment of the
+    partner vector, fixed by its plug u (the cells matched down into layer
+    k - 1) and an option: an up-plug v, the cells of layer k + 1 matched
+    down into it, plus a matching of the other cells in the layer.  Each
+    plug's options are sorted by segment (_layer_options, memoised per
+    layer shape, so the floors of a cylinder share one memo and its top
+    floor has another) and every row expands into its options in that
+    order, so rows come out in ascending byte order with no sort.  Options
+    whose up-plug cannot be completed in the layers above are pruned before
+    the expansion.  Each layer keeps one (parent row, option) pair per row;
+    one walk back from the top layer writes the columns.
     """
     import numpy as np
 
     n = len(region.cells)
     if n > 255:
         raise TilingError("byte-packed enumeration needs a region with at most 255 cells")
-    if not region.balanced:
-        return np.empty((0, n), dtype=np.uint8, order="F")
-    try:
-        base, floors = as_cylinder(region)
-    except (TilingError, RegionError):  # RegionError: a 1-dimensional region has no base
-        return _packed_tilings(region, n)
-    return _cylinder_matrix(base, floors)
-
-
-def _packed_tilings(region: Region, n: int) -> np.ndarray:
-    import numpy as np
-
-    tilings = enumerate_tilings(region)
-    parts = []
-    while part := b"".join(bytes(t.partner) for t in itertools.islice(tilings, PACK_CHUNK)):
-        parts.append(np.frombuffer(part, dtype=np.uint8).reshape(-1, n))
-    if not parts:
+    if not region.balanced or not n:
         return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")
-    return np.asfortranarray(np.concatenate(parts))
-
-
-def _cylinder_matrix(base: Region, floors: int) -> np.ndarray:
-    """partner_matrix of base x [0, floors], one floor at a time.
-
-    Floor h of a tiling is a segment of the partner vector, fixed by its
-    plug u (the base cells matched down into floor h - 1) and an option:
-    an up-plug v, disjoint from u, plus a matching of the other cells in
-    the floor.  Each plug's options are sorted by segment (_floor_options)
-    and every row expands into its options in that order, so rows come out
-    in ascending byte order with no sort.  Options whose up-plug cannot be
-    completed in the floors above are pruned before the expansion.  Each
-    floor keeps one (parent row, option) pair per row; one walk back from
-    the top floor writes the columns.
-    """
-    import numpy as np
-
-    nb = len(base.cells)
-    if not floors:
-        return np.empty((1, 0), dtype=np.uint8, order="F")
-    options = _floor_options(base)
-    full = (1 << nb) - 1
-    levels = []  # per floor: plug -> (segments, up-plugs) of its options
+    cells, nbrs = region.cells, region.neighbors
+    starts = [i for i in range(n) if not i or cells[i][-1] != cells[i - 1][-1]]
+    layers = list(zip(starts, starts[1:] + [n]))  # label range of each layer
+    memos = {}  # layer shape -> its options
+    levels = []  # per layer: plug -> (segments, up-plugs) of its options
     plugs = {0}
-    for h in range(floors):
+    for start, stop in layers:
+        shape = tuple(tuple(j - start for j in nbrs[i] if j >= start) for i in range(start, stop))
+        options = memos.get(shape) or memos.setdefault(shape, _layer_options(shape))
+        full = (1 << stop - start) - 1
         level = {}
         for u in plugs:
-            seg, ups = options(full ^ u, h < floors - 1)
+            seg, ups = options(full ^ u)
             seg = seg.copy()
-            down = [c for c in range(nb) if u >> c & 1]
-            seg[:, down] = np.array(down, dtype=np.int16) - nb
+            down = [c for c in range(stop - start) if u >> c & 1]
+            seg[:, down] = [nbrs[start + c][0] - start for c in down]
             level[u] = (seg, ups)
         levels.append(level)
         plugs = {v for _, ups in level.values() for v in ups}
@@ -272,14 +249,14 @@ def _cylinder_matrix(base: Region, floors: int) -> np.ndarray:
         alive = set(plugs)
     tables.reverse()
     if not tables[0][0]:
-        return np.empty((0, nb * floors), dtype=np.uint8, order="F")
-    # per floor: option segments (cells x options), first option and count
-    # per plug index, and the next floor's plug index of each option
+        return np.empty((0, n), dtype=np.uint8, order="F")
+    # per layer: option segments (cells x options), first option and count
+    # per plug index, and the next layer's plug index of each option
     links = []
-    state = np.zeros(1, dtype=np.int32)  # floor-0 plug index (plug 0) per row
-    for h, (plugs, keep) in enumerate(tables):
-        nxt = {v: k for k, v in enumerate(tables[h + 1][0])} if h + 1 < floors else {0: 0}
-        seg = np.concatenate([s for s, _ in keep]) + h * nb
+    state = np.zeros(1, dtype=np.int32)  # layer-0 plug index (plug 0) per row
+    for k, (plugs, keep) in enumerate(tables):
+        nxt = {v: i for i, v in enumerate(tables[k + 1][0])} if k + 1 < len(tables) else {0: 0}
+        seg = np.concatenate([s for s, _ in keep]) + layers[k][0]
         count = np.array([len(s) for s, _ in keep], dtype=np.int32)
         first = (np.cumsum(count) - count).astype(np.int32)
         to = np.array([nxt[v] for _, ups in keep for v in ups], dtype=np.int32)
@@ -291,61 +268,60 @@ def _cylinder_matrix(base: Region, floors: int) -> np.ndarray:
         state = to[opt]
         links.append((np.ascontiguousarray(seg.T.astype(np.uint8)), parent, opt))
     del state
-    M = np.empty((len(links[-1][1]), nb * floors), dtype=np.uint8, order="F")
-    at = None  # row of each tiling on the current floor; None: the tiling itself
-    for h in reversed(range(floors)):
+    M = np.empty((len(links[-1][1]), n), dtype=np.uint8, order="F")
+    at = None  # row of each tiling on the current layer; None: the tiling itself
+    for start, stop in reversed(layers):
         seg, parent, opt = links.pop()
         if at is not None:
             opt = opt[at]
-        np.take(seg, opt, axis=1, out=M[:, h * nb:(h + 1) * nb].T, mode="clip")
+        np.take(seg, opt, axis=1, out=M[:, start:stop].T, mode="clip")
         at = parent if at is None else parent[at]
         del seg, parent, opt
     return M
 
 
-def _floor_options(base: Region):
-    """options(m, up) -> (segments, up-plugs): the ways to cover the base
-    cells in mask m within one floor, each cell matched to an in-floor
-    neighbour or (when up) sent up, sorted by floor segment.
+def _layer_options(shape: tuple[tuple[int, ...], ...]):
+    """options(m) -> (segments, up-plugs): the ways to cover the cells in
+    mask m of one layer, each matched to a neighbour in the layer or to the
+    cell above, sorted by segment.
 
-    A segment is an int16 row over the base cells, relative to the floor:
-    an in-floor partner j, c + nb for a cell c sent up (columns outside m
-    are left for the caller).  Branching on the lowest cell of m, in-floor
-    partners ascending and up last, gives segment order directly.
+    shape[i] lists cell i's neighbours in or above the layer, ascending and
+    counted from the layer's first label: j < size is cell j of the layer,
+    j >= size the cell above, bit j - size of the up-plug.  A segment is an
+    int16 row over the layer's cells holding each partner counted the same
+    way (columns outside m are left for the caller).  Branching on the
+    lowest cell of m, partners ascending, gives segment order directly.
     """
     import numpy as np
 
-    nb = len(base.cells)
-    nbrs = base.neighbors
-    memo: dict[tuple[int, bool], tuple[np.ndarray, list[int]]] = {}
+    size = len(shape)
+    memo: dict[int, tuple[np.ndarray, list[int]]] = {}
 
-    def options(m: int, up: bool):
-        got = memo.get((m, up))
+    def options(m: int):
+        got = memo.get(m)
         if got is not None:
             return got
         if not m:
-            got = np.zeros((1, nb), dtype=np.int16), [0]
+            got = np.zeros((1, size), dtype=np.int16), [0]
         else:
             low = m & -m
             i = low.bit_length() - 1
             m2 = m ^ low
             segs, ups = [], []
-            for j in nbrs[i]:
-                if m2 >> j & 1:
-                    s, v = options(m2 ^ (1 << j), up)
-                    s = s.copy()
-                    s[:, i] = j
-                    s[:, j] = i
-                    segs.append(s)
-                    ups += v
-            if up:
-                s, v = options(m2, up)
+            for j in shape[i]:
+                if j < size and not m2 >> j & 1:
+                    continue
+                s, v = options(m2 ^ (1 << j) if j < size else m2)
                 s = s.copy()
-                s[:, i] = i + nb
+                s[:, i] = j
+                if j < size:
+                    s[:, j] = i
+                else:
+                    v = [x | 1 << (j - size) for x in v]
                 segs.append(s)
-                ups += [x | low for x in v]
-            got = (np.concatenate(segs) if segs else np.empty((0, nb), dtype=np.int16)), ups
-        memo[(m, up)] = got
+                ups += v
+            got = (np.concatenate(segs) if segs else np.empty((0, size), dtype=np.int16)), ups
+        memo[m] = got
         return got
 
     return options

@@ -38,7 +38,7 @@ from .kasteleyn import (
     inversion_parity,
     sign_matrix,
 )
-from .plugs import MAX_PLUG_BASE_CELLS, TransferError, enumerate_plugs  # noqa: F401 (re-exported)
+from .plugs import MAX_PLUG_BASE_CELLS, TransferError, enumerate_plugs, is_plug  # noqa: F401 (re-exported)
 from .regions import Region, region_spec
 from .tilings import Tiling, enumerate_tilings
 
@@ -377,10 +377,9 @@ def _check_mask(base: Region, cells_mask: int) -> None:
 
 
 def _check_plug(base: Region, mask: int) -> None:
-    _check_mask(base, mask)
-    nb = (mask & sum(1 << i for i in base.black_cells)).bit_count()
-    if 2 * nb != mask.bit_count():
-        raise TransferError(f"plug mask {mask:#x} is not balanced")
+    if not is_plug(base, mask):
+        raise TransferError(f"plug mask {mask:#x} is not a balanced subset"
+                            f" of the {len(base.cells)} base cells")
 
 
 def plug_inversions(base: Region, p0: int, p1: int) -> tuple[int, int]:

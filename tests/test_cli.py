@@ -462,6 +462,14 @@ def test_error_result_names_the_region():
     assert (code, obj["status"], obj["region"]) == (1, "error", None)
 
 
+@pytest.mark.parametrize("plug", ["0x20", "0x10000"], ids=["unbalanced", "outside-base"])
+def test_flux_rejects_a_non_plug(plug):
+    # one cell of box:3,4, and a bit past its 12 cells
+    code, obj = run_json(["flux", "--base", "box:3,4", "--d", "1,6", "--plug", plug])
+    assert (code, obj["status"]) == (1, "error")
+    assert "balanced subset" in obj["payload"]["message"]
+
+
 def test_text_mode_prints_fields():
     code, out, err = run_cli(["count", "--region", "box:2,2"])
     assert code == 0

@@ -19,12 +19,14 @@ from dominotwist.hamiltonian import (
     non_respecting_dominoes,
     path_domino_cells,
     path_from_cells,
+    plug_compatible,
     respects_path,
     straight_path,
     unfold,
 )
 from dominotwist.kasteleyn import twist
 from dominotwist.moves import Connectivity, flip_connected
+from dominotwist.plugs import is_plug
 from dominotwist.regions import make_box, make_cork, make_cylinder
 from dominotwist.tilings import (
     Tiling,
@@ -139,6 +141,22 @@ def test_flux_rejects_incompatible_plug():
     full = 0b1111
     with pytest.raises(HamiltonianError):
         flux(p, d, full)
+
+
+@pytest.mark.parametrize("plug", [0x20, 1 << 16, -1], ids=["unbalanced", "outside-base", "negative"])
+def test_flux_and_generator_reject_a_non_plug(plug):
+    p = box_path((3, 4))
+    assert not plug_compatible(p, (1, 6), plug)
+    with pytest.raises(HamiltonianError, match="balanced subset"):
+        flux(p, (1, 6), plug)
+    with pytest.raises(HamiltonianError, match="balanced subset"):
+        generator_tiling(p, (1, 6), plug)
+
+
+def test_is_plug():
+    base = make_box((2, 2))  # cells 0 and 3 black, 1 and 2 white
+    assert [m for m in range(-2, 18) if is_plug(base, m)] == [0, 3, 5, 10, 12, 15]
+    assert is_plug(base, 0b0110) is False
 
 
 def test_flux_set_2x3():
@@ -302,6 +320,8 @@ def test_cork_filler_various_plugs_cover_exactly():
 def test_cork_filler_rejects_unbalanced():
     with pytest.raises(HamiltonianError):
         cork_filler(make_box((2, 2)), 0b0001)
+    with pytest.raises(HamiltonianError, match="balanced subset"):
+        cork_filler(make_box((2, 2)), 0b1 | 1 << 4)  # a black cell and a bit past the base
 
 
 # ------------------------------------------------------ generator tilings

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dominotwist import moves
@@ -289,14 +289,22 @@ def test_census_kernel_with_multiword_keys():
 
 PACKER_CASES = sorted({spec for spec, _ in CENSUS_CASES} | {
     "cyl:2,2,2xN=4", "cyl:2,2,3xN=3", "cyl:3,3xN=2", "cyl:2,5xN=3",
-    "cork:2,2,2xN=3:p0=0x3:pN=0x3"})
+    "cork:2,2,2xN=3:p0=0x3:pN=0x3", "cork:2,3xN=2:p0=0x0:pN=0x21",
+    "box:8", "box:6,1"})
+ODD_REGIONS = {
+    "tailed": tailed_box,
+    # heights 0, 1, 2 and 4, 5: no domino crosses the gap at height 3
+    "gapped": lambda: Region(2, [(x, y) for x in range(4) for y in (0, 1, 2, 4, 5)]),
+    # box:2,2,3 moved by (-1, -1, -3): colours swapped, heights -3..-1
+    "negative": lambda: Region(3, [(x - 1, y - 1, z - 3) for x in range(2)
+                                   for y in range(2) for z in range(3)]),
+}
 
 
-@pytest.mark.parametrize("spec", PACKER_CASES + ["tailed"])
+@pytest.mark.parametrize("spec", PACKER_CASES + list(ODD_REGIONS))
 def test_partner_matrix_matches_reference_packer(spec):
-    # cylinders (every box among them) are built floor by floor; the
-    # tailed box and the cork pack enumerate_tilings
-    region = tailed_box() if spec == "tailed" else parse_region_spec(spec)
+    # every region, cylinder or not, is built layer by layer
+    region = ODD_REGIONS[spec]() if spec in ODD_REGIONS else parse_region_spec(spec)
     n = len(region.cells)
     want = reference_partner_bytes(region)
     got = partner_matrix(region)
@@ -307,17 +315,56 @@ def test_partner_matrix_matches_reference_packer(spec):
     assert twist_census(region) == (len(want) - ones, ones)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1),
-       st.integers(1, 4), st.booleans())
-def test_partner_matrix_on_random_regions(base_cells, floors, trim):
-    # a cylinder over a random planar base, or (trim) one cell short of it
-    cells = [c + (h,) for h in range(floors) for c in sorted(base_cells)]
-    region = Region(3, cells[:-1] if trim else cells)
+@st.composite
+def cell_sets(draw):
+    """8 to 18 cells of a box with corner (-1, ..., -1) in dimension 2, 3
+    or 4: 4^2, 3^3 or 2^4 cells, so dense sets have tilings.  Unless the
+    set is kept as drawn, its last cells of the surplus colour are dropped
+    until it is balanced."""
+    dim = draw(st.integers(2, 4))
+    coord = st.integers(-1, {2: 2, 3: 1, 4: 0}[dim])
+    region = Region(dim, draw(st.sets(st.tuples(*[coord] * dim), min_size=8, max_size=18)))
+    if draw(st.booleans()):
+        return region
+    surplus = sum(region.colors)
+    cells = list(region.cells)
+    for i in reversed(range(len(cells))):
+        if surplus and region.colors[i] * surplus > 0:
+            del cells[i]
+            surplus -= region.colors[i]
+    return Region(dim, cells)
+
+
+CYLINDER = make_cylinder(from_cells(2, [(0, 0), (1, 0), (1, 1), (2, 1)]), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell_sets())
+@example(CYLINDER)
+@example(Region(3, CYLINDER.cells[:-1]))
+def test_partner_matrix_on_random_regions(region):
+    # any cell set: partial layers, gaps in the heights, several pieces
     want = reference_partner_bytes(region)
     got = partner_matrix(region)
     assert got.shape == (len(want), len(region.cells))
     assert [row.tobytes() for row in got] == want
+
+
+def test_partner_matrix_never_enumerates(monkeypatch):
+    # the tailed box and the cork take the layered build of every region:
+    # neither the DFS enumerator nor the cylinder split is reached
+    regions = [tailed_box(), parse_region_spec("cork:2,2,2xN=3:p0=0x3:pN=0x3")]
+    want = [reference_partner_bytes(region) for region in regions]
+
+    def refuse(region):
+        raise AssertionError("partner_matrix left the layered build")
+
+    monkeypatch.setattr("dominotwist.tilings.enumerate_tilings", refuse)
+    monkeypatch.setattr("dominotwist.tilings.as_cylinder", refuse)
+    for region, rows in zip(regions, want):
+        got = partner_matrix(region)
+        assert got.dtype == np.uint8 and got.flags.f_contiguous
+        assert [row.tobytes() for row in got] == rows
 
 
 def test_regions_past_255_cells_keep_their_routes(monkeypatch):
