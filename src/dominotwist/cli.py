@@ -4,8 +4,8 @@ Every subcommand emits a CommandResult: with --json a single JSON object
 {"command", "region", "status", "payload", "timing"}; otherwise readable
 text.  The timing field is wall-clock seconds and is the only part of the
 output that varies between runs.  Exit codes: 0 ok, 2 indeterminate
-(budget exhausted, no wrong answer), 1 error.  All configuration is by
-flags; no environment variables are consulted.
+(budget exhausted, no wrong answer), 1 error, a usage error included.
+All configuration is by flags; no environment variables are consulted.
 
 Start-up is most of a short call, so the module imports only the scalar,
 pure-Python engines.  A command imports moves or transfer, and with them
@@ -130,7 +130,7 @@ def cmd_count(args) -> CommandResult:
 def cmd_components(args) -> CommandResult:
     from .moves import flip_components
     region = _region_arg(args, args.region)
-    report = flip_components(region, budget=args.budget)
+    report = flip_components(region)
     payload = {
         "component_count": len(report.components),
         "components": report.summary(),
@@ -138,8 +138,7 @@ def cmd_components(args) -> CommandResult:
         "visited": report.visited,
         "flip_edges": report.flip_edges,
     }
-    status = "ok" if report.complete else "indeterminate"
-    return CommandResult("components", region_spec(region), payload, status)
+    return CommandResult("components", region_spec(region), payload)
 
 
 def cmd_twist(args) -> CommandResult:
@@ -250,6 +249,8 @@ def cmd_generators(args) -> CommandResult:
 def cmd_flux(args) -> CommandResult:
     path = _parse_path_arg(args, args.base)
     if args.d is None:
+        if args.plug is not None:
+            return _fail("flux", "--plug needs --d", region_spec(path.region))
         dominoes = ham.non_respecting_base_dominoes(path)
         payload = {"non_respecting_dominoes": [list(d) for d in dominoes]}
         return CommandResult("flux", region_spec(path.region), payload)
@@ -366,8 +367,16 @@ def _print_text(result: CommandResult) -> None:
         print(f"  status: {result.status}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so main reports them as error
+    results; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dominotwist",
         description="exact counts, twists, flip components, transfer"
                     " matrices and path constructions for domino tilings",
@@ -387,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="flip-graph component census")
     p.add_argument("--region", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(func=cmd_components)
 
@@ -464,10 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # parsing fills args in place, so a usage error still finds the
+    # subcommand on it once one was read
+    args = argparse.Namespace(subcommand=None, json="--json" in argv)
     start = time.perf_counter()
     try:
+        build_parser().parse_args(argv, args)
+        start = time.perf_counter()  # the timing covers the command only
         result: CommandResult = args.func(args)
     except (OSError, ValueError) as e:  # package errors subclass ValueError
         result = _fail(args.subcommand, str(e), getattr(args, "named_region", None))

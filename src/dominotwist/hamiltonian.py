@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .kasteleyn import twist
 from .plugs import enumerate_plugs, is_plug
-from .regions import Cell, Region, RegionError, make_box, make_cork, make_cylinder
+from .regions import Cell, Region, RegionError, make_box, make_cork, make_cylinder, region_spec
 from .tilings import Tiling, TilingError, as_cylinder, decompose_floors, enumerate_tilings
 
 MAX_FLUX_BASE_CELLS = 16
@@ -65,7 +65,7 @@ class HamiltonianPath:
     def to_json_obj(self) -> dict:
         return {
             "version": 1,
-            "region": self.region.spec or "cells",
+            "region": region_spec(self.region),
             "cells": [list(c) for c in self.cells],
         }
 

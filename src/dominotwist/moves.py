@@ -20,14 +20,14 @@ constant delta per square and orientation.
 The census (flip_components) runs over all tilings at once: the states x
 cells uint8 matrix of tilings.partner_matrix, which the report keeps as
 its states, every flip edge found per unit square by key lookup, and
-components labelled by min-label hooking with pointer jumping.  Its
-budget truncates the report.  Both searches expand whole frontiers of
-rows and their keys through one kernel, _expand: flip_connected is a
-bidirectional BFS, one level at a time, and padded_merge_search a
-best-first search, one score level at a time, that returns a path.  The
-budget of flip_connected caps the states visited, and an exhausted
-budget yields INDETERMINATE, never a wrong boolean; the budget of
-padded_merge_search caps the states stored, and yields no path.
+components labelled by min-label hooking with pointer jumping; the report
+has every component.  Both searches expand whole frontiers of rows and
+their keys through one kernel, _expand: flip_connected is a bidirectional
+BFS, one level at a time, and padded_merge_search a best-first search,
+one score level at a time, that returns a path.  The budget of
+flip_connected caps the states visited, and an exhausted budget yields
+INDETERMINATE, never a wrong boolean; the budget of padded_merge_search
+caps the states stored, and yields no path.
 """
 
 from __future__ import annotations
@@ -164,11 +164,10 @@ class ComponentReport:
     states is the states x cells uint8 matrix of partner_matrix: every
     tiling, one row each, in ascending byte order; state(i) is row i as
     packed bytes.  components are sorted by size descending, then by
-    representative bytes; comp_of[i] is the component id of state i (-1 if
-    the budget ran out before that state's component was kept); twists[i]
-    is its twist; complete says whether every component was kept within
-    budget; flip_edges counts the edges of the whole flip graph, each flip
-    once.
+    representative bytes; comp_of[i] is the component id of state i;
+    twists[i] is its twist; flip_edges counts the edges of the whole flip
+    graph, each flip once.  complete is always true and visited is the
+    number of states: the census has no budget.
     """
 
     region: Region
@@ -378,17 +377,9 @@ def _jump(lab: np.ndarray) -> np.ndarray:
         lab = jumped
 
 
-def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentReport:
+def flip_components(region: Region) -> ComponentReport:
     """Census of the flip graph: enumerate all tilings, find every flip edge
-    by key lookup and label all components at once.
-
-    Components are kept in ascending order of their smallest state index
-    while fewer than `budget` states were kept before them; the states of
-    the others get comp_of -1.  The budget truncates the report only: the
-    whole graph is built either way.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    by key lookup and label all components at once."""
     # in ascending byte order, so a component's smallest state id is its
     # smallest state
     P = partner_matrix(region)
@@ -401,14 +392,11 @@ def flip_components(region: Region, budget: int = DEFAULT_BUDGET) -> ComponentRe
     lab = _min_labels(m, src, dst)
     del src, dst
     roots, sizes = np.unique(lab, return_counts=True)
-    kept = int(np.count_nonzero(np.cumsum(sizes) - sizes < budget))
-    raw = sorted(zip(sizes[:kept].tolist(), roots[:kept].tolist()),
-                 key=lambda c: (-c[0], c[1]))
-    cid = np.full(m, -1, dtype=np.int32)
+    raw = sorted(zip(sizes.tolist(), roots.tolist()), key=lambda c: (-c[0], c[1]))
+    cid = np.empty(m, dtype=np.int32)
     cid[[root for _, root in raw]] = np.arange(len(raw))
     components = [Component(size, int(twists[root]), P[root].tobytes()) for size, root in raw]
-    return ComponentReport(region, P, components, cid[lab].tolist(), twists,
-                           kept == len(roots), int(sizes[:kept].sum()), flip_edges)
+    return ComponentReport(region, P, components, cid[lab].tolist(), twists, True, m, flip_edges)
 
 
 def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Connectivity:

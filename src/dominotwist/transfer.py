@@ -278,6 +278,10 @@ class _CSR:
     def row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.size, dtype=np.int32), np.diff(self.indptr))
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """M v in float64, for the power iteration."""
+        return np.bincount(self.row_ids(), self.vals * v[self.cols], minlength=self.size)
+
     def dense(self) -> np.ndarray:
         out = np.zeros((self.size, self.size), dtype=np.int64)
         out[self.row_ids(), self.cols] = self.vals
@@ -570,14 +574,14 @@ class SpectralReport:
         return iter((self.lam, self.lam_tilde, self.ratio))
 
 
-def _power_iteration(mat: np.ndarray, tol: float) -> tuple[float, float, int]:
-    """(Rayleigh quotient, residual, iterations) of the converged unit vector."""
-    n = mat.shape[0]
+def _power_iteration(step, n: int, tol: float) -> tuple[float, float, int]:
+    """(Rayleigh quotient, residual, iterations) of the converged unit vector
+    of the n x n matrix whose product with a float vector is step."""
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     resid = math.inf
     for it in range(1, MAX_POWER_ITERATIONS + 1):
-        w = mat @ v
+        w = step(v)
         lam = float(v @ w)
         resid = float(np.linalg.norm(w - lam * v))
         norm = float(np.linalg.norm(w))
@@ -594,18 +598,19 @@ def _power_iteration(mat: np.ndarray, tol: float) -> tuple[float, float, int]:
 def spectral_estimates(base: Region, tol: float = 1e-9) -> SpectralReport:
     """Dominant eigenvalue of A, dominant |eigenvalue| of At, and their ratio.
 
-    At's value comes from power iteration on At @ At followed by a square
-    root.  A Rayleigh quotient of a symmetric matrix lies within its
-    residual of an eigenvalue, so the signed value is reported below the
-    count value only when lam - residual > sqrt(lam2 + residual_tilde),
-    lam2 being the estimate for At @ At; otherwise this raises.
+    At's value comes from power iteration on At @ At, applied as At twice,
+    followed by a square root; both iterations run on the sparse matrices.
+    A Rayleigh quotient of a symmetric matrix lies within its residual of
+    an eigenvalue, so the signed value is reported below the count value
+    only when lam - residual > sqrt(lam2 + residual_tilde), lam2 being the
+    estimate for At @ At; otherwise this raises.
     """
     if not (math.isfinite(tol) and tol > 0):  # nan, inf, 0 or below never converge
         raise TransferError("tol must be a positive finite number")
     tm = get_transfer(base)
-    lam, resid, iters = _power_iteration(tm.dense_count().astype(np.float64), tol)
-    at = tm.dense_signed().astype(np.float64)
-    lam2, resid2, iters2 = _power_iteration(at @ at, tol)
+    a, at = tm.rows_count, tm.rows_signed
+    lam, resid, iters = _power_iteration(a.matvec, tm.size, tol)
+    lam2, resid2, iters2 = _power_iteration(lambda v: at.matvec(at.matvec(v)), tm.size, tol)
     lam_tilde = math.sqrt(max(lam2, 0.0))
     if not lam - resid > math.sqrt(max(lam2, 0.0) + resid2):
         raise TransferError(

@@ -117,22 +117,7 @@ def test_components_complete():
     assert p["components"][0]["twist"] == 0
 
 
-def test_components_budget_indeterminate():
-    # components are kept while fewer than --budget states were kept before
-    # them; this region's flip graph splits into nine components, so a tiny
-    # budget cannot keep them all
-    code, obj = run_json(["components", "--region", "box:2,2,2,2",
-                          "--budget", "10"])
-    assert code == 2
-    assert obj["status"] == "indeterminate"
-    assert obj["payload"]["complete"] is False
-    assert obj["payload"]["component_count"] < 9
-
-
 def test_negative_budget_is_error(tmp_path):
-    code, obj = run_json(["components", "--region", "box:2,2,2,2", "--budget", "-5"])
-    assert (code, obj["status"], obj["region"]) == (1, "error", "box:2,2,2,2")
-    assert obj["payload"]["message"] == "budget must be non-negative"
     t = vertical_tiling(make_box((2, 2)), 2)
     f = tmp_path / "t.txt"
     f.write_text(t.to_text())
@@ -468,6 +453,50 @@ def test_flux_rejects_a_non_plug(plug):
     code, obj = run_json(["flux", "--base", "box:3,4", "--d", "1,6", "--plug", plug])
     assert (code, obj["status"]) == (1, "error")
     assert "balanced subset" in obj["payload"]["message"]
+
+
+def test_flux_plug_needs_d():
+    code, obj = run_json(["flux", "--base", "box:3,4", "--plug", "0x3"])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "box:3,4")
+    assert obj["payload"]["message"] == "--plug needs --d"
+
+
+def test_path_json_of_an_unnamed_region_reads_back(tmp_path):
+    from dominotwist.hamiltonian import path_from_cells
+    path = path_from_cells(Region(2, [(0, 0), (1, 0), (1, 1), (0, 1)]),
+                           [(0, 0), (1, 0), (1, 1), (0, 1)])
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(path.to_json_obj()))
+    code, obj = run_json(["flux", "--base", str(f)])
+    assert (code, obj["status"]) == (0, "ok")
+    assert obj["region"] == path.to_json_obj()["region"]
+
+
+@pytest.mark.parametrize("argv,command,fragment", [
+    (["count"], "count", "required: --region"),
+    (["count", "--region", "box:2,2", "--method", "nope"], "count", "invalid choice"),
+    (["components", "--region", "box:2,2,2,2", "--budget", "10"], "components",
+     "unrecognized arguments: --budget 10"),
+    (["nope"], None, "invalid choice"),
+    ([], None, "required: subcommand"),
+], ids=["missing-flag", "bad-choice", "unknown-flag", "unknown-subcommand", "no-subcommand"])
+def test_usage_error_is_an_error_result(argv, command, fragment):
+    code, out, err = run_cli(argv + ["--json"])
+    obj = json.loads(out)
+    assert (code, obj["status"], obj["command"]) == (1, "error", command)
+    assert fragment in obj["payload"]["message"]
+    assert err == ""
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_components_help_exits_zero_and_lists_no_budget():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["components", "--help"])
+    assert exc.value.code == 0
+    assert "--region" in out.getvalue() and "--budget" not in out.getvalue()
 
 
 def test_text_mode_prints_fields():

@@ -260,6 +260,17 @@ def test_spectral_estimates_values():
     assert math.isclose(ratio, lam_tilde / lam, rel_tol=1e-12)
 
 
+def test_spectral_iterates_on_the_sparse_matrices(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("spectral_estimates made a dense copy")
+
+    monkeypatch.setattr(_CSR, "dense", no_dense)
+    rep = spectral_estimates(B222, tol=1e-12)
+    assert math.isclose(rep.lam, 24.373194549258, rel_tol=1e-9)
+    assert math.isclose(rep.lam_tilde, 22.956439237389, rel_tol=1e-9)
+    assert (rep.iterations, rep.iterations_tilde) == (19, 11)
+
+
 def test_spectral_refuses_a_gap_within_the_residuals():
     # every tiling of 2x2xN has twist 0, so lambda = lambda_tilde = 2 + sqrt(3)
     with pytest.raises(TransferError, match="cannot separate"):
