@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -494,6 +495,12 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(result.to_json_obj(), separators=(",", ":")))
         else:
             _print_text(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left in the buffer to
+        # devnull, so that the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

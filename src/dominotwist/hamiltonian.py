@@ -260,23 +260,6 @@ def straight_path(m: int) -> HamiltonianPath:
 
 # ------------------------------------------------------------- cork filler
 
-def _shortest_base_path(base: Region, start: int, goal: int) -> list[int]:
-    parent = {start: -1}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur == goal:
-            out = [cur]
-            while parent[out[-1]] != -1:
-                out.append(parent[out[-1]])
-            return out[::-1]
-        for nb in base.neighbors[cur]:
-            if nb not in parent:
-                parent[nb] = cur
-                queue.append(nb)
-    raise HamiltonianError("plug cells lie in different components of the base")
-
-
 def _filler_dominoes(base: Region, plug: int) -> tuple[list[tuple[Cell, Cell]], int]:
     """Dominoes of a tiling of the cork with plug `plug` at the top of
     2b floors, built by peeling one closest black/white plug pair."""
@@ -284,25 +267,27 @@ def _filler_dominoes(base: Region, plug: int) -> tuple[list[tuple[Cell, Cell]], 
         return [], 0
     blacks = [i for i in base.black_cells if plug >> i & 1]
     whites = [i for i in base.white_cells if plug >> i & 1]
-    best = None
+    best = None  # ((distance, v, w), BFS parents from v)
     for v in blacks:
-        dist = {v: 0}
+        dist, parent = {v: 0}, {v: v}
         queue = deque([v])
         while queue:
             cur = queue.popleft()
             for nb in base.neighbors[cur]:
                 if nb not in dist:
                     dist[nb] = dist[cur] + 1
+                    parent[nb] = cur
                     queue.append(nb)
         for w in whites:
-            if w in dist:
-                key = (dist[w], v, w)
-                if best is None or key < best:
-                    best = key
+            if w in dist and (best is None or (dist[w], v, w) < best[0]):
+                best = (dist[w], v, w), parent
     if best is None:
         raise HamiltonianError("no black/white plug pair is connected in the base")
-    _, v, w = best
-    chain = _shortest_base_path(base, v, w)
+    (_, v, w), parent = best
+    chain = [w]  # a shortest base path from v to w
+    while chain[-1] != v:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
     reduced = plug & ~(1 << v) & ~(1 << w)
     below, n_below = _filler_dominoes(base, reduced)
     n = n_below + 2

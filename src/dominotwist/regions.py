@@ -244,10 +244,6 @@ def make_cork(base: Region, floors: int, p0_mask: int, p_top_mask: int) -> Regio
     return Region(base.dim + 1, cells, spec=spec)
 
 
-def from_cells(dim: int, cells) -> Region:
-    return Region(dim, cells)
-
-
 def region_spec(region: Region) -> str:
     """Serializable spec string; falls back to an explicit cell list."""
     if region.spec:

@@ -1,20 +1,21 @@
 """Tilings of cubiculated regions by dominoes (2x1x...x1 blocks).
 
 A tiling is stored as a partner vector over canonical cell indices:
-partner[i] = index of the cell matched with cell i.  Enumeration is
-deterministic: branch on the lowest-labeled uncovered cell, partners in
-ascending label order.  enumerate_tilings yields Tilings lazily, at any
-size; partner_matrix builds all of them at once, in the same order, as
-one states x cells uint8 matrix (up to 255 cells), layer by layer on
-every region (a layer: the cells that share a last coordinate);
-count_tilings counts without enumerating.  Only partner_matrix and its
-helper use numpy, and they import it when called.
+partner[i] = index of the cell matched with cell i.  Counting and
+enumeration sweep the cells in label order, with no recursion: the lowest
+uncovered cell is matched to a later neighbour, partners ascending.
+count_tilings keeps only the frontier, the covered later cells with their
+number of partial tilings; enumerate_tilings walks the same choices depth
+first and yields Tilings lazily, at any size.  partner_matrix builds all of
+them at once, in the same order, as one states x cells uint8 matrix (up to
+255 cells), layer by layer (a layer: the cells that share a last
+coordinate).  Only partner_matrix and its helper use numpy, and they
+import it when called.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
 from .regions import Region, make_cylinder, parse_region_spec, region_spec
@@ -156,37 +157,39 @@ def _is_int_cell(cell) -> bool:
         isinstance(x, int) and not isinstance(x, bool) for x in cell)
 
 
-def _ensure_recursion_headroom(depth: int) -> None:
-    need = depth + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-
 def enumerate_tilings(region: Region):
-    """Yield every tiling of the region, lazily, in ascending partner order."""
+    """Yield every tiling of the region, lazily, in ascending partner order:
+    depth first, with one (cell, untried later neighbours) pair on the stack
+    per domino placed."""
     if not region.balanced:
         return
     n = len(region.cells)
-    _ensure_recursion_headroom(n // 2)
-    nbrs = region.neighbors
-    bit = [1 << i for i in range(n)]
-    partner = [0] * n
-
-    def rec(m):
-        if not m:
+    later = [[j for j in nbrs if j > i] for i, nbrs in enumerate(region.neighbors)]
+    partner = [-1] * n
+    stack = []
+    i = 0
+    while True:
+        while i < n and partner[i] >= 0:
+            i += 1
+        if i == n:
             yield Tiling(region, partner)
+        else:
+            stack.append((i, iter(later[i])))
+        while stack:  # the next choice of the deepest cell that has one
+            i, untried = stack[-1]
+            j = partner[i]
+            if j >= 0:
+                partner[j] = partner[i] = -1
+            for j in untried:
+                if partner[j] < 0:
+                    partner[i], partner[j] = j, i
+                    break
+            else:
+                stack.pop()
+                continue
+            break
+        else:
             return
-        low = m & -m
-        i = low.bit_length() - 1
-        m2 = m ^ low
-        for j in nbrs[i]:
-            bj = bit[j]
-            if m2 & bj:
-                partner[i] = j
-                partner[j] = i
-                yield from rec(m2 ^ bj)
-
-    yield from rec((1 << n) - 1)
 
 
 def partner_matrix(region: Region) -> np.ndarray:
@@ -328,32 +331,25 @@ def _layer_options(shape: tuple[tuple[int, ...], ...]):
 
 
 def count_tilings(region: Region) -> int:
-    """Exact tiling count via memoized recursion on the uncovered-cell mask."""
+    """Exact tiling count.  The frontier before cell i maps each set of
+    covered cells among i and later (bit 0: cell i, no wider than the
+    largest forward neighbour offset) to its number of partial tilings."""
     if not region.balanced:
         return 0
-    n = len(region.cells)
-    _ensure_recursion_headroom(n // 2)
-    nbrs = region.neighbors
-    bit = [1 << i for i in range(n)]
-    memo: dict[int, int] = {}
-
-    def cnt(m):
-        if not m:
-            return 1
-        val = memo.get(m)
-        if val is None:
-            low = m & -m
-            i = low.bit_length() - 1
-            m2 = m ^ low
-            val = 0
-            for j in nbrs[i]:
-                bj = bit[j]
-                if m2 & bj:
-                    val += cnt(m2 ^ bj)
-            memo[m] = val
-        return val
-
-    return cnt((1 << n) - 1)
+    frontier = {0: 1}
+    for i, nbrs in enumerate(region.neighbors):
+        bits = [1 << (j - i) for j in nbrs if j > i]
+        nxt: dict[int, int] = {}
+        for m, c in frontier.items():
+            if m & 1:
+                nxt[m >> 1] = nxt.get(m >> 1, 0) + c
+                continue
+            for b in bits:
+                if not m & b:
+                    k = (m | b) >> 1
+                    nxt[k] = nxt.get(k, 0) + c
+        frontier = nxt
+    return frontier.get(0, 0)
 
 
 def vertical_tiling(base: Region, floors: int) -> Tiling:

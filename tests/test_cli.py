@@ -7,6 +7,8 @@ import importlib.metadata
 import io
 import itertools
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -582,6 +584,38 @@ def test_array_commands_import_numpy():
     obj, loaded = _probe_numpy(["components", "--region", "box:2,2,2"])
     assert obj["payload"]["component_count"] >= 1
     assert loaded
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_closed_stdout_gives_no_traceback(mode):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write of the child meets a broken pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dominotwist.cli", "components",
+             "--region", "box:2,2,2,2", *mode],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--region", "box:200000"],
+    ["defect", "--method", "enum", "--region", "box:100000"],
+], ids=["count", "defect"])
+def test_long_region_answers_in_capped_memory(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dominotwist.cli", *argv, "--json"],
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
 
 
 def test_console_script_entry_point():

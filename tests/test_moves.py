@@ -28,11 +28,12 @@ from dominotwist.moves import (
     trit_neighbors,
     trit_sites,
 )
-from dominotwist.regions import Region, from_cells, make_box, make_cylinder, parse_region_spec
+from dominotwist.regions import Region, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import (
     Tiling,
     as_cylinder,
     concat,
+    count_tilings,
     decompose_floors,
     enumerate_tilings,
     partner_matrix,
@@ -180,6 +181,29 @@ def reference_partner_bytes(region) -> list[bytes]:
     return out
 
 
+def reference_count(region) -> int:
+    """The tiling count by memoised recursion on the mask of uncovered
+    cells, branching as reference_partner_bytes does."""
+    if not region.balanced:
+        return 0
+    nbrs = region.neighbors
+    memo: dict[int, int] = {}
+
+    def cnt(m):
+        if not m:
+            return 1
+        val = memo.get(m)
+        if val is None:
+            low = m & -m
+            i = low.bit_length() - 1
+            m2 = m ^ low
+            val = sum(cnt(m2 ^ 1 << j) for j in nbrs[i] if m2 >> j & 1)
+            memo[m] = val
+        return val
+
+    return cnt((1 << len(region.cells)) - 1)
+
+
 def reference_components(region) -> ComponentReport:
     """Per-state BFS census on flip_neighbors_bytes: components started in
     ascending order of their first state.  Its states are a list of packed
@@ -238,7 +262,7 @@ def tailed_box():
     79 black cells need about 87 mixed-radix bits, so keys take two words."""
     cells = [(x, y, z) for x in range(2) for y in range(3) for z in range(3)]
     cells += [(x, 0, 0) for x in range(2, 142)]
-    return from_cells(3, cells)
+    return Region(3, cells)
 
 
 CENSUS_CASES = ["box:2,2,3", "box:3,3,2", "box:4,4", "box:2,8", "box:2,2,2,2",
@@ -290,6 +314,9 @@ def test_partner_matrix_matches_reference_packer(spec):
     region = ODD_REGIONS[spec]() if spec in ODD_REGIONS else parse_region_spec(spec)
     n = len(region.cells)
     want = reference_partner_bytes(region)
+    # the cell sweep: the same tilings in the same order, and their count
+    assert [bytes(t.partner) for t in enumerate_tilings(region)] == want
+    assert count_tilings(region) == reference_count(region)
     got = partner_matrix(region)
     assert got.dtype == np.uint8 and got.flags.f_contiguous
     assert got.shape == (len(want), n)
@@ -318,7 +345,7 @@ def cell_sets(draw):
     return Region(dim, cells)
 
 
-CYLINDER = make_cylinder(from_cells(2, [(0, 0), (1, 0), (1, 1), (2, 1)]), 3)
+CYLINDER = make_cylinder(Region(2, [(0, 0), (1, 0), (1, 1), (2, 1)]), 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,6 +355,8 @@ CYLINDER = make_cylinder(from_cells(2, [(0, 0), (1, 0), (1, 1), (2, 1)]), 3)
 def test_partner_matrix_on_random_regions(region):
     # any cell set: partial layers, gaps in the heights, several pieces
     want = reference_partner_bytes(region)
+    assert [bytes(t.partner) for t in enumerate_tilings(region)] == want
+    assert count_tilings(region) == reference_count(region)
     got = partner_matrix(region)
     assert got.shape == (len(want), len(region.cells))
     assert [row.tobytes() for row in got] == want

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,27 @@ def test_empty_region_has_one_empty_tiling():
     assert count_tilings(r) == 1
     ts = list(enumerate_tilings(r))
     assert len(ts) == 1 and ts[0].dominoes() == []
+
+
+RECURSION_PROBE = """
+import sys
+from dominotwist.regions import make_box
+from dominotwist.tilings import count_tilings, enumerate_tilings
+before = sys.getrecursionlimit()
+region = make_box((3000,))
+assert count_tilings(region) == 1
+next(enumerate_tilings(region))
+print(before, sys.getrecursionlimit())
+"""
+
+
+def test_long_region_leaves_recursion_limit_alone():
+    # a fresh interpreter, so no earlier test has moved the limit
+    proc = subprocess.run([sys.executable, "-c", RECURSION_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_enumeration_is_deterministic_and_unique():
