@@ -39,13 +39,6 @@ def canonical_sign(region: Region, v, w) -> int:
     return -1 if sum(v[:diff[0]]) % 2 else 1
 
 
-def _edge_sign_by_index(region: Region, i: int, j: int) -> int:
-    """Sign of the edge between adjacent cells i, j (either order)."""
-    if region.colors[i] < 0:
-        i, j = j, i
-    return canonical_sign(region, region.cells[i], region.cells[j])
-
-
 def sign_matrix(region: Region) -> list[list[int]]:
     """Canonical Kasteleyn matrix, rows = black labels, columns = white labels."""
     if not region.balanced:
@@ -115,7 +108,8 @@ class SignSystem:
 
 @lru_cache(maxsize=8)
 def _negative_edges(region: Region) -> tuple[frozenset[int], ...]:
-    """White labels joined to each black label by an edge of sign -1."""
+    """White labels joined to each black label by an edge of sign -1: the
+    columns of the -1 entries in each row of sign_matrix(region)."""
     if not region.balanced:
         raise KasteleynError("twist needs a balanced region")
     wr = region.white_rank

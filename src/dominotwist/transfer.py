@@ -32,7 +32,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from .kasteleyn import (
-    _edge_sign_by_index,
+    _negative_edges,
     bareiss_determinant,
     inversion_count,
     inversion_parity,
@@ -83,16 +83,17 @@ def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
     return perms
 
 
-class _BaseTables:
-    """Everything derived from one base, built on first use: plugs, lookup
-    tables, the one row kernel of A and At, their CSRs and the lumped A.
+class TransferMatrices:
+    """Count matrix A and signed matrix At over a base's plugs, as CSR
+    matrices indexed by plug index, with everything else derived from the
+    base; each part is built on first use.
 
-    count_table[m] counts tilings of the cells in mask m using only
-    in-base dominoes; signed_table[m] is the corresponding sum of
-    (-1)^(tk + inv(sigma)), equal to the Kasteleyn submatrix determinant
-    on the mask's black rows and white columns taken in label order.
-    bproj/wproj hold each plug's bits at the black/white cells, packed in
-    label order; they index the parity table of plug-pair inversions.
+    count_table[m] counts tilings of the cells in mask m using only in-base
+    dominoes; signed_table[m] is the corresponding sum of
+    (-1)^(tk + inv(sigma)), the Kasteleyn submatrix determinant on the
+    mask's black rows and white columns taken in label order.  bproj/wproj
+    hold each plug's bits at the black/white cells, packed in label order;
+    they index the parity table of plug-pair inversions.
     """
 
     def __init__(self, base: Region):
@@ -104,49 +105,71 @@ class _BaseTables:
         self.bproj = _project(self.plugs_np, base.black_cells)
         self.wproj = _project(self.plugs_np, base.white_cells)
 
-    @cached_property
-    def count_table(self) -> np.ndarray:
-        nbrs = self.base.neighbors
-        table = [0] * (self.full + 1)
-        table[0] = 1
-        for m in range(1, self.full + 1):
-            i = (m & -m).bit_length() - 1
-            acc = 0
-            for j in nbrs[i]:
-                bit = 1 << j
-                if m & bit:
-                    acc += table[m ^ (1 << i) ^ bit]
-            table[m] = acc
-        return np.array(table, dtype=np.int64)
+    @property
+    def size(self) -> int:
+        return len(self.plugs)
+
+    @property
+    def nnz(self) -> tuple[int, int]:
+        return self.rows_count.nnz, self.rows_signed.nnz
 
     @cached_property
-    def signed_table(self) -> np.ndarray:
+    def plug_index(self) -> dict[int, int]:
+        return {p: i for i, p in enumerate(self.plugs)}
+
+    def entry_count(self, p0: int, p1: int) -> int:
+        return dict(self.rows_count.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
+
+    def entry_signed(self, p0: int, p1: int) -> int:
+        return dict(self.rows_signed.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
+
+    def dense_count(self) -> np.ndarray:
+        return self.rows_count.dense()
+
+    def dense_signed(self) -> np.ndarray:
+        return self.rows_signed.dense()
+
+    def _minors(self, signed: bool) -> np.ndarray:
+        """The minor of K on every cell mask, by Laplace expansion along the
+        mask's lowest black cell: the determinant if signed, else the
+        permanent of |K| (every sign +1, no column parity)."""
         base = self.base
-        nbrs = base.neighbors
-        colors = base.colors
-        white_bits = sum(1 << i for i in base.white_cells)
-        wr_below = [white_bits & ((1 << j) - 1) for j in range(len(base.cells))]
-        sign_of = {(i, j): _edge_sign_by_index(base, i, j) for i in base.black_cells for j in nbrs[i]}
+        kb = sign_matrix(base)
+        wr = base.white_rank
+        n = len(base.cells)
+        white_bits = sum(1 << j for j in base.white_cells)
+        # the edge from black cell i to j flips its term when m | 1 << n has
+        # an odd number of bits in `flip`: bit n for a -1 entry of K, and the
+        # white cells before j for the column parity (0 for the permanent)
+        edges = {i: [(1 << j, (kb[r][wr[j]] < 0) << n | white_bits & ((1 << j) - 1)
+                      if signed else 0) for j in base.neighbors[i]]
+                 for r, i in enumerate(base.black_cells)}
+        black_bits = self.full ^ white_bits
         table = [0] * (self.full + 1)
         table[0] = 1
-        black_bits = self.full ^ white_bits
         for m in range(1, self.full + 1):
             mb = m & black_bits
             if not mb:
                 continue  # whites left without blacks: no matching
-            i = (mb & -mb).bit_length() - 1
+            low = mb & -mb
+            rest, mn = m ^ low, m | 1 << n
             acc = 0
-            for j in nbrs[i]:
-                bit = 1 << j
-                if m & bit and colors[j] < 0:
-                    minor = table[m ^ (1 << i) ^ bit]
-                    if minor:
-                        term = sign_of[(i, j)] * minor
-                        if (m & wr_below[j]).bit_count() & 1:
-                            term = -term
-                        acc += term
+            for bit, flip in edges[low.bit_length() - 1]:
+                if m & bit:
+                    minor = table[rest ^ bit]
+                    if flip and (mn & flip).bit_count() & 1:
+                        minor = -minor
+                    acc += minor
             table[m] = acc
         return np.array(table, dtype=np.int64)
+
+    @cached_property
+    def count_table(self) -> np.ndarray:
+        return self._minors(False)
+
+    @cached_property
+    def signed_table(self) -> np.ndarray:
+        return self._minors(True)
 
     def row(self, i: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero columns and entries of plug i's row of At if signed, else A."""
@@ -235,8 +258,8 @@ def _parity_table(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _base_tables(base: Region) -> _BaseTables:
-    return _BaseTables(base)
+def _base_tables(base: Region) -> TransferMatrices:
+    return TransferMatrices(base)
 
 
 _TRIPLE = np.dtype([("i", "<i4"), ("j", "<i4"), ("v", "<i8")])  # one cache entry
@@ -308,48 +331,15 @@ class _CSR:
         return vec
 
 
-@dataclass
-class TransferMatrices:
-    """Count matrix A and signed matrix At over a base's plugs, as CSR
-    matrices indexed by plug index."""
-
-    base: Region
-    plugs: list[int]
-    plug_index: dict[int, int]
-    rows_count: _CSR
-    rows_signed: _CSR
-
-    @property
-    def size(self) -> int:
-        return len(self.plugs)
-
-    @property
-    def nnz(self) -> tuple[int, int]:
-        return self.rows_count.nnz, self.rows_signed.nnz
-
-    def entry_count(self, p0: int, p1: int) -> int:
-        return dict(self.rows_count.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
-
-    def entry_signed(self, p0: int, p1: int) -> int:
-        return dict(self.rows_signed.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
-
-    def dense_count(self) -> np.ndarray:
-        return self.rows_count.dense()
-
-    def dense_signed(self) -> np.ndarray:
-        return self.rows_signed.dense()
-
-
 def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferMatrices:
-    """A and At of a base region, as cached with its tables."""
-    tables = _base_tables(base)
-    plugs = list(tables.plugs)
-    if len(plugs) > max_plugs:
+    """A and At of a base region: its cached TransferMatrices, once its plug
+    count is within the limit."""
+    tm = _base_tables(base)
+    if tm.size > max_plugs:
         raise TransferError(
-            f"{len(plugs)} plugs exceeds the matrix limit {max_plugs};"
+            f"{tm.size} plugs exceeds the matrix limit {max_plugs};"
             " cylinder_count and cylinder_defect need no matrix")
-    plug_index = {p: i for i, p in enumerate(plugs)}
-    return TransferMatrices(base, plugs, plug_index, tables.rows_count, tables.rows_signed)
+    return tm
 
 
 def get_transfer(base: Region) -> TransferMatrices:
@@ -398,15 +388,9 @@ def floor_twist_pairs(base: Region, p0: int, p1: int,
     colors = base.colors
     br = base.black_rank
     wr = base.white_rank
-    sigma = []
-    neg = 0
-    for i, j in pairs:
-        if colors[i] < 0:
-            i, j = j, i
-        sigma.append((br[i], wr[j]))
-        if _edge_sign_by_index(base, i, j) < 0:
-            neg += 1
-    sigma.sort()
+    sigma = sorted((br[i], wr[j]) if colors[i] > 0 else (br[j], wr[i]) for i, j in pairs)
+    negative = _negative_edges(base)
+    neg = sum(w in negative[b] for b, w in sigma)
     inv_sigma = inversion_count([w for _, w in sigma])
     inv_bl, inv_wh = plug_inversions(base, p0, p1)
     return (neg + inv_sigma + inv_bl + inv_wh) & 1
@@ -669,8 +653,11 @@ def load_transfer_cache(path: str, base: Region | None = None) -> TransferMatric
     if base is None:
         from .regions import parse_region_spec
         base = parse_region_spec(spec)
-    plug_index = {p: i for i, p in enumerate(plugs)}
-    return TransferMatrices(base, plugs, plug_index, matrices[0], matrices[1])
+    tm = TransferMatrices(base)
+    if plugs != tm.plugs:
+        raise TransferError(f"{path}: the plug list is not the plugs of {spec}")
+    tm.rows_count, tm.rows_signed = matrices
+    return tm
 
 
 def _read_cache_body(data: bytes):
@@ -694,10 +681,12 @@ def _read_cache_body(data: bytes):
         if count and not (0 <= min(triples["i"].min(), triples["j"].min())
                           and max(triples["i"].max(), triples["j"].max()) < n):
             raise ValueError(f"entry index outside {n} plugs")
-        order = np.argsort(triples["i"], kind="stable")  # rows in any order
-        indptr = np.cumsum(np.bincount(triples["i"] + 1, minlength=n + 1), dtype=np.int64)
-        matrices.append(_CSR(indptr, triples["j"][order].astype(np.int32),
-                             triples["v"][order].astype(np.int64)))
+        order = np.lexsort((triples["j"], triples["i"]))  # entries in any order
+        i, j = triples["i"][order], triples["j"][order]
+        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
+            raise ValueError("repeated matrix entry")
+        indptr = np.cumsum(np.bincount(i + 1, minlength=n + 1), dtype=np.int64)
+        matrices.append(_CSR(indptr, j.astype(np.int32), triples["v"][order].astype(np.int64)))
     if off != len(data):
         raise ValueError(f"{len(data) - off} trailing bytes")
     return spec, plugs, matrices

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import struct
 import zlib
 from operator import add
 
@@ -15,12 +17,14 @@ from dominotwist.transfer import (
     _base_tables,
     _parity_table,
     TransferError,
+    TransferMatrices,
     build_transfer,
     cork_count,
     count_with_few_vertical_floors,
     cylinder_count,
     cylinder_defect,
     enumerate_plugs,
+    floor_subregion,
     floor_tilings,
     floor_twist,
     get_transfer,
@@ -72,9 +76,14 @@ def test_entry_zero_when_plugs_overlap():
 
 
 def test_signed_floor_sum_matches_enumeration():
-    for mask in (0, 0b11, 0b1111, 0xFF, 0b111100, 0b11000011):
-        assert signed_floor_sum(B222, mask) == \
-            signed_floor_sum_by_enumeration(B222, mask), bin(mask)
+    # both mask tables come from one expansion of K; on every mask, the count
+    # table against the enumerator and the signed table against the floor twist
+    for base in (B222, make_box((2, 3)), RING):
+        tables = _base_tables(base)
+        for mask in range(1 << len(base.cells)):
+            assert tables.count_table[mask] == count_tilings(floor_subregion(base, mask)), bin(mask)
+            assert signed_floor_sum(base, mask) == \
+                signed_floor_sum_by_enumeration(base, mask), bin(mask)
 
 
 def test_transfer_count_small_cylinders():
@@ -195,6 +204,7 @@ def test_power_vector_matches_dense_power():
 def test_transfer_matrix_api():
     # the calls bench/make_data.py and bench/wl_transfer.py make
     tm = get_transfer(B222)
+    assert build_transfer(B222) is tm
     assert power_vector(tm.rows_count, 0, 3, tm.size)[0] == 6345
     with pytest.raises(TransferError):
         power_vector(tm.rows_count, 0, 3, tm.size + 1)
@@ -297,6 +307,7 @@ def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "b222.dtrc")
     save_transfer_cache(tm, path)
     back = load_transfer_cache(path)
+    assert isinstance(back, TransferMatrices)
     assert back.plugs == tm.plugs
     assert np.array_equal(back.dense_count(), tm.dense_count())
     assert np.array_equal(back.dense_signed(), tm.dense_signed())
@@ -317,12 +328,37 @@ def test_cache_rejects_garbage(tmp_path):
         load_transfer_cache(str(path))
 
 
+def _edit_cache_body(raw: bytes, edit) -> bytes:
+    """The cache with its body rewritten by edit(body, offset of the plug list,
+    plug count)."""
+    body = zlib.decompress(raw[8:])
+    hlen = struct.unpack_from("<I", body)[0]
+    n = json.loads(body[4:4 + hlen])["plugs"]
+    return raw[:8] + zlib.compress(edit(body, 4 + hlen, n))
+
+
+def _foreign_plugs(body: bytes, off: int, n: int) -> bytes:
+    # plugs 1 and 2 become masks that are no plugs of the base
+    return body[:off + 8] + struct.pack("<2q", 999, 12345) + body[off + 24:]
+
+
+def _repeated_entry(body: bytes, off: int, n: int) -> bytes:
+    # the first count triple twice, and the entry count raised by one
+    off += 8 * n
+    count = struct.unpack_from("<q", body, off)[0]
+    first = body[off + 8:off + 24]
+    return body[:off] + struct.pack("<q", count + 1) + first + body[off + 8:]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda raw: raw[:len(raw) // 2],
     lambda raw: raw[:8] + b"\x78\x9c" + b"\xff" * (len(raw) - 10),
     lambda raw: raw[:4],
     lambda raw: raw[:8] + zlib.compress(zlib.decompress(raw[8:]) + bytes(40)),
-], ids=["half-length", "bad-zlib-body", "four-bytes", "trailing-bytes"])
+    lambda raw: _edit_cache_body(raw, _foreign_plugs),
+    lambda raw: _edit_cache_body(raw, _repeated_entry),
+], ids=["half-length", "bad-zlib-body", "four-bytes", "trailing-bytes", "foreign-plugs",
+        "repeated-entry"])
 def test_cache_rejects_corrupt_file(tmp_path, corrupt):
     path = tmp_path / "b222.dtrc"
     save_transfer_cache(get_transfer(B222), str(path))
