@@ -19,7 +19,7 @@ from functools import lru_cache
 from random import Random
 
 from .regions import Region
-from .tilings import Tiling, enumerate_tilings, partner_matrix
+from .tilings import MAX_PACKED_CELLS, Tiling, enumerate_tilings, partner_matrix
 
 TWIST_CHUNK = 1 << 18  # states per chunk of twist_batch
 
@@ -273,7 +273,7 @@ def twist_census(region: Region) -> tuple[int, int]:
     over the partner matrix up to 255 cells, the scalar twist above."""
     if not region.balanced:
         return (0, 0)
-    if len(region.cells) <= 255:
+    if len(region.cells) <= MAX_PACKED_CELLS:
         states = partner_matrix(region)
         ones = int(twist_batch(region, states).sum())
         return (len(states) - ones, ones)

@@ -18,16 +18,16 @@ are injective at any size with no random table.  A flip moves a key by a
 constant delta per square and orientation.
 
 The census (flip_components) runs over all tilings at once: the states x
-cells uint8 matrix of tilings.partner_matrix, which the report keeps as
-its states, every flip edge found per unit square by key lookup, and
-components labelled by min-label hooking with pointer jumping; the report
-has every component.  Both searches expand whole frontiers of rows and
-their keys through one kernel, _expand: flip_connected is a bidirectional
-BFS, one level at a time, and padded_merge_search a best-first search,
-one score level at a time, that returns a path.  The budget of
-flip_connected caps the states visited, and an exhausted budget yields
-INDETERMINATE, never a wrong boolean; the budget of padded_merge_search
-caps the states stored, and yields no path.
+cells uint8 matrix of tilings.partner_matrix, kept as the report's states,
+flip edges found a group of unit squares at a time by key lookup and
+merged into min labels (hooking, pointer jumping) before the next group,
+and one twist per component, read from its representative.  Both searches
+expand whole frontiers of rows and their keys through one kernel,
+_expand: flip_connected is a bidirectional BFS, one level at a time, and
+padded_merge_search a best-first search, one score level at a time, that
+returns a path.  The budget of flip_connected caps the states visited, and
+an exhausted budget yields INDETERMINATE, never a wrong boolean; the
+budget of padded_merge_search caps the states built, and yields no path.
 """
 
 from __future__ import annotations
@@ -35,15 +35,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .kasteleyn import twist, twist_batch
 from .regions import DEFAULT_BUDGET, Region
-from .tilings import Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
+from .tilings import MAX_PACKED_CELLS, Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
 FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
-LABEL_CHUNK = 1 << 20  # edges per chunk of a _min_labels round
+SQUARE_GROUP = 8  # unit squares per census group (at most 8: one uint8 of side masks)
 
 
 class Connectivity(Enum):
@@ -61,8 +62,8 @@ class MoveSite:
 
 
 def pack_state(tiling: Tiling) -> bytes:
-    if len(tiling.region.cells) > 255:
-        raise ValueError("byte packing needs a region with at most 255 cells")
+    if len(tiling.region.cells) > MAX_PACKED_CELLS:
+        raise ValueError(f"byte packing needs a region with at most {MAX_PACKED_CELLS} cells")
     return bytes(tiling.partner)
 
 
@@ -165,19 +166,23 @@ class ComponentReport:
     tiling, one row each, in ascending byte order; state(i) is row i as
     packed bytes.  components are sorted by size descending, then by
     representative bytes; comp_of[i] is the component id of state i;
-    twists[i] is its twist; flip_edges counts the edges of the whole flip
-    graph, each flip once.  complete is always true and visited is the
-    number of states: the census has no budget.
+    twists[i] is its twist, computed on first read (None with no states);
+    flip_edges counts the edges of the whole flip graph, each flip once.
+    complete is always true and visited is the number of states: the
+    census has no budget.
     """
 
     region: Region
     states: np.ndarray
     components: list[Component]
     comp_of: list[int]
-    twists: "object"  # np.ndarray of per-state twists, aligned with states
     complete: bool
     visited: int
     flip_edges: int
+
+    @cached_property
+    def twists(self) -> np.ndarray | None:
+        return twist_batch(self.region, self.states) if len(self.states) else None
 
     def state(self, i: int) -> bytes:
         return self.states[i].tobytes()
@@ -284,88 +289,69 @@ def _state_keys(region: Region, P: np.ndarray):
     return order, words, table
 
 
-def _flip_edges(region: Region, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All flip edges among the states (rows of P), as int32 arrays of state
-    ids.  Each edge is found once, from the side where the square (a, b, c,
-    d) pairs a-b and c-d; its other end is looked up by key.  Every flip
-    neighbour of a state must be a state too.
+def _label_components(region: Region, P: np.ndarray) -> tuple[np.ndarray, int]:
+    """Smallest state id of each state's component, and the number of flip
+    edges, by min-label hooking with pointer jumping (Shiloach-Vishkin).
+    No array of all edges is built: the edges of SQUARE_GROUP unit squares
+    are merged into the labels before the next group is looked up.
 
-    P is only read.  The side masks of eight squares at a time are packed
-    into the bits of one uint8 per state and gathered into key order at
-    once, so each square's states come in key order.  With one key word no
-    looked-up key wraps, so adding the square's constant delta keeps them
-    sorted, and searchsorted runs near linear.
+    Labels are positions in key order.  An edge is found once, from the
+    side where its square (a, b, c, d) pairs a-b and c-d, and its other end
+    is looked up by key; every flip neighbour of a state must be a state.
+    A group's side masks share the bits of one uint8 per state, gathered
+    into key order at once, so each square's states come in key order; with
+    one key word, adding the square's delta keeps their keys sorted.
+
+    Per square, the pairs whose end labels differ are kept.  With the pairs
+    carried from the previous group, each hooks its larger root onto the
+    smaller (np.minimum.at); then pointers jump, and the pairs whose roots
+    still differ are carried on, past the last group until none is left.
+    This is sound:
+    - every label is a root when a group starts and nothing is hooked while
+      it is looked up, so a pair whose labels agree lies in one tree;
+    - a hook only ever overwrites a root's own pointer;
+    - a pair whose hook lost to a smaller one still has differing roots,
+      so it is carried;
+    - labels only decrease, so each ends as its component's smallest key
+      position, which the last pass maps to its smallest state id.
     """
     order, words, table = _state_keys(region, P)
     sorted_keys = _as_key(words)
     need, _, _, delta = _flip_moves(region, table)
     need, delta = need[::2], delta[::2]
-
-    def side(k):
-        (a, b), (c, d) = need[k]
-        return (P[:, a] == b) & (P[:, c] == d)
-
-    counts = [int(np.count_nonzero(side(k))) for k in range(len(need))]
-    src = np.empty(sum(counts), dtype=np.int32)
-    dst = np.empty_like(src)
-    pos = 0
-    for lo in range(0, len(need), 8):
-        group = [k for k in range(lo, min(lo + 8, len(need))) if counts[k]]
-        if not group:
-            continue
+    lab = np.arange(len(P), dtype=np.int32)
+    u = v = lab[:0]  # the pairs (u[k], v[k]) of differing roots carried on
+    edges, lo = 0, 0
+    while lo < len(need) or len(u):
+        group = range(lo, min(lo + SQUARE_GROUP, len(need)))
+        lo += SQUARE_GROUP
         bits = np.zeros(len(P), dtype=np.uint8)
         for k in group:
-            bits |= side(k).view(np.uint8) << (k - lo)
+            (a, b), (c, d) = need[k]
+            bits |= ((P[:, a] == b) & (P[:, c] == d)).view(np.uint8) << k % SQUARE_GROUP
         bits = bits[order]
+        us, vs = [u], [v]
         for k in group:
-            at = np.flatnonzero((bits & (1 << (k - lo))) != 0)
+            at = np.flatnonzero((bits & (1 << k % SQUARE_GROUP)) != 0)
             keys = _as_key(words[at] + delta[k])
             to = np.minimum(np.searchsorted(sorted_keys, keys), len(P) - 1)
             if not (sorted_keys[to] == keys).all():
                 raise RuntimeError("a flip neighbour is missing from the states")
-            src[pos:pos + len(at)] = order[at]
-            dst[pos:pos + len(at)] = order[to]
-            pos += len(at)
-    return src, dst
-
-
-def _min_labels(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Smallest state id of each state's component (Shiloach-Vishkin style).
-
-    Each round walks the edges in chunks.  An edge whose ends carry the same
-    label is dropped; an edge whose ends differ is kept, and hooks the
-    larger label onto the smaller (lab[top] = min(lab[top], low)).  Then
-    pointers jump until every label is a root (a state labelled by itself).
-    Labels stay in their component and only decrease, and the smallest
-    state of a component keeps its own label, so once no edge is left
-    every label is its component's smallest state.  Dropping is safe
-    because every pointer a hook overwrites came from a kept edge.  Kept
-    edges are compacted to the front of src and dst in place, so both
-    arrays are overwritten.  In the first round every label is its own
-    state and no edge is a loop, so that round hooks on the state ids
-    directly, with no gather and no edge dropped.
-    """
-    lab = np.arange(m, dtype=np.int32)
-    for lo in range(0, len(src), LABEL_CHUNK):
-        s, d = src[lo:lo + LABEL_CHUNK], dst[lo:lo + LABEL_CHUNK]
-        np.minimum.at(lab, np.maximum(s, d), np.minimum(s, d))
-    lab = _jump(lab)
-    while len(src):
-        kept = 0
-        for lo in range(0, len(src), LABEL_CHUNK):
-            s, d = src[lo:lo + LABEL_CHUNK], dst[lo:lo + LABEL_CHUNK]
-            low, top = lab[s], lab[d]
-            open_ = low != top
-            s, d, low, top = s[open_], d[open_], low[open_], top[open_]
-            swap = low > top
-            low[swap], top[swap] = top[swap], low[swap]
-            np.minimum.at(lab, top, low)
-            src[kept:kept + len(s)] = s
-            dst[kept:kept + len(s)] = d
-            kept += len(s)
-        src, dst = src[:kept], dst[:kept]
+            edges += len(at)
+            s, d = lab[at], lab[to]
+            us.append(s[s != d])
+            vs.append(d[s != d])
+        u, v = np.concatenate(us), np.concatenate(vs)
+        del us, vs
+        np.minimum.at(lab, np.maximum(u, v), np.minimum(u, v))
         lab = _jump(lab)
-    return lab
+        u, v = lab[u], lab[v]
+        u, v = u[u != v], v[u != v]
+    smallest = np.full(len(P), len(P), dtype=np.int32)
+    np.minimum.at(smallest, lab, order)
+    out = np.empty_like(lab)
+    out[order] = smallest[lab]
+    return out, edges
 
 
 def _jump(lab: np.ndarray) -> np.ndarray:
@@ -378,25 +364,24 @@ def _jump(lab: np.ndarray) -> np.ndarray:
 
 
 def flip_components(region: Region) -> ComponentReport:
-    """Census of the flip graph: enumerate all tilings, find every flip edge
-    by key lookup and label all components at once."""
+    """Census of the flip graph: enumerate all tilings, label all
+    components at once and read each component's twist from its
+    representative (flips preserve the twist)."""
     # in ascending byte order, so a component's smallest state id is its
     # smallest state
     P = partner_matrix(region)
     m = len(P)
     if not m:
-        return ComponentReport(region, P, [], [], None, True, 0, 0)
-    twists = twist_batch(region, P)
-    src, dst = _flip_edges(region, P)
-    flip_edges = len(src)
-    lab = _min_labels(m, src, dst)
-    del src, dst
+        return ComponentReport(region, P, [], [], True, 0, 0)
+    lab, flip_edges = _label_components(region, P)
     roots, sizes = np.unique(lab, return_counts=True)
     raw = sorted(zip(sizes.tolist(), roots.tolist()), key=lambda c: (-c[0], c[1]))
+    reps = [root for _, root in raw]
     cid = np.empty(m, dtype=np.int32)
-    cid[[root for _, root in raw]] = np.arange(len(raw))
-    components = [Component(size, int(twists[root]), P[root].tobytes()) for size, root in raw]
-    return ComponentReport(region, P, components, cid[lab].tolist(), twists, True, m, flip_edges)
+    cid[reps] = np.arange(len(raw))
+    twists = twist_batch(region, P[reps]).tolist()
+    components = [Component(size, tw, P[root].tobytes()) for (size, root), tw in zip(raw, twists)]
+    return ComponentReport(region, P, components, cid[lab].tolist(), True, m, flip_edges)
 
 
 def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Connectivity:
@@ -438,13 +423,14 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
 
 
 def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray,
-            other: np.ndarray | None, moves):
+            other: np.ndarray | None, moves, room: int | None = None):
     """Expand a whole frontier by one flip: the new (seen, rows, words,
     parent) of a search with sorted seen keys `seen` and frontier
     rows/words, where parent[k] is the frontier row that new row k came
     from; or None when a flip reaches `other`, the sorted seen keys of the
     other side of a bidirectional search (None when there is no other
-    side).
+    side).  Once the level's new keys pass `room` (when given), the walk
+    stops and only the first room + 1 of them in key order are built.
 
     The frontier is walked in chunks of FRONTIER_CHUNK rows.  Per chunk,
     each flip's candidate keys are the key words of the rows it applies to
@@ -478,6 +464,11 @@ def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray,
             return None
         level = np.insert(level, np.searchsorted(level, keys), keys)
         parts.append((cand[first], np.concatenate(at)[first] + lo, np.concatenate(flip)[first]))
+        if room is not None and len(level) > room:
+            level = level[:room + 1]
+            keep = [_member(level, _as_key(part[0])) for part in parts]
+            parts = [tuple(x[k] for x in part) for part, k in zip(parts, keep)]
+            break
     if not parts:
         return seen, rows[:0], words[:0], np.empty(0, dtype=np.intp)
     new_words, parent, flip = (np.concatenate(x) for x in zip(*parts))
@@ -515,9 +506,12 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     byte-state path (both endpoints included), walked back along the
     parent ids, or None when no open state is left or when a round with
     no goal would take the states stored past `budget`, so at most
-    `budget` states are ever kept.  Any returned path is a certificate:
-    every step is a legal flip.
+    `budget` states are ever kept.  _expand stops that round one state
+    past the room left, so at most max(budget, 1) + 1 states are ever
+    built.  Any returned path is a certificate: every step is a legal flip.
     """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     if extra_floors % 2 or extra_floors <= 0:
         raise ValueError("padding must use a positive even number of floors")
     base, n0 = as_cylinder(t_start.region)
@@ -557,7 +551,8 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
         ids = np.concatenate([first[b] + at for b, at in top])
         seen, rows, words, parent = _expand(
             seen, np.concatenate([blocks[b][0][at] for b, at in top]),
-            np.concatenate([blocks[b][1][at] for b, at in top]), None, moves)
+            np.concatenate([blocks[b][1][at] for b, at in top]), None, moves,
+            max(budget - stored, 0))
         if not len(rows):
             continue
         score = scores(rows)

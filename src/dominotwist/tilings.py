@@ -192,6 +192,9 @@ def enumerate_tilings(region: Region):
             return
 
 
+MAX_PACKED_CELLS = 255  # the most cells whose partner vectors pack into bytes
+
+
 def partner_matrix(region: Region) -> np.ndarray:
     """All tilings as a column-major states x cells uint8 matrix of partner
     vectors (regions up to 255 cells), in the order of enumerate_tilings,
@@ -216,8 +219,8 @@ def partner_matrix(region: Region) -> np.ndarray:
     import numpy as np
 
     n = len(region.cells)
-    if n > 255:
-        raise TilingError("byte-packed enumeration needs a region with at most 255 cells")
+    if n > MAX_PACKED_CELLS:
+        raise TilingError(f"byte-packed enumeration needs a region with at most {MAX_PACKED_CELLS} cells")
     if not region.balanced or not n:
         return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")
     cells, nbrs = region.cells, region.neighbors

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +242,7 @@ def reference_components(region) -> ComponentReport:
                   for k in order]
     edges = sum(len(flip_neighbors_bytes(s, squares)) for s in states)
     assert edges % 2 == 0
-    return ComponentReport(region, states, components, [remap[c] for c in comp_of], twists,
+    return ComponentReport(region, states, components, [remap[c] for c in comp_of],
                            True, len(states), edges // 2)
 
 
@@ -269,9 +273,16 @@ CENSUS_CASES = ["box:2,2,3", "box:3,3,2", "box:4,4", "box:2,8", "box:2,2,2,2",
                 "cyl:2,2,2xN=3", "box:3,3"]
 
 
-# ids end in "-None" so that every case keeps the name it has in earlier test reports
-@pytest.mark.parametrize("spec", CENSUS_CASES, ids=[f"{s}-None" for s in CENSUS_CASES])
-def test_census_kernel_matches_reference_bfs(spec):
+# at the default group size ids end in "-None", so that every case keeps
+# the name it has in earlier test reports; at one square per group every
+# pair of roots is carried through many groups
+@pytest.mark.parametrize(("spec", "group"),
+                         [(s, moves.SQUARE_GROUP) for s in CENSUS_CASES]
+                         + [(s, 1) for s in CENSUS_CASES],
+                         ids=[f"{s}-None" for s in CENSUS_CASES]
+                         + [f"{s}-group1" for s in CENSUS_CASES])
+def test_census_kernel_matches_reference_bfs(monkeypatch, spec, group):
+    monkeypatch.setattr(moves, "SQUARE_GROUP", group)
     region = parse_region_spec(spec)
     assert moves._key_table(region).shape[2] == 1
     rep = flip_components(region)
@@ -661,7 +672,8 @@ def test_merge_search_start_is_goal():
 
 def test_merge_search_budget_runs_out(census_223_n3, monkeypatch):
     # the search keeps at most `budget` states: it stops at the round that
-    # would take it past the budget (the rows of every round are counted)
+    # would take it past the budget (the rows of every round are counted),
+    # and builds that round only one state past the budget
     rep = census_223_n3.report
     giant = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 0)}
     start = rep.representative_tiling(2)
@@ -678,7 +690,14 @@ def test_merge_search_budget_runs_out(census_223_n3, monkeypatch):
         assert padded_merge_search(start, giant, 2, budget=budget) is None
         kept = 1 + sum(rounds[:-1])
         assert kept <= budget < kept + rounds[-1], budget
+        assert 1 + sum(rounds) <= budget + 1, budget
     assert reference_merge_search(start, giant, 2, budget=1000) is None
+
+
+def test_merge_search_rejects_negative_budget():
+    t = next(iter(enumerate_tilings(parse_region_spec("cyl:2,3xN=2"))))
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        padded_merge_search(t, set(), 2, budget=-1)
 
 
 def test_small_components_merge_into_giant_under_padding(census_223_n3):
@@ -694,3 +713,32 @@ def test_small_components_merge_into_giant_under_padding(census_223_n3):
         path = padded_merge_search(start, giant, 2)
         assert path is not None, k
         assert_merge_certificate(start, giant, 2, path)
+
+
+# Runs the depth-5 census in a fresh interpreter and prints the component
+# list, then the interpreter's own peak (VmHWM, in kB).  Not ru_maxrss: on
+# Linux a child's ru_maxrss starts at its parent's RSS when it was spawned.
+DEPTH_FIVE_PROBE = (
+    "import re\n"
+    "from dominotwist import parse_region_spec\n"
+    "from dominotwist.moves import flip_components\n"
+    "rep = flip_components(parse_region_spec('cyl:2,2,2xN=5'))\n"
+    "print([(c.size, c.twist) for c in rep.components])\n"
+    "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+)
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_depth_five_census_peak_memory():
+    # no array of all 25,929,984 flip edges: the census peaks under 400 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    proc = subprocess.run([sys.executable, "-c", DEPTH_FIVE_PROBE],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    components, peak_kb = proc.stdout.splitlines()
+    assert components == str([(3386376, 0), (202224, 1), (202224, 1),
+                              (2028, 0), (2028, 0)])  # criterion 02's depth-5 census
+    assert int(peak_kb) < 400 * 1024, f"depth-5 census peaked at {int(peak_kb) >> 10} MB"
