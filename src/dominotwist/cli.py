@@ -27,7 +27,7 @@ from pathlib import Path
 from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
 from .regions import DEFAULT_BUDGET, Region, parse_region_spec, region_spec
-from .tilings import Tiling, _is_int_cell, count_tilings, tiling_from_json_obj, tiling_from_text
+from .tilings import Tiling, _is_int_cell, as_cylinder, count_tilings, tiling_from_json_obj, tiling_from_text
 
 DIRECTION_GLYPHS = ("[]", "nu", "fb", "ws")  # in-floor axes 0..3
 FLOOR_GLYPHS = "UD"  # partner above / below
@@ -88,40 +88,39 @@ def _parse_path_arg(args, text: str) -> ham.HamiltonianPath:
     holding {"region": <spec>, "cells": <ordered cell list>}."""
     if text.startswith("box:"):
         dims = tuple(int(x) for x in text[4:].split(","))
-        path = ham.box_path(dims)
-    else:
-        obj = json.loads(Path(text).read_text())
-        if not isinstance(obj, dict) or not isinstance(obj.get("region"), str):
-            raise ham.HamiltonianError("path object needs a 'region' spec string")
-        cells = obj.get("cells")
-        if not isinstance(cells, list) or not all(map(_is_int_cell, cells)):
-            raise ham.HamiltonianError(
-                "path 'cells' must be a list of cells of integer coordinates")
-        path = ham.path_from_cells(parse_region_spec(obj["region"]), cells)
-    _name_region(args, region_spec(path.region))
-    return path
+        _name_region(args, text)
+        return ham.box_path(dims)
+    obj = json.loads(Path(text).read_text())
+    if not isinstance(obj, dict) or not isinstance(obj.get("region"), str):
+        raise ham.HamiltonianError("path object needs a 'region' spec string")
+    _name_region(args, obj["region"].strip())
+    cells = obj.get("cells")
+    if not isinstance(cells, list) or not all(map(_is_int_cell, cells)):
+        raise ham.HamiltonianError(
+            "path 'cells' must be a list of cells of integer coordinates")
+    return ham.path_from_cells(parse_region_spec(obj["region"]), cells)
 
 
 # ------------------------------------------------------------ subcommands
 
-def _balanced_cylinder(region: Region) -> bool:
-    """A cyl: region over a balanced base, which the transfer engines need.
-    A cylinder over an unbalanced base is balanced at even depth, so `auto`
-    enumerates it or takes its determinant."""
-    return region.base is not None and region.base.balanced
+def _method(region: Region, method: str, fallback: str) -> tuple[str, tuple | None]:
+    """The engine of count or defect, and (base, floors) of a cyl: region:
+    the transfer engines need one over a balanced base.  A cylinder over an
+    unbalanced base is balanced at even depth, so `auto` falls back there."""
+    cyl = as_cylinder(region) if (region.spec or "").startswith("cyl:") else None
+    if method == "auto":
+        method = "transfer" if cyl and cyl[0].balanced else fallback
+    if method == "transfer" and cyl is None:
+        raise ValueError("transfer method needs a cyl: region")
+    return method, cyl
 
 
 def cmd_count(args) -> CommandResult:
     region = _region_arg(args, args.region)
-    method = args.method
-    if method == "auto":
-        method = "transfer" if _balanced_cylinder(region) else "enum"
+    method, cyl = _method(region, args.method, "enum")
     if method == "transfer":
-        if region.base is None:
-            return _fail("count", "transfer method needs a cyl: region",
-                         region_spec(region))
         from .transfer import cylinder_count
-        n = cylinder_count(region.base, region.floors)
+        n = cylinder_count(*cyl)
     else:
         n = count_tilings(region)
     return CommandResult("count", region_spec(region),
@@ -149,19 +148,14 @@ def cmd_twist(args) -> CommandResult:
 
 def cmd_defect(args) -> CommandResult:
     region = _region_arg(args, args.region)
-    method = args.method
-    if method == "auto":
-        method = "transfer" if _balanced_cylinder(region) else "det"
+    method, cyl = _method(region, args.method, "det")
     if method == "det":
         value = defect_by_determinant(region)
     elif method == "enum":
         value = defect_by_enumeration(region)
     else:
-        if region.base is None:
-            return _fail("defect", "transfer method needs a cyl: region",
-                         region_spec(region))
         from .transfer import cylinder_defect
-        value = cylinder_defect(region.base, region.floors)
+        value = cylinder_defect(*cyl)
     payload = {
         "defect": value,
         "abs": abs(value),
@@ -482,8 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().parse_args(argv, args)
         start = time.perf_counter()  # the timing covers the command only
         result: CommandResult = args.func(args)
-    except (OSError, ValueError) as e:  # package errors subclass ValueError
-        result = _fail(args.subcommand, str(e), getattr(args, "named_region", None))
+    except (OSError, ValueError, MemoryError) as e:  # package errors subclass ValueError
+        message = str(e) or ("out of memory" if isinstance(e, MemoryError) else "")
+        result = _fail(args.subcommand, message, getattr(args, "named_region", None))
     result.timing = round(time.perf_counter() - start, 6)
     # exact answers can exceed the interpreter's limit on the digits of an
     # int-to-str conversion (0 or absent: no limit); lift it while printing

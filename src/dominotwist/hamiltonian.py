@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .kasteleyn import twist
 from .plugs import enumerate_plugs, is_plug
-from .regions import Cell, Region, RegionError, make_box, make_cork, make_cylinder, region_spec
+from .regions import Cell, Region, make_box, make_cork, make_cylinder, region_spec
 from .tilings import Tiling, TilingError, as_cylinder, decompose_floors, enumerate_tilings
 
 MAX_FLUX_BASE_CELLS = 16
@@ -74,8 +74,7 @@ def box_path(dims) -> HamiltonianPath:
     """Serpentine path through a box: the last axis sweeps slowest, and the
     lower-dimensional path reverses direction on every other layer."""
     dims = tuple(int(x) for x in dims)
-    if not dims or any(x < 1 for x in dims):
-        raise HamiltonianError(f"bad box dims {dims}")
+    region = make_box(dims)  # checks the dims and the size before any cell is listed
     cells: list[tuple[int, ...]] = [(x,) for x in range(dims[0])]
     for ln in dims[1:]:
         prev = cells
@@ -83,7 +82,7 @@ def box_path(dims) -> HamiltonianPath:
         for layer in range(ln):
             sweep = prev if layer % 2 == 0 else prev[::-1]
             cells.extend(c + (layer,) for c in sweep)
-    return HamiltonianPath(make_box(dims), tuple(cells))
+    return HamiltonianPath(region, tuple(cells))
 
 
 def path_from_cells(region: Region, cells) -> HamiltonianPath:
@@ -193,7 +192,7 @@ def flux_set(path: HamiltonianPath, d: tuple[int, int]) -> set[tuple[int, int, i
 def _cylinder_over(path: HamiltonianPath, tiling: Tiling) -> int:
     try:
         base, floors = as_cylinder(tiling.region)
-    except (TilingError, RegionError):  # RegionError: a 1-dimensional region has no base
+    except TilingError:
         raise HamiltonianError("tiling region is not a full cylinder") from None
     if base != path.region:
         raise HamiltonianError("tiling does not live on a cylinder over the path's region")

@@ -55,9 +55,6 @@ class Region:
         self.dim = dim
         self.cells: tuple[Cell, ...] = tuple(map(tuple, cells))
         self.spec = spec
-        # set by make_cylinder, None for other regions
-        self.base: Region | None = None
-        self.floors: int | None = None
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -211,10 +208,7 @@ def make_cylinder(base: Region, floors: int) -> Region:
     spec = None
     if base.spec and base.spec.startswith("box:"):
         spec = f"cyl:{base.spec[4:]}xN={floors}"
-    region = Region(base.dim + 1, cells, spec=spec)
-    region.base = base
-    region.floors = floors
-    return region
+    return Region(base.dim + 1, cells, spec=spec)
 
 
 def make_cork(base: Region, floors: int, p0_mask: int, p_top_mask: int) -> Region:

@@ -15,10 +15,11 @@ import it when called.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-from .regions import Region, make_cylinder, parse_region_spec, region_spec
+from .regions import Region, make_box, make_cylinder, parse_region_spec, region_spec
 
 Domino = tuple[tuple[int, ...], tuple[int, ...]]  # (black cell, white cell)
 
@@ -370,18 +371,24 @@ def vertical_tiling(base: Region, floors: int) -> Tiling:
 
 
 def as_cylinder(region: Region) -> tuple[Region, int]:
-    """Base and floor count of a cylinder region."""
-    if region.base is not None and region.floors is not None:
-        return region.base, region.floors
-    heights = sorted({c[-1] for c in region.cells})
-    if heights != list(range(len(heights))):
-        raise TilingError("region is not a cylinder: heights are not 0..N-1")
+    """Base and floor count of a cylinder region, read from its cells.  A
+    base that fills its extents from the origin is that box, spec included,
+    so equal regions agree and cylinders rebuilt over it keep cyl: specs."""
+    if region.dim < 2:
+        raise TilingError("region is not a cylinder: a 1-dimensional region has no base")
+    heights = {c[-1] for c in region.cells}
     floors = len(heights)
-    base_cells = sorted({c[:-1] for c in region.cells}, key=lambda c: c[::-1])
+    if heights != set(range(floors)):
+        raise TilingError("region is not a cylinder: heights are not 0..N-1")
+    extents = region.bounding_box[:-1] if region.cells else ()
+    dims = [hi + 1 for _, hi in extents]
+    if (extents and all(lo == 0 for lo, _ in extents)
+            and math.prod(dims) * floors == len(region.cells)):
+        return make_box(dims), floors  # the region fills the box of its extents
+    base_cells = {c[:-1] for c in region.cells}
     if len(base_cells) * floors != len(region.cells):
         raise TilingError("region is not a cylinder: floors differ")
-    base = Region(region.dim - 1, base_cells)
-    return base, floors
+    return Region(region.dim - 1, base_cells), floors
 
 
 def concat(t0: Tiling, t1: Tiling) -> Tiling:

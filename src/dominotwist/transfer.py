@@ -257,8 +257,12 @@ def _parity_table(k: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=8)
 def _base_tables(base: Region) -> TransferMatrices:
+    return _tables(base, base.spec)  # region equality ignores the spec; the export names it
+
+
+@lru_cache(maxsize=8)
+def _tables(base: Region, spec: str | None) -> TransferMatrices:
     return TransferMatrices(base)
 
 

@@ -21,7 +21,7 @@ import pytest
 from dominotwist.cli import main, render_tiling
 from dominotwist.kasteleyn import twist
 from dominotwist.moves import flip_neighbors
-from dominotwist.regions import Region, make_box, make_cylinder
+from dominotwist.regions import Region, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import Tiling, enumerate_tilings, tiling_from_text, vertical_tiling
 from dominotwist.transfer import cylinder_count, get_transfer, load_transfer_cache
 
@@ -322,6 +322,9 @@ def test_flux_modes():
     code, obj = run_json(["flux", "--base", "box:2,3", "--d", "1,4",
                           "--plug", "0"])
     assert obj["payload"] == {"d": [1, 4], "plug": 0, "flux": [0, 0, 0]}
+    code, obj = run_json(["flux", "--base", "box:2,3", "--d", "1"])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "box:2,3")
+    assert obj["payload"]["message"] == "--d wants two path positions 'i,j'"
 
 
 def test_fold_roundtrip_and_failure(tmp_path):
@@ -363,6 +366,18 @@ def test_render_golden_4d_slices(tmp_path):
     assert code == 0
     assert "[x2=0]" in out and "[x2=1]" in out
     assert out.count("UU") == 4 and out.count("DD") == 4
+
+
+@pytest.mark.parametrize(("spec", "dominoes", "want"), [
+    ("cyl:2,2xN=0", [], "(empty region)\n"),
+    ("box:4", [((0,), (1,)), ((2,), (3,))], "UDUD\n"),
+    ("box:3,2", [((0, 0), (1, 0)), ((2, 0), (2, 1)), ((0, 1), (1, 1))],
+     "floor 0\n  []U\nfloor 1\n  []D\n"),
+], ids=["empty", "1d", "2d"])
+def test_render_golden_low_dimensions(tmp_path, spec, dominoes, want):
+    t = Tiling.from_dominoes(parse_region_spec(spec), dominoes)
+    code, out, _ = run_cli(["render", "--tiling", _write_tiling(tmp_path, "t.txt", t)])
+    assert (code, out) == (0, want)
 
 
 def test_render_in_floor_glyphs(tmp_path):
@@ -501,11 +516,31 @@ def test_components_help_exits_zero_and_lists_no_budget():
     assert "--region" in out.getvalue() and "--budget" not in out.getvalue()
 
 
-def test_text_mode_prints_fields():
+def test_text_mode_prints_fields(tmp_path):
     code, out, err = run_cli(["count", "--region", "box:2,2"])
     assert code == 0
     assert "count" in out and "2" in out
     assert err == ""
+    code, out, _ = run_cli(["components", "--region", "box:2,2,2"])
+    assert (code, out) == (0, "components box:2,2,2\n  component_count: 1\n"
+                              "  component 0: size=9 twist=0\n  complete: True\n"
+                              "  visited: 9\n  flip_edges: 12\n")
+    code, out, _ = run_cli(["generators", "--base", "box:2,2"])
+    assert (code, out) == (0, "generators box:2,2\n  generator_count: 1\n"
+                              "  d=[1, 4] plug=0x0 flux=[0, 0, 0] twist=0 half=2\n")
+    # a tiling payload is printed as tiling text
+    strip = _write_tiling(tmp_path, "strip.txt", vertical_tiling(make_box((4,)), 2))
+    code, out, _ = run_cli(["fold", "--tiling", strip, "--src", "box:4", "--dst", "box:2,2"])
+    head, body = out.split("tiling v1 ", 1)
+    assert (code, head) == (0, "fold cyl:4xN=2\n  region: cyl:2,2xN=2\n")
+    tiling_from_text("tiling v1 " + body).validate()
+    # a result that is not ok ends with its status
+    t0 = _write_tiling(tmp_path, "t0.txt", vertical_tiling(make_box((2, 2)), 2))
+    flat = next(enumerate_tilings(make_cylinder(make_box((2, 2)), 2)))
+    t1 = _write_tiling(tmp_path, "t1.txt", flat)
+    code, out, _ = run_cli(["padding", "--t0", t0, "--t1", t1, "--floors", "2", "--budget", "1"])
+    assert (code, out) == (2, "padding cyl:2,2xN=2\n  floors: 2\n  connected: None\n"
+                              "  budget: 1\n  status: indeterminate\n")
 
 
 def _declared_script_spec(name: str = "dominotwist") -> str | None:
@@ -616,6 +651,40 @@ def test_long_region_answers_in_capped_memory(argv):
         preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def _run_capped(argv: list[str]) -> tuple[subprocess.CompletedProcess, dict]:
+    """One command in a fresh interpreter under a 1.5 GB address space."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "dominotwist.cli", *argv, "--json"],
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    return proc, json.loads(lines[0])
+
+
+def test_out_of_memory_is_an_error_result():
+    # about 32 M tilings: the census needs more than the cap allows
+    proc, obj = _run_capped(["components", "--region", "cyl:2,2,2xN=6"])
+    assert (proc.returncode, obj["status"], obj["region"]) == (1, "error", "cyl:2,2,2xN=6")
+    assert obj["payload"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["flux", "--base", "box:1000,1000,100"],
+    ["generators", "--base", "box:1000,1000,100"],
+    ["fold", "--tiling", "{strip}", "--src", "box:1000,1000,100", "--dst", "box:2,2"],
+], ids=["flux", "generators", "fold"])
+def test_box_path_too_large_is_refused_before_its_cells(tmp_path, argv):
+    # 100 M cells: listing them would take many GB, so only the size check
+    # may run; an error result names the first argument read, the path
+    # itself or fold's tiling
+    strip = _write_tiling(tmp_path, "strip.txt", vertical_tiling(make_box((4,)), 2))
+    proc, obj = _run_capped([a.format(strip=strip) for a in argv])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == "region too large: 100000000 > 1048576 cells"
+    assert obj["region"] == ("cyl:4xN=2" if argv[0] == "fold" else "box:1000,1000,100")
+    assert obj["timing"] < 1
 
 
 def test_console_script_entry_point():

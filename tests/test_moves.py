@@ -274,13 +274,15 @@ CENSUS_CASES = ["box:2,2,3", "box:3,3,2", "box:4,4", "box:2,8", "box:2,2,2,2",
 
 
 # at the default group size ids end in "-None", so that every case keeps
-# the name it has in earlier test reports; at one square per group every
-# pair of roots is carried through many groups
+# the name it has in earlier test reports.  One square's flip edges form a
+# matching, so one square per group carries almost no pair; at four
+# squares per group every case with tilings carries pairs whose roots
+# still differ into a later group (3 on box:2,2,3, 1,720 on cyl:2,2,2xN=3)
 @pytest.mark.parametrize(("spec", "group"),
                          [(s, moves.SQUARE_GROUP) for s in CENSUS_CASES]
-                         + [(s, 1) for s in CENSUS_CASES],
+                         + [(s, 4) for s in CENSUS_CASES],
                          ids=[f"{s}-None" for s in CENSUS_CASES]
-                         + [f"{s}-group1" for s in CENSUS_CASES])
+                         + [f"{s}-group4" for s in CENSUS_CASES])
 def test_census_kernel_matches_reference_bfs(monkeypatch, spec, group):
     monkeypatch.setattr(moves, "SQUARE_GROUP", group)
     region = parse_region_spec(spec)

@@ -17,6 +17,7 @@ from dominotwist.regions import (
     parse_region_spec,
     region_spec,
 )
+from dominotwist.tilings import as_cylinder
 
 
 def test_cell_color_alternates():
@@ -68,8 +69,8 @@ def test_cylinder_layout():
     for h in range(3):
         for i, c in enumerate(base.cells):
             assert r.cells[h * 4 + i] == c + (h,)
-    assert r.base is base
-    assert r.floors == 3
+    assert as_cylinder(r) == (base, 3)
+    assert as_cylinder(r)[0].spec == "box:2,2"
 
 
 def test_cylinder_zero_floors():

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominotwist.regions import Region, make_box, make_cylinder
+from dominotwist.regions import Region, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import (
     Tiling,
     TilingError,
+    as_cylinder,
+    concat,
     count_tilings,
     decompose_floors,
     enumerate_tilings,
@@ -149,12 +151,36 @@ def test_floor_decomposition_roundtrip():
         assert back.partner == t.partner
 
 
+def test_as_cylinder_reads_the_cells():
+    # equal regions give equal answers, and a base that is a box at the
+    # origin is that box, spec included
+    box, cyl = parse_region_spec("box:2,2,3"), parse_region_spec("cyl:2,2xN=3")
+    assert as_cylinder(box) == as_cylinder(cyl) == (make_box((2, 2)), 3)
+    assert [as_cylinder(r)[0].spec for r in (box, cyl)] == ["box:2,2", "box:2,2"]
+    # stacking two box:2,2,3 tilings gives a cyl: region, not a cells: list
+    t = next(enumerate_tilings(box))
+    assert concat(t, t).region.spec == "cyl:2,2xN=6"
+    # cylinders built from cyl: regions keep their specs
+    t = next(enumerate_tilings(cyl))
+    assert concat(t, vertical_tiling(make_box((2, 2)), 2)).region.spec == "cyl:2,2xN=5"
+    assert recompose_floors(decompose_floors(t)).region.spec == "cyl:2,2xN=3"
+    # a base that is not a box at the origin keeps no spec
+    shifted = Region(2, [(1, 0), (2, 0), (1, 1), (2, 1)])
+    base, floors = as_cylinder(shifted)
+    assert (base.cells, base.spec, floors) == (((1,), (2,)), None, 2)
+    for region in (make_box((4,)), Region(2, [(0, 0), (1, 0), (0, 1)]),
+                   Region(2, [(0, 0), (0, 2)])):
+        with pytest.raises(TilingError, match="not a cylinder"):
+            as_cylinder(region)
+
+
 def test_decompose_plug_masks_are_balanced():
     r = make_cylinder(make_box((2, 3)), 2)
+    base, _ = as_cylinder(r)
     for t in enumerate_tilings(r):
         fd = decompose_floors(t)
         for m in fd.plugs:
-            blacks = sum(1 for i in range(6) if m >> i & 1 and r.base.colors[i] == 1)
+            blacks = sum(1 for i in range(6) if m >> i & 1 and base.colors[i] == 1)
             whites = bin(m).count("1") - blacks
             assert blacks == whites
 

@@ -321,6 +321,19 @@ def test_cache_rejects_wrong_base(tmp_path):
         load_transfer_cache(path, base=B223)
 
 
+def test_export_names_the_base_it_was_given(tmp_path):
+    # the two bases are equal regions with different specs: the cached
+    # tables of one must not lend its spec to the other
+    box = make_box((2, 2))
+    cells = Region(2, box.cells)
+    path = str(tmp_path / "b22.dtrc")
+    for base, spec in ((cells, "cells:dim=2;0,0;1,0;0,1;1,1"), (box, "box:2,2")):
+        tm = get_transfer(base)
+        assert transfer_to_json_obj(tm)["base"] == spec
+        save_transfer_cache(tm, path)
+        assert load_transfer_cache(path, base).plugs == tm.plugs
+
+
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "junk.dtrc"
     path.write_bytes(b"NOPE" + b"\0" * 16)
