@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from pathlib import Path
 
 from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
+from .plugs import check_plug_base
 from .regions import DEFAULT_BUDGET, Region, parse_region_spec, region_spec
 from .tilings import Tiling, _is_int_cell, as_cylinder, count_tilings, tiling_from_json_obj, tiling_from_text
 
@@ -115,7 +117,26 @@ def _method(region: Region, method: str, fallback: str) -> tuple[str, tuple | No
     return method, cyl
 
 
+def _cyl_base_cells(text: str) -> int:
+    """Base cell count of a 'cyl:<dims>xN=<floors>' spec with at least one
+    floor, the product of its dims, read from the text alone; 0 for any
+    other spec."""
+    kind, _, rest = text.strip().partition(":")
+    dims, _, floors = rest.partition("xN=")
+    dims = dims.split(",")
+    if kind != "cyl" or not all(x.isdecimal() for x in dims + [floors]) or not int(floors):
+        return 0
+    return math.prod(map(int, dims))
+
+
 def cmd_count(args) -> CommandResult:
+    # auto takes the transfer engine on a balanced base, and a box base is
+    # balanced when its cell count is even: a base too large for plugs is
+    # refused from the spec, as building a large region takes seconds
+    nb = _cyl_base_cells(args.region)
+    if args.method == "transfer" or args.method == "auto" and nb % 2 == 0:
+        _name_region(args, args.region.strip())
+        check_plug_base(nb)
     region = _region_arg(args, args.region)
     method, cyl = _method(region, args.method, "enum")
     if method == "transfer":

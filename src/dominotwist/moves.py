@@ -25,9 +25,9 @@ and one twist per component, read from its representative.  Both searches
 expand whole frontiers of rows and their keys through one kernel,
 _expand: flip_connected is a bidirectional BFS, one level at a time, and
 padded_merge_search a best-first search, one score level at a time, that
-returns a path.  The budget of flip_connected caps the states visited, and
-an exhausted budget yields INDETERMINATE, never a wrong boolean; the
-budget of padded_merge_search caps the states built, and yields no path.
+returns a path.  Both budgets cap the states built, one past the budget at
+most; an exhausted budget of flip_connected yields INDETERMINATE, never a
+wrong boolean, and one of padded_merge_search yields no path.
 """
 
 from __future__ import annotations
@@ -391,8 +391,9 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     different twists are disconnected without any search.  Each side keeps
     its sorted seen keys and its frontier (rows of partner bytes and their
     key words); the side with the smaller frontier expands a whole level
-    through _expand.  `budget` caps the states visited: it is checked after
-    each level, and a meeting anywhere in a level answers CONNECTED first.
+    through _expand.  `budget` caps the states visited: _expand builds at
+    most one state past the room left, so at most budget + 1 states are
+    ever built, and a meeting anywhere in a level answers CONNECTED first.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -412,7 +413,7 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     while len(sides[0][1]) and len(sides[1][1]):
         # expand the smaller frontier
         i = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
-        level = _expand(*sides[i], sides[1 - i][0], moves)
+        level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0))
         if level is None:
             return Connectivity.CONNECTED
         sides[i] = level = level[:3]  # drops the parent ids
@@ -423,14 +424,16 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
 
 
 def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray,
-            other: np.ndarray | None, moves, room: int | None = None):
+            other: np.ndarray | None, moves, room: int):
     """Expand a whole frontier by one flip: the new (seen, rows, words,
     parent) of a search with sorted seen keys `seen` and frontier
     rows/words, where parent[k] is the frontier row that new row k came
     from; or None when a flip reaches `other`, the sorted seen keys of the
     other side of a bidirectional search (None when there is no other
-    side).  Once the level's new keys pass `room` (when given), the walk
-    stops and only the first room + 1 of them in key order are built.
+    side).  Once the level's new keys pass `room`, only the first room + 1
+    of them in key order are built; the later chunks are still tested
+    against `other`, so a meeting anywhere in the level is found, but add
+    no states.
 
     The frontier is walked in chunks of FRONTIER_CHUNK rows.  Per chunk,
     each flip's candidate keys are the key words of the rows it applies to
@@ -462,13 +465,16 @@ def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray,
         keys, first = keys[fresh], first[fresh]
         if other is not None and _member(other, keys).any():
             return None
+        if len(level) > room:  # the level is full
+            continue
         level = np.insert(level, np.searchsorted(level, keys), keys)
         parts.append((cand[first], np.concatenate(at)[first] + lo, np.concatenate(flip)[first]))
-        if room is not None and len(level) > room:
+        if len(level) > room:
             level = level[:room + 1]
             keep = [_member(level, _as_key(part[0])) for part in parts]
             parts = [tuple(x[k] for x in part) for part, k in zip(parts, keep)]
-            break
+            if other is None:
+                break
     if not parts:
         return seen, rows[:0], words[:0], np.empty(0, dtype=np.intp)
     new_words, parent, flip = (np.concatenate(x) for x in zip(*parts))

@@ -27,16 +27,20 @@ def is_plug(base: Region, mask: int) -> bool:
     return 2 * black == mask.bit_count()
 
 
+def check_plug_base(cells: int) -> None:
+    """Refuse a base of more cells than plug enumeration allows."""
+    if cells > MAX_PLUG_BASE_CELLS:
+        raise TransferError(
+            f"plug enumeration needs a base with at most {MAX_PLUG_BASE_CELLS}"
+            f" cells, got {cells}")
+
+
 def enumerate_plugs(base: Region) -> list[int]:
     """All balanced subsets of base cells as bitmasks, ascending.
 
     Index 0 is the empty plug; the last entry is the full plug.
     """
-    nc = len(base.cells)
-    if nc > MAX_PLUG_BASE_CELLS:
-        raise TransferError(
-            f"plug enumeration needs a base with at most {MAX_PLUG_BASE_CELLS}"
-            f" cells, got {nc}")
+    check_plug_base(len(base.cells))
     if not base.balanced:
         raise TransferError("plug enumeration needs a balanced base")
     blacks = base.black_cells

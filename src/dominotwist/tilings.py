@@ -210,12 +210,14 @@ def partner_matrix(region: Region) -> np.ndarray:
     k - 1) and an option: an up-plug v, the cells of layer k + 1 matched
     down into it, plus a matching of the other cells in the layer.  Each
     plug's options are sorted by segment (_layer_options, memoised per
-    layer shape, so the floors of a cylinder share one memo and its top
-    floor has another) and every row expands into its options in that
-    order, so rows come out in ascending byte order with no sort.  Options
-    whose up-plug cannot be completed in the layers above are pruned before
-    the expansion.  Each layer keeps one (parent row, option) pair per row;
-    one walk back from the top layer writes the columns.
+    layer shape and never written after: the floors of a cylinder read one
+    table, its top floor another) and every row expands into its options in
+    that order, so rows come out in ascending byte order with no sort.
+    Options whose up-plug cannot be completed in the layers above are pruned
+    before the expansion.  A cell matched down holds -1 in the table and
+    gets its least neighbour, the cell below, when the layer's kept
+    segments are joined.  Each layer keeps one (parent row, option) pair
+    per row; one walk back from the top layer writes the columns.
     """
     import numpy as np
 
@@ -234,15 +236,8 @@ def partner_matrix(region: Region) -> np.ndarray:
         shape = tuple(tuple(j - start for j in nbrs[i] if j >= start) for i in range(start, stop))
         options = memos.get(shape) or memos.setdefault(shape, _layer_options(shape))
         full = (1 << stop - start) - 1
-        level = {}
-        for u in plugs:
-            seg, ups = options(full ^ u)
-            seg = seg.copy()
-            down = [c for c in range(stop - start) if u >> c & 1]
-            seg[:, down] = [nbrs[start + c][0] - start for c in down]
-            level[u] = (seg, ups)
-        levels.append(level)
-        plugs = {v for _, ups in level.values() for v in ups}
+        levels.append({u: options(full ^ u) for u in plugs})
+        plugs = {v for _, ups in levels[-1].values() for v in ups}
     alive = {0}
     tables = []
     for level in reversed(levels):
@@ -260,10 +255,12 @@ def partner_matrix(region: Region) -> np.ndarray:
     # per layer: option segments (cells x options), first option and count
     # per plug index, and the next layer's plug index of each option
     links = []
+    below = np.array([nb[0] if nb else 0 for nb in nbrs], dtype=np.int16)  # least neighbour
     state = np.zeros(1, dtype=np.int32)  # layer-0 plug index (plug 0) per row
-    for k, (plugs, keep) in enumerate(tables):
+    for k, ((_, keep), (start, stop)) in enumerate(zip(tables, layers)):
         nxt = {v: i for i, v in enumerate(tables[k + 1][0])} if k + 1 < len(tables) else {0: 0}
-        seg = np.concatenate([s for s, _ in keep]) + layers[k][0]
+        seg = np.concatenate([s for s, _ in keep])
+        seg = np.where(seg < 0, below[start:stop], seg + start)  # -1: matched down
         count = np.array([len(s) for s, _ in keep], dtype=np.int32)
         first = (np.cumsum(count) - count).astype(np.int32)
         to = np.array([nxt[v] for _, ups in keep for v in ups], dtype=np.int32)
@@ -296,7 +293,7 @@ def _layer_options(shape: tuple[tuple[int, ...], ...]):
     counted from the layer's first label: j < size is cell j of the layer,
     j >= size the cell above, bit j - size of the up-plug.  A segment is an
     int16 row over the layer's cells holding each partner counted the same
-    way (columns outside m are left for the caller).  Branching on the
+    way, and -1 in the columns outside m.  Branching on the
     lowest cell of m, partners ascending, gives segment order directly.
     """
     import numpy as np
@@ -309,7 +306,7 @@ def _layer_options(shape: tuple[tuple[int, ...], ...]):
         if got is not None:
             return got
         if not m:
-            got = np.zeros((1, size), dtype=np.int16), [0]
+            got = np.full((1, size), -1, dtype=np.int16), [0]
         else:
             low = m & -m
             i = low.bit_length() - 1

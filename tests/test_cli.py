@@ -687,6 +687,17 @@ def test_box_path_too_large_is_refused_before_its_cells(tmp_path, argv):
     assert obj["timing"] < 1
 
 
+@pytest.mark.parametrize("method", ["auto", "transfer"])
+def test_cylinder_count_over_a_large_base_is_refused_before_its_cells(method):
+    # the base's cell count is the product of the spec's dims: a base of
+    # 10^6 cells is refused for the transfer engine before any cell is built
+    proc, obj = _run_capped(["count", "--region", "cyl:1000,1000xN=1", "--method", method])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == "plug enumeration needs a base with at most 24 cells, got 1000000"
+    assert obj["region"] == "cyl:1000,1000xN=1"
+    assert obj["timing"] < 1
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dominotwist.cli", "count",

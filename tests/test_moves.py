@@ -528,6 +528,36 @@ def test_flip_connected_budget_indeterminate():
     assert flip_connected(t0, t1, budget=2) is Connectivity.INDETERMINATE
 
 
+@pytest.mark.parametrize("chunk", [moves.FRONTIER_CHUNK, 4])
+def test_flip_connected_budget_caps_states_built(census_222_n3, monkeypatch, chunk):
+    # the search builds at most budget + 1 states (the two ends and the
+    # rows of every level are counted); a level cut at the room left still
+    # tests its later chunks against the other side, so a pair whose sides
+    # meet on the level that starts with no room left stays CONNECTED
+    monkeypatch.setattr(moves, "FRONTIER_CHUNK", chunk)
+    rep = census_222_n3.report
+    giant = np.flatnonzero(np.asarray(rep.comp_of) == 0)
+    ts = [Tiling(rep.region, rep.state(int(i))) for i in giant[::len(giant) // 6]]
+    expand, levels = moves._expand, []
+
+    def counted(*args):
+        out = expand(*args)
+        levels.append(None if out is None else len(out[1]))
+        return out
+
+    monkeypatch.setattr(moves, "_expand", counted)
+    for t0, t1 in itertools.combinations(ts, 2):
+        for budget in (50, 200):
+            levels.clear()
+            got = flip_connected(t0, t1, budget)
+            assert got is reference_connected(t0, t1, budget), budget
+            assert 2 + sum(filter(None, levels)) <= budget + 1, (budget, levels)
+        levels.clear()
+        assert flip_connected(t0, t1) is Connectivity.CONNECTED
+        met = 2 + sum(levels[:-1])  # states built before the meeting level
+        assert flip_connected(t0, t1, met) is Connectivity.CONNECTED
+
+
 def test_isolated_twist1_tilings_disconnected(census_2222):
     rep = census_2222.report
     iso = [rep.representative_tiling(k) for k in range(1, 3)]
