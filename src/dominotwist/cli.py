@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
-from .plugs import check_plug_base
+from .plugs import check_defect_base, check_plug_base
 from .regions import DEFAULT_BUDGET, Region, parse_region_spec, region_spec
 from .tilings import Tiling, _is_int_cell, as_cylinder, count_tilings, tiling_from_json_obj, tiling_from_text
 
@@ -129,14 +129,19 @@ def _cyl_base_cells(text: str) -> int:
     return math.prod(map(int, dims))
 
 
-def cmd_count(args) -> CommandResult:
-    # auto takes the transfer engine on a balanced base, and a box base is
-    # balanced when its cell count is even: a base too large for plugs is
-    # refused from the spec, as building a large region takes seconds
+def _check_cyl_base(args, check) -> None:
+    """Refuse from the spec, with check(base cells), a cyl: base too large
+    for the transfer engine, as building a large region takes seconds.
+    auto takes that engine on a balanced base, and a box base is balanced
+    when its cell count is even."""
     nb = _cyl_base_cells(args.region)
     if args.method == "transfer" or args.method == "auto" and nb % 2 == 0:
         _name_region(args, args.region.strip())
-        check_plug_base(nb)
+        check(nb)
+
+
+def cmd_count(args) -> CommandResult:
+    _check_cyl_base(args, check_plug_base)
     region = _region_arg(args, args.region)
     method, cyl = _method(region, args.method, "enum")
     if method == "transfer":
@@ -168,6 +173,7 @@ def cmd_twist(args) -> CommandResult:
 
 
 def cmd_defect(args) -> CommandResult:
+    _check_cyl_base(args, check_defect_base)
     region = _region_arg(args, args.region)
     method, cyl = _method(region, args.method, "det")
     if method == "det":

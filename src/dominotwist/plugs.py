@@ -1,9 +1,11 @@
-"""Plugs of a cylinder base, in pure Python.
+"""Plugs of a cylinder base, and the base sizes the cylinder engines take,
+in pure Python.
 
 A plug is a balanced subset of base cells, encoded as a bitmask over the
 base's cell order.  The transfer engines index their matrices by plugs and
 the Hamiltonian-path code computes the flux of each plug; this module
-holds what both need, so that the path code imports no array library.
+holds what both need, so that the path code imports no array library, and
+the size limits the command line checks before it builds a region.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from itertools import combinations
 from .regions import Region
 
 MAX_PLUG_BASE_CELLS = 24
+# the defect recursion keeps k x k matrices, k = cells/2, and ends in a
+# Bareiss determinant: a 32 x 32 base takes about 4 s and 40 MB at N = 1
+MAX_DEFECT_BASE_CELLS = 1024
 
 
 class TransferError(ValueError):
@@ -32,6 +37,14 @@ def check_plug_base(cells: int) -> None:
     if cells > MAX_PLUG_BASE_CELLS:
         raise TransferError(
             f"plug enumeration needs a base with at most {MAX_PLUG_BASE_CELLS}"
+            f" cells, got {cells}")
+
+
+def check_defect_base(cells: int) -> None:
+    """Refuse a base of more cells than the cylinder defect allows."""
+    if cells > MAX_DEFECT_BASE_CELLS:
+        raise TransferError(
+            f"the cylinder defect needs a base with at most {MAX_DEFECT_BASE_CELLS}"
             f" cells, got {cells}")
 
 

@@ -38,7 +38,7 @@ from .kasteleyn import (
     inversion_parity,
     sign_matrix,
 )
-from .plugs import MAX_PLUG_BASE_CELLS, TransferError, enumerate_plugs, is_plug  # noqa: F401 (re-exported)
+from .plugs import MAX_PLUG_BASE_CELLS, TransferError, check_defect_base, enumerate_plugs, is_plug  # noqa: F401 (re-exported)
 from .regions import Region, region_spec
 from .tilings import Tiling, enumerate_tilings
 
@@ -130,38 +130,47 @@ class TransferMatrices:
         return self.rows_signed.dense()
 
     def _minors(self, signed: bool) -> np.ndarray:
-        """The minor of K on every cell mask, by Laplace expansion along the
-        mask's lowest black cell: the determinant if signed, else the
-        permanent of |K| (every sign +1, no column parity)."""
+        """The minor of K on every cell mask: the determinant if signed, else
+        the permanent of |K| (every sign +1, no column parity).
+
+        Laplace expansion along the mask's lowest black cell i gives
+        table[m] = sum over the white neighbours j of i in m of
+        +-table[m ^ (1 << i | 1 << j)], a mask whose black cells all lie
+        above i.  So the black cells are taken from the last label to the
+        first, and the masks whose lowest black cell is i are filled at once,
+        from entries already final: they are 1 << i | c | low, for c a subset
+        of i's neighbours and low one of the other white cells and the black
+        cells above i.  Masks with no black cell keep 0, but for the empty
+        mask's 1."""
         base = self.base
         kb = sign_matrix(base)
         wr = base.white_rank
-        n = len(base.cells)
-        white_bits = sum(1 << j for j in base.white_cells)
-        # the edge from black cell i to j flips its term when m | 1 << n has
-        # an odd number of bits in `flip`: bit n for a -1 entry of K, and the
-        # white cells before j for the column parity (0 for the permanent)
-        edges = {i: [(1 << j, (kb[r][wr[j]] < 0) << n | white_bits & ((1 << j) - 1)
-                      if signed else 0) for j in base.neighbors[i]]
-                 for r, i in enumerate(base.black_cells)}
-        black_bits = self.full ^ white_bits
-        table = [0] * (self.full + 1)
+        whites = base.white_cells
+        table = np.zeros(self.full + 1, dtype=np.int64)
         table[0] = 1
-        for m in range(1, self.full + 1):
-            mb = m & black_bits
-            if not mb:
-                continue  # whites left without blacks: no matching
-            low = mb & -mb
-            rest, mn = m ^ low, m | 1 << n
-            acc = 0
-            for bit, flip in edges[low.bit_length() - 1]:
-                if m & bit:
-                    minor = table[rest ^ bit]
-                    if flip and (mn & flip).bit_count() & 1:
-                        minor = -minor
-                    acc += minor
-            table[m] = acc
-        return np.array(table, dtype=np.int64)
+        for r in reversed(range(self.k)):
+            i = base.black_cells[r]
+            nbrs = base.neighbors[i]
+            low = _subsets([j for j in whites if j not in nbrs] + list(base.black_cells[r + 1:]))
+            # the term of j is negated by a -1 entry of K and by the white
+            # cells before j: those of low as a +-1 array, those of c below
+            neg = [signed and kb[r][wr[j]] < 0 for j in nbrs]
+            before = [sum(1 << w for w in whites if w < j) if signed else 0 for j in nbrs]
+            flips = [1 - 2 * _parity(low & b).astype(np.int8) if b else None for b in before]
+            for c in range(1, 1 << len(nbrs)):
+                cbits = sum(1 << j for t, j in enumerate(nbrs) if c >> t & 1)
+                acc = np.zeros(len(low), dtype=np.int64)
+                for t, j in enumerate(nbrs):
+                    if c >> t & 1:
+                        term = table[low + (cbits ^ 1 << j)]
+                        if flips[t] is not None:
+                            term *= flips[t]
+                        if (neg[t] + (cbits & before[t]).bit_count()) & 1:
+                            acc -= term
+                        else:
+                            acc += term
+                table[low + (cbits | 1 << i)] = acc
+        return table
 
     @cached_property
     def count_table(self) -> np.ndarray:
@@ -211,6 +220,11 @@ class TransferMatrices:
         return np.unique(label, return_inverse=True)[1]
 
     @cached_property
+    def orbit_sizes(self) -> list[int]:
+        """Number of plugs in each orbit."""
+        return np.bincount(self.plug_orbit).tolist()
+
+    @cached_property
     def reps(self) -> np.ndarray:
         """Plug index of each orbit's representative, its least plug."""
         return np.unique(self.plug_orbit, return_index=True)[1]
@@ -232,6 +246,22 @@ class TransferMatrices:
         """comp[o]: the orbit of the complement of orbit o's representative."""
         comp = np.searchsorted(self.plugs_np, self.full ^ self.plugs_np[self.reps])
         return self.plug_orbit[comp].tolist()
+
+
+def _subsets(bits: list[int]) -> np.ndarray:
+    """The masks of every subset of the given bit positions (below 31), as
+    int32: after k positions the first 2^k entries hold their subsets."""
+    out = np.zeros(1 << len(bits), dtype=np.int32)
+    for k, b in enumerate(bits):
+        np.bitwise_or(out[:1 << k], 1 << b, out=out[1 << k:2 << k])
+    return out
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry of a nonnegative int32 array."""
+    for s in (16, 8, 4, 2, 1):
+        x = x ^ x >> s
+    return x & 1
 
 
 def _project(plugs: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
@@ -315,16 +345,18 @@ class _CSR:
         return out
 
     @cached_property
-    def _gather(self) -> tuple[list, list[int], list[int]]:
+    def _gather(self) -> list[tuple[list[int], list[int]]]:
+        """(entries, columns) of each row, as lists of Python ints."""
         ids = list(range(self.size))  # one int object per column index
-        spans = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
-        return spans, list(map(ids.__getitem__, self.cols.tolist())), self.vals.tolist()
+        cols = list(map(ids.__getitem__, self.cols.tolist()))
+        vals = self.vals.tolist()
+        bounds = self.indptr.tolist()
+        return [(vals[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def step(self, vec: list[int]) -> list[int]:
         """M v in exact Python integers: the one exact matrix-vector loop."""
-        spans, cols, vals = self._gather
         get = vec.__getitem__
-        return [sum(map(mul, vals[a:b], map(get, cols[a:b]))) for a, b in spans]
+        return [sum(map(mul, vals, map(get, cols))) for vals, cols in self._gather]
 
     def power(self, start: int, n: int) -> list[int]:
         """M^n e_start: row `start` of M^n when M is symmetric, as A and At are."""
@@ -452,11 +484,21 @@ def power_vector(matrix: _CSR, start: int, n: int, size: int) -> list[int]:
 
 
 def cylinder_count(base: Region, floors: int) -> int:
-    """Number of tilings of base x [0, floors], by the exact power of A
-    lumped over plug orbits."""
+    """Number of tilings of base x [0, floors], e_0 . A^N e_0 met in the
+    middle on the lumped A.
+
+    A is symmetric, so the count is (A^a e_0) . (A^b e_0) for any a + b = N.
+    The empty plug is an orbit of its own, so A^h e_0 is constant on each
+    plug orbit o, where it is (R^h e_0)[o] (see the notes on orbits).  The
+    dot product is then sum_o |o| u_o w_o, with w = R^(N//2) e_0 and u = w
+    when N is even, R w when it is odd: half the steps, on integers of half
+    the length."""
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
-    return _base_tables(base).lumped.power(0, floors)[0]
+    tables = _base_tables(base)
+    w = tables.lumped.power(0, floors // 2)
+    u = tables.lumped.step(w) if floors % 2 else w
+    return sum(map(mul, tables.orbit_sizes, map(mul, u, w)))
 
 
 def cylinder_defect(base: Region, floors: int) -> int:
@@ -477,6 +519,7 @@ def cylinder_defect(base: Region, floors: int) -> int:
     """
     if floors < 0:
         raise TransferError("floor count must be nonnegative")
+    check_defect_base(len(base.cells))
     if not base.balanced:
         raise TransferError("cylinder defect needs a balanced base")
     kb = sign_matrix(base)

@@ -698,6 +698,18 @@ def test_cylinder_count_over_a_large_base_is_refused_before_its_cells(method):
     assert obj["timing"] < 1
 
 
+@pytest.mark.parametrize("method", ["auto", "transfer"])
+def test_cylinder_defect_over_a_large_base_is_refused_before_its_cells(method):
+    # the defect recursion needs no plugs but keeps k x k matrices: a base of
+    # 10^6 cells is refused from the spec before any cell is built
+    proc, obj = _run_capped(["defect", "--region", "cyl:1000,1000xN=1", "--method", method])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == \
+        "the cylinder defect needs a base with at most 1024 cells, got 1000000"
+    assert obj["region"] == "cyl:1000,1000xN=1"
+    assert obj["timing"] < 1
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dominotwist.cli", "count",

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import zlib
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dominotwist.kasteleyn import defect_by_determinant, defect_by_enumeration, twist
+from dominotwist.kasteleyn import defect_by_determinant, defect_by_enumeration, sign_matrix, twist
+from dominotwist.plugs import MAX_DEFECT_BASE_CELLS
 from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
@@ -84,6 +89,51 @@ def test_signed_floor_sum_matches_enumeration():
             assert tables.count_table[mask] == count_tilings(floor_subregion(base, mask)), bin(mask)
             assert signed_floor_sum(base, mask) == \
                 signed_floor_sum_by_enumeration(base, mask), bin(mask)
+
+
+def reference_minors(base: Region, signed: bool) -> list[int]:
+    """The minor of K on every cell mask, one mask at a time in increasing
+    order, by Laplace expansion along the mask's lowest black cell: the
+    determinant if signed, else the permanent of |K|."""
+    kb = sign_matrix(base)
+    wr = base.white_rank
+    n = len(base.cells)
+    full = (1 << n) - 1
+    white_bits = sum(1 << j for j in base.white_cells)
+    # the edge from black cell i to j flips its term when m | 1 << n has
+    # an odd number of bits in `flip`: bit n for a -1 entry of K, and the
+    # white cells before j for the column parity (0 for the permanent)
+    edges = {i: [(1 << j, (kb[r][wr[j]] < 0) << n | white_bits & ((1 << j) - 1)
+                  if signed else 0) for j in base.neighbors[i]]
+             for r, i in enumerate(base.black_cells)}
+    black_bits = full ^ white_bits
+    table = [0] * (full + 1)
+    table[0] = 1
+    for m in range(1, full + 1):
+        mb = m & black_bits
+        if not mb:
+            continue  # whites left without blacks: no matching
+        low = mb & -mb
+        rest, mn = m ^ low, m | 1 << n
+        acc = 0
+        for bit, flip in edges[low.bit_length() - 1]:
+            if m & bit:
+                minor = table[rest ^ bit]
+                if flip and (mn & flip).bit_count() & 1:
+                    minor = -minor
+                acc += minor
+        table[m] = acc
+    return table
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (2, 2, 2, 2), None], ids=["4,4", "2,2,2,2", "ring"])
+def test_minor_tables_match_the_scalar_expansion(dims):
+    # the tables fill all masks of one lowest black cell at once, in numpy
+    base = RING if dims is None else make_box(dims)
+    tables = _base_tables(base)
+    assert tables.count_table.dtype == tables.signed_table.dtype == np.int64
+    assert tables.count_table.tolist() == reference_minors(base, False)
+    assert tables.signed_table.tolist() == reference_minors(base, True)
 
 
 def test_transfer_count_small_cylinders():
@@ -397,6 +447,36 @@ def test_large_base_matrix_free_route():
         assert cylinder_defect(base, floors) == defect_by_enumeration(r)
 
 
+# Builds the count table of the 24-cell base 4x6 in a fresh interpreter, then
+# prints its full entry, its sum and the interpreter's peak (VmHWM, in kB;
+# not ru_maxrss, which a child starts at its parent's RSS).
+TWENTY_FOUR_CELL_PROBE = (
+    "import re\n"
+    "from dominotwist.regions import make_box\n"
+    "from dominotwist.transfer import TransferMatrices\n"
+    "table = TransferMatrices(make_box((4, 6))).count_table\n"
+    "print(int(table[-1]), int(table.sum()))\n"
+    "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+)
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_twenty_four_cell_count_table_peak_memory():
+    # 2^24 int64 entries (128 MB) beside 2,704,156 plugs (215 MB before the
+    # table): measured at 394-404 MB with numpy 2.4 and Python 3.11, 46 MB
+    # under the bound; the scalar expansion into a list peaked at 470 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    proc = subprocess.run([sys.executable, "-c", TWENTY_FOUR_CELL_PROBE],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    values, peak_kb = proc.stdout.splitlines()
+    assert values == "281 1453535"  # the 4x6 tilings; all tilings of its cell subsets
+    assert int(peak_kb) < 450 * 1024, f"4x6 count table peaked at {int(peak_kb) >> 10} MB"
+
+
 # ------------------------------------------------ lumped symmetry-orbit engine
 
 LUMP_BASES = [(2, 2, 2), (2, 3), (2, 5), (2, 2, 3), (3, 4)]
@@ -414,6 +494,21 @@ def test_lumped_power_matches_unlumped(base):
     for n in range(21):
         assert tables.lumped.power(0, n) == [vec[r] for r in tables.reps.tolist()], n
         vec = tm.rows_count.step(vec)
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (2, 2, 3), (2, 5), (2, 2, 2, 2)],
+                         ids=lambda d: ",".join(map(str, d)))
+def test_cylinder_count_meets_in_the_middle(dims):
+    # every plug orbit but the empty plug's has more than one plug, so the
+    # orbit sizes weigh the dot product of the two half powers
+    base = make_box(dims)
+    tables = _base_tables(base)
+    assert max(tables.orbit_sizes) > 1 and tables.orbit_sizes[0] == 1
+    assert sum(tables.orbit_sizes) == tables.size
+    vec = power_vector(tables.rows_count, 0, 0, tables.size)
+    for n in range(10):
+        assert cylinder_count(base, n) == vec[0], n  # row 0 of the unlumped A^n
+        vec = tables.rows_count.step(vec)
 
 
 def test_orbit_counts():
@@ -493,6 +588,8 @@ def test_block_defect_rejects_bad_input():
         cylinder_defect(make_box((3, 3)), 2)  # unbalanced
     with pytest.raises(TransferError):
         cylinder_defect(B222, -1)
+    with pytest.raises(TransferError, match=f"at most {MAX_DEFECT_BASE_CELLS} cells, got 1026"):
+        cylinder_defect(make_box((2, 513)), 1)
 
 
 def test_sixteen_cell_bases_at_depth_twenty():
