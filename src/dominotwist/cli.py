@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
-from .plugs import check_defect_base, check_plug_base
+from .plugs import check_defect_base, check_determinant_cells, check_plug_base
 from .regions import DEFAULT_BUDGET, Region, parse_region_spec, region_spec
 from .tilings import Tiling, _is_int_cell, as_cylinder, count_tilings, tiling_from_json_obj, tiling_from_text
 
@@ -117,16 +117,19 @@ def _method(region: Region, method: str, fallback: str) -> tuple[str, tuple | No
     return method, cyl
 
 
-def _cyl_base_cells(text: str) -> int:
-    """Base cell count of a 'cyl:<dims>xN=<floors>' spec with at least one
-    floor, the product of its dims, read from the text alone; 0 for any
-    other spec."""
+def _spec_sizes(text: str) -> tuple[str, list[int]]:
+    """The kind and sizes of a 'box:<dims>' spec, or of a
+    'cyl:<dims>xN=<floors>' spec with at least one floor, floors last, read
+    from the text alone; ('', []) for any other spec."""
     kind, _, rest = text.strip().partition(":")
-    dims, _, floors = rest.partition("xN=")
-    dims = dims.split(",")
-    if kind != "cyl" or not all(x.isdecimal() for x in dims + [floors]) or not int(floors):
-        return 0
-    return math.prod(map(int, dims))
+    if kind == "cyl":
+        dims, _, floors = rest.partition("xN=")
+        sizes = dims.split(",") + [floors]
+    else:
+        sizes = rest.split(",")
+    if kind not in ("box", "cyl") or not all(x.isdecimal() for x in sizes) or not int(sizes[-1]):
+        return "", []
+    return kind, [int(x) for x in sizes]
 
 
 def _check_cyl_base(args, check) -> None:
@@ -134,10 +137,25 @@ def _check_cyl_base(args, check) -> None:
     for the transfer engine, as building a large region takes seconds.
     auto takes that engine on a balanced base, and a box base is balanced
     when its cell count is even."""
-    nb = _cyl_base_cells(args.region)
+    kind, sizes = _spec_sizes(args.region)
+    nb = math.prod(sizes[:-1]) if kind == "cyl" else 0
     if args.method == "transfer" or args.method == "auto" and nb % 2 == 0:
         _name_region(args, args.region.strip())
         check(nb)
+
+
+def _check_det_cells(args) -> None:
+    """Refuse from the spec a box or cylinder too large for the determinant
+    defect.  det takes that engine, and so does auto on a box or on a
+    cylinder over an unbalanced base.  A box is balanced when its cell
+    count is even; an unbalanced one answers 0 at any size."""
+    kind, sizes = _spec_sizes(args.region)
+    cells = math.prod(sizes)
+    det = args.method == "det" or args.method == "auto" and (
+        kind == "box" or math.prod(sizes[:-1]) % 2)
+    if kind and det and cells % 2 == 0:
+        _name_region(args, args.region.strip())
+        check_determinant_cells(cells)
 
 
 def cmd_count(args) -> CommandResult:
@@ -174,6 +192,7 @@ def cmd_twist(args) -> CommandResult:
 
 def cmd_defect(args) -> CommandResult:
     _check_cyl_base(args, check_defect_base)
+    _check_det_cells(args)
     region = _region_arg(args, args.region)
     method, cyl = _method(region, args.method, "det")
     if method == "det":

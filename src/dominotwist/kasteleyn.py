@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
+from .plugs import check_determinant_cells
 from .regions import Region
 from .tilings import MAX_PACKED_CELLS, Tiling, enumerate_tilings, partner_matrix
 
@@ -256,9 +257,12 @@ def bareiss_determinant(rows) -> int:
 
 
 def defect_by_determinant(region: Region) -> int:
-    """det K under canonical labels; 0 for unbalanced regions (no tilings)."""
+    """det K under canonical labels; 0 for unbalanced regions (no tilings).
+    A balanced region of more than MAX_DEFECT_BASE_CELLS cells is refused
+    before its sign matrix is built."""
     if not region.balanced:
         return 0
+    check_determinant_cells(len(region.cells))
     return bareiss_determinant(sign_matrix(region))
 
 

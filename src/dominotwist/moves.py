@@ -11,23 +11,26 @@ vectors (pack_state, at most 255 cells) go through the numpy kernels
 below, in rows of a uint8 matrix; flip_neighbors_bytes, one state at a
 time, is kept as the independent check behind is_flip_pair.
 
-The numpy kernels key a tiling by one exact mixed-radix number
-(_key_table): a digit per black cell, the rank of its partner among its
-neighbours, packed into as many 64-bit words as the digits need, so keys
-are injective at any size with no random table.  A flip moves a key by a
-constant delta per square and orientation.
-
 The census (flip_components) runs over all tilings at once: the states x
 cells uint8 matrix of tilings.partner_matrix, kept as the report's states,
-flip edges found a group of unit squares at a time by key lookup and
-merged into min labels (hooking, pointer jumping) before the next group,
-and one twist per component, read from its representative.  Both searches
-expand whole frontiers of rows and their keys through one kernel,
-_expand: flip_connected is a bidirectional BFS, one level at a time, and
-padded_merge_search a best-first search, one score level at a time, that
-returns a path.  Both budgets cap the states built, one past the budget at
-most; an exhausted budget of flip_connected yields INDETERMINATE, never a
-wrong boolean, and one of padded_merge_search yields no path.
+flip edges found a group of unit squares at a time and merged into min
+labels (hooking, pointer jumping) before the next group, and one twist
+per component, read from its representative.  It needs no key: the rows
+are sorted, and a flip keeps the order of the rows it applies to, so the
+k-th row on one side of a square flips to the k-th row on the other.
+
+The searches do not hold every tiling, so they key a tiling by one exact
+mixed-radix number (_key_table): a digit per black cell, the rank of its
+partner among its neighbours, packed into as many 64-bit words as the
+digits need, so keys are injective at any size with no random table.  A
+flip moves a key by a constant delta per square and orientation.  Both
+searches expand whole frontiers of rows and their keys through one
+kernel, _expand: flip_connected is a bidirectional BFS, one level at a
+time, and padded_merge_search a best-first search, one score level at a
+time, that returns a path.  Both budgets cap the states built, one past
+the budget at most; an exhausted budget of flip_connected yields
+INDETERMINATE, never a wrong boolean, and one of padded_merge_search
+yields no path.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from .regions import DEFAULT_BUDGET, Region
 from .tilings import MAX_PACKED_CELLS, Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
 FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
-SQUARE_GROUP = 8  # unit squares per census group (at most 8: one uint8 of side masks)
+# unit squares per census group: on cyl:2,2,2xN=5 groups of 8, 16 and 32
+# took the same time, at peaks of 289, 358 and 442 MB
+SQUARE_GROUP = 8
 
 
 class Connectivity(Enum):
@@ -164,12 +169,14 @@ class ComponentReport:
 
     states is the states x cells uint8 matrix of partner_matrix: every
     tiling, one row each, in ascending byte order; state(i) is row i as
-    packed bytes.  components are sorted by size descending, then by
-    representative bytes; comp_of[i] is the component id of state i;
-    twists[i] is its twist, computed on first read (None with no states);
-    flip_edges counts the edges of the whole flip graph, each flip once.
-    complete is always true and visited is the number of states: the
-    census has no budget.
+    packed bytes.  The census pairs flip neighbours by their rank in that
+    order, and its labels are state ids, so a component's smallest id is
+    its representative, its smallest state.  components are sorted by size
+    descending, then by representative bytes; comp_of[i] is the component
+    id of state i; twists[i] is its twist, computed on first read (None
+    with no states); flip_edges counts the edges of the whole flip graph,
+    each flip once.  complete is always true and visited is the number of
+    states: the census has no budget.
     """
 
     region: Region
@@ -270,37 +277,19 @@ def _key_words(region: Region, table: np.ndarray, P: np.ndarray) -> np.ndarray:
     return words
 
 
-def _state_keys(region: Region, P: np.ndarray):
-    """Keys of the states (rows of P) under the mixed-radix table T of
-    _key_table: their argsort order, the sorted key words and T.
-
-    T is symmetric, so the flip on square (a, b, c, d) from a-b, c-d to
-    a-c, b-d moves a key by T[a,c] + T[b,d] - T[a,b] - T[c,d] whichever
-    cells are black.  Keys are injective on tilings; two equal keys mean
-    equal rows, which the census never holds.
-    """
-    table = _key_table(region)
-    words = _key_words(region, table, P)
-    order = np.argsort(_as_key(words)).astype(np.int32)
-    words = words[order]
-    keys = _as_key(words)
-    if (keys[1:] == keys[:-1]).any():
-        raise RuntimeError("two states share a key")
-    return order, words, table
-
-
 def _label_components(region: Region, P: np.ndarray) -> tuple[np.ndarray, int]:
     """Smallest state id of each state's component, and the number of flip
     edges, by min-label hooking with pointer jumping (Shiloach-Vishkin).
     No array of all edges is built: the edges of SQUARE_GROUP unit squares
-    are merged into the labels before the next group is looked up.
+    are merged into the labels before the next group is found.
 
-    Labels are positions in key order.  An edge is found once, from the
-    side where its square (a, b, c, d) pairs a-b and c-d, and its other end
-    is looked up by key; every flip neighbour of a state must be a state.
-    A group's side masks share the bits of one uint8 per state, gathered
-    into key order at once, so each square's states come in key order; with
-    one key word, adding the square's delta keeps their keys sorted.
+    Labels are state ids, that is row numbers of P, whose rows are distinct
+    and in ascending byte order.  An edge is found once per square
+    (a, b, c, d): s are the rows that pair a-b and c-d, t the rows that pair
+    a-c and b-d.  The flip from s to t changes only columns a, b, c and d,
+    which hold the same values on every row of s and on every row of t, so
+    it keeps the rows' order: row s[k] flips to row t[k].  Every flip
+    neighbour of a state must be a state, so s and t have the same length.
 
     Per square, the pairs whose end labels differ are kept.  With the pairs
     carried from the previous group, each hooks its larger root onto the
@@ -308,50 +297,37 @@ def _label_components(region: Region, P: np.ndarray) -> tuple[np.ndarray, int]:
     still differ are carried on, past the last group until none is left.
     This is sound:
     - every label is a root when a group starts and nothing is hooked while
-      it is looked up, so a pair whose labels agree lies in one tree;
+      it is found, so a pair whose labels agree lies in one tree;
     - a hook only ever overwrites a root's own pointer;
     - a pair whose hook lost to a smaller one still has differing roots,
       so it is carried;
-    - labels only decrease, so each ends as its component's smallest key
-      position, which the last pass maps to its smallest state id.
+    - labels only decrease, so each ends as its component's smallest
+      state id.
     """
-    order, words, table = _state_keys(region, P)
-    sorted_keys = _as_key(words)
-    need, _, _, delta = _flip_moves(region, table)
-    need, delta = need[::2], delta[::2]
+    squares = region.squares
     lab = np.arange(len(P), dtype=np.int32)
     u = v = lab[:0]  # the pairs (u[k], v[k]) of differing roots carried on
     edges, lo = 0, 0
-    while lo < len(need) or len(u):
-        group = range(lo, min(lo + SQUARE_GROUP, len(need)))
-        lo += SQUARE_GROUP
-        bits = np.zeros(len(P), dtype=np.uint8)
-        for k in group:
-            (a, b), (c, d) = need[k]
-            bits |= ((P[:, a] == b) & (P[:, c] == d)).view(np.uint8) << k % SQUARE_GROUP
-        bits = bits[order]
+    while lo < len(squares) or len(u):
         us, vs = [u], [v]
-        for k in group:
-            at = np.flatnonzero((bits & (1 << k % SQUARE_GROUP)) != 0)
-            keys = _as_key(words[at] + delta[k])
-            to = np.minimum(np.searchsorted(sorted_keys, keys), len(P) - 1)
-            if not (sorted_keys[to] == keys).all():
+        for a, b, c, d in squares[lo:lo + SQUARE_GROUP]:
+            s = np.flatnonzero((P[:, a] == b) & (P[:, c] == d))
+            t = np.flatnonzero((P[:, a] == c) & (P[:, b] == d))
+            if len(s) != len(t):
                 raise RuntimeError("a flip neighbour is missing from the states")
-            edges += len(at)
-            s, d = lab[at], lab[to]
-            us.append(s[s != d])
-            vs.append(d[s != d])
+            edges += len(s)
+            s, t = lab[s], lab[t]
+            keep = s != t
+            us.append(s[keep])
+            vs.append(t[keep])
+        lo += SQUARE_GROUP
         u, v = np.concatenate(us), np.concatenate(vs)
         del us, vs
         np.minimum.at(lab, np.maximum(u, v), np.minimum(u, v))
         lab = _jump(lab)
         u, v = lab[u], lab[v]
         u, v = u[u != v], v[u != v]
-    smallest = np.full(len(P), len(P), dtype=np.int32)
-    np.minimum.at(smallest, lab, order)
-    out = np.empty_like(lab)
-    out[order] = smallest[lab]
-    return out, edges
+    return lab, edges
 
 
 def _jump(lab: np.ndarray) -> np.ndarray:

@@ -48,6 +48,15 @@ def check_defect_base(cells: int) -> None:
             f" cells, got {cells}")
 
 
+def check_determinant_cells(cells: int) -> None:
+    """Refuse a region of more cells than the determinant defect allows: its
+    sign matrix is k x k, k = cells/2, as in the cylinder defect."""
+    if cells > MAX_DEFECT_BASE_CELLS:
+        raise TransferError(
+            f"the determinant defect needs a region with at most {MAX_DEFECT_BASE_CELLS}"
+            f" cells, got {cells}")
+
+
 def enumerate_plugs(base: Region) -> list[int]:
     """All balanced subsets of base cells as bitmasks, ascending.
 

@@ -710,6 +710,21 @@ def test_cylinder_defect_over_a_large_base_is_refused_before_its_cells(method):
     assert obj["timing"] < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--region", "cyl:1000,1000xN=1", "--method", "det"],
+    ["--region", "box:1000,1000"],
+], ids=["det", "auto-box"])
+def test_determinant_defect_over_a_large_region_is_refused_before_its_cells(argv):
+    # det keeps a k x k sign matrix, k = cells/2: a balanced region of 10^6
+    # cells is refused from the spec before any cell is built
+    proc, obj = _run_capped(["defect", *argv])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == \
+        "the determinant defect needs a region with at most 1024 cells, got 1000000"
+    assert obj["region"] == argv[1]
+    assert obj["timing"] < 1
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dominotwist.cli", "count",

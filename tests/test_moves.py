@@ -275,9 +275,11 @@ CENSUS_CASES = ["box:2,2,3", "box:3,3,2", "box:4,4", "box:2,8", "box:2,2,2,2",
 
 # at the default group size ids end in "-None", so that every case keeps
 # the name it has in earlier test reports.  One square's flip edges form a
-# matching, so one square per group carries almost no pair; at four
-# squares per group every case with tilings carries pairs whose roots
-# still differ into a later group (3 on box:2,2,3, 1,720 on cyl:2,2,2xN=3)
+# matching, so one square per group carries almost no pair.  Labels are
+# state ids; at four squares per group every case with tilings but box:2,8
+# carries pairs whose roots still differ into a later group, summed over
+# the groups: 6 on box:2,2,3, 160 on box:3,3,2, 10 on box:4,4, 140 on
+# box:2,2,2,2 and 4,213 on cyl:2,2,2xN=3
 @pytest.mark.parametrize(("spec", "group"),
                          [(s, moves.SQUARE_GROUP) for s in CENSUS_CASES]
                          + [(s, 4) for s in CENSUS_CASES],
@@ -305,6 +307,16 @@ def test_census_kernel_with_multiword_keys():
         t0, t1 = (ts[k] for k in rng.choice(len(ts), 2, replace=False))
         for budget in (0, 5, moves.DEFAULT_BUDGET):
             assert flip_connected(t0, t1, budget) is reference_connected(t0, t1, budget)
+
+
+@pytest.mark.parametrize("row", [0, 3000, -1])
+def test_census_refuses_states_missing_a_flip_neighbour(row):
+    # every tiling of cyl:2,2,2xN=3 has a flip, so without one row some
+    # square has one state fewer on one side than on the other
+    region = parse_region_spec("cyl:2,2,2xN=3")
+    P = np.asfortranarray(np.delete(partner_matrix(region), row, axis=0))
+    with pytest.raises(RuntimeError, match="a flip neighbour is missing from the states"):
+        moves._label_components(region, P)
 
 
 PACKER_CASES = sorted(set(CENSUS_CASES) | {
@@ -339,14 +351,16 @@ def test_partner_matrix_matches_reference_packer(spec):
 
 
 @st.composite
-def cell_sets(draw):
-    """8 to 18 cells of a box with corner (-1, ..., -1) in dimension 2, 3
-    or 4: 4^2, 3^3 or 2^4 cells, so dense sets have tilings.  Unless the
-    set is kept as drawn, its last cells of the surplus colour are dropped
-    until it is balanced."""
-    dim = draw(st.integers(2, 4))
-    coord = st.integers(-1, {2: 2, 3: 1, 4: 0}[dim])
-    region = Region(dim, draw(st.sets(st.tuples(*[coord] * dim), min_size=8, max_size=18)))
+def cell_sets(draw, dims=(2, 3, 4), min_size=8, max_size=18, side=None):
+    """min_size to max_size cells of a box with corner (-1, ..., -1) and
+    `side` cells a side, in a dimension of dims, 2, 3 or 4: by default 4^2,
+    3^3 or 2^4 cells, so dense sets have tilings.  Unless the set is kept
+    as drawn, its last cells of the surplus colour are dropped until it is
+    balanced."""
+    dim = draw(st.sampled_from(dims))
+    coord = st.integers(-1, (side or {2: 4, 3: 3, 4: 2}[dim]) - 2)
+    region = Region(dim, draw(st.sets(st.tuples(*[coord] * dim),
+                                      min_size=min_size, max_size=max_size)))
     if draw(st.booleans()):
         return region
     surplus = sum(region.colors)
@@ -373,6 +387,30 @@ def test_partner_matrix_on_random_regions(region):
     got = partner_matrix(region)
     assert got.shape == (len(want), len(region.cells))
     assert [row.tobytes() for row in got] == want
+
+
+@st.composite
+def cylinders(draw):
+    """1 to 3 floors over a planar cell_sets base of 4 to 9 cells of the
+    3 x 3 square.  A cylinder one cell out of balance loses its last cell
+    of the surplus colour, so that its top floor is partial."""
+    region = make_cylinder(draw(cell_sets(dims=(2,), min_size=4, max_size=9, side=3)),
+                           draw(st.integers(1, 3)))
+    surplus = sum(region.colors)
+    if abs(surplus) != 1:
+        return region
+    last = max(i for i, c in enumerate(region.colors) if c == surplus)
+    return Region(3, region.cells[:last] + region.cells[last + 1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cylinders())
+@example(CYLINDER)
+@example(Region(3, make_cylinder(make_box((3, 3)), 3).cells[:-1]))
+def test_census_on_random_cylinders(region):
+    # the flip pairing by row rank, on bases of any shape; the 3 x 3 base
+    # at depth 3 without its last cell has 2,664 tilings in 3 components
+    assert_same_report(flip_components(region), reference_components(region))
 
 
 def test_partner_matrix_never_enumerates(monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dominotwist.kasteleyn import defect_by_determinant, defect_by_enumeration, sign_matrix, twist
-from dominotwist.plugs import MAX_DEFECT_BASE_CELLS
+from dominotwist.plugs import MAX_DEFECT_BASE_CELLS, check_determinant_cells
 from dominotwist.regions import Region, make_box, make_cork, make_cylinder
 from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilings
 from dominotwist.transfer import (
@@ -590,6 +590,16 @@ def test_block_defect_rejects_bad_input():
         cylinder_defect(B222, -1)
     with pytest.raises(TransferError, match=f"at most {MAX_DEFECT_BASE_CELLS} cells, got 1026"):
         cylinder_defect(make_box((2, 513)), 1)
+
+
+def test_determinant_defect_has_the_same_bound():
+    # the sign matrix is k x k as the recursion's are; an unbalanced region
+    # of any size answers 0
+    message = f"a region with at most {MAX_DEFECT_BASE_CELLS} cells, got 1026"
+    with pytest.raises(TransferError, match=message):
+        defect_by_determinant(make_box((2, 513)))
+    check_determinant_cells(MAX_DEFECT_BASE_CELLS)
+    assert defect_by_determinant(make_box((1, 1025))) == 0
 
 
 def test_sixteen_cell_bases_at_depth_twenty():
