@@ -28,8 +28,9 @@ from pathlib import Path
 from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
 from .plugs import check_defect_base, check_determinant_cells, check_plug_base
-from .regions import DEFAULT_BUDGET, Region, parse_region_spec, region_spec
-from .tilings import Tiling, _is_int_cell, as_cylinder, count_tilings, tiling_from_json_obj, tiling_from_text
+from .regions import (DEFAULT_BUDGET, Region, build_spec, make_box, parse_region_spec, read_spec,
+                      region_spec, spec_text)
+from .tilings import Tiling, _is_int_cell, count_tilings, tiling_from_json_obj, tiling_from_text
 
 DIRECTION_GLYPHS = ("[]", "nu", "fb", "ws")  # in-floor axes 0..3
 FLOOR_GLYPHS = "UD"  # partner above / below
@@ -60,27 +61,34 @@ def _fail(command: str, message: str, region: str | None = None) -> CommandResul
 
 # An error result names the region of the first region, tiling or path
 # argument the command read, kept on the parsed arguments as named_region;
-# a region spec that does not parse is named as given.
+# a region spec that does not parse is named as given, a box: or cyl: spec
+# that does by its canonical text, before its region is built.
 
 def _name_region(args, spec: str) -> None:
     if getattr(args, "named_region", None) is None:
         args.named_region = spec
 
 
-def _region_arg(args, text: str) -> Region:
+def _read_region(args, text: str) -> tuple[tuple, int]:
+    """A spec, read and named, and its cell count if box: or cyl:, else 0."""
     args.named_region = text.strip()
-    region = parse_region_spec(text)
+    spec = read_spec(text)
+    if spec[0] not in ("box", "cyl"):
+        return spec, 0
+    args.named_region = spec_text(spec)
+    return spec, math.prod(spec[1]) * (spec[2] if spec[0] == "cyl" else 1)
+
+
+def _build_region(args, spec: tuple) -> Region:
+    region = build_spec(spec)
     args.named_region = region_spec(region)
     return region
 
 
 def _read_tiling(args, path: str) -> Tiling:
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        t = tiling_from_json_obj(json.loads(text))
-    else:
-        t = tiling_from_text(text)
+    is_json = text.lstrip().startswith("{")
+    t = tiling_from_json_obj(json.loads(text)) if is_json else tiling_from_text(text)
     _name_region(args, region_spec(t.region))
     return t
 
@@ -89,7 +97,7 @@ def _parse_path_arg(args, text: str) -> ham.HamiltonianPath:
     """Path argument: 'box:<dims>' for the serpentine path, or a JSON file
     holding {"region": <spec>, "cells": <ordered cell list>}."""
     if text.startswith("box:"):
-        dims = tuple(int(x) for x in text[4:].split(","))
+        dims = read_spec(text)[1]
         _name_region(args, text)
         return ham.box_path(dims)
     obj = json.loads(Path(text).read_text())
@@ -105,76 +113,47 @@ def _parse_path_arg(args, text: str) -> ham.HamiltonianPath:
 
 # ------------------------------------------------------------ subcommands
 
-def _method(region: Region, method: str, fallback: str) -> tuple[str, tuple | None]:
-    """The engine of count or defect, and (base, floors) of a cyl: region:
-    the transfer engines need one over a balanced base.  A cylinder over an
-    unbalanced base is balanced at even depth, so `auto` falls back there."""
-    cyl = as_cylinder(region) if (region.spec or "").startswith("cyl:") else None
+def _engine(args, fallback: str, check_base) -> tuple[str, object]:
+    """The engine of count or defect and what it takes: (base, floors) for
+    transfer, else the region.  `auto` takes transfer exactly on a cyl: over
+    a box base of an even, so balanced, cell count.  Only that engine's
+    limit is checked, from the spec's sizes before any cell is built."""
+    spec, cells = _read_region(args, args.region)
+    kind, dims = spec[:2]
+    method = args.method
     if method == "auto":
-        method = "transfer" if cyl and cyl[0].balanced else fallback
-    if method == "transfer" and cyl is None:
-        raise ValueError("transfer method needs a cyl: region")
-    return method, cyl
-
-
-def _spec_sizes(text: str) -> tuple[str, list[int]]:
-    """The kind and sizes of a 'box:<dims>' spec, or of a
-    'cyl:<dims>xN=<floors>' spec with at least one floor, floors last, read
-    from the text alone; ('', []) for any other spec."""
-    kind, _, rest = text.strip().partition(":")
-    if kind == "cyl":
-        dims, _, floors = rest.partition("xN=")
-        sizes = dims.split(",") + [floors]
-    else:
-        sizes = rest.split(",")
-    if kind not in ("box", "cyl") or not all(x.isdecimal() for x in sizes) or not int(sizes[-1]):
-        return "", []
-    return kind, [int(x) for x in sizes]
-
-
-def _check_cyl_base(args, check) -> None:
-    """Refuse from the spec, with check(base cells), a cyl: base too large
-    for the transfer engine, as building a large region takes seconds.
-    auto takes that engine on a balanced base, and a box base is balanced
-    when its cell count is even."""
-    kind, sizes = _spec_sizes(args.region)
-    nb = math.prod(sizes[:-1]) if kind == "cyl" else 0
-    if args.method == "transfer" or args.method == "auto" and nb % 2 == 0:
-        _name_region(args, args.region.strip())
-        check(nb)
-
-
-def _check_det_cells(args) -> None:
-    """Refuse from the spec a box or cylinder too large for the determinant
-    defect.  det takes that engine, and so does auto on a box or on a
-    cylinder over an unbalanced base.  A box is balanced when its cell
-    count is even; an unbalanced one answers 0 at any size."""
-    kind, sizes = _spec_sizes(args.region)
-    cells = math.prod(sizes)
-    det = args.method == "det" or args.method == "auto" and (
-        kind == "box" or math.prod(sizes[:-1]) % 2)
-    if kind and det and cells % 2 == 0:
-        _name_region(args, args.region.strip())
+        method = "transfer" if kind == "cyl" and math.prod(dims) % 2 == 0 else fallback
+    if method == "transfer":
+        if kind != "cyl":
+            raise ValueError("transfer method needs a cyl: region")
+        check_base(math.prod(dims))
+        return method, (make_box(dims), spec[2])
+    if method == "det" and cells % 2 == 0:
         check_determinant_cells(cells)
+    return method, _build_region(args, spec)
+
+
+def _base_arg(args) -> Region:
+    """The --base of spectral or transfer-export; a box: or cyl: base of
+    more cells than plug enumeration takes is refused from its spec."""
+    spec, cells = _read_region(args, args.base)
+    check_plug_base(cells)
+    return _build_region(args, spec)
 
 
 def cmd_count(args) -> CommandResult:
-    _check_cyl_base(args, check_plug_base)
-    region = _region_arg(args, args.region)
-    method, cyl = _method(region, args.method, "enum")
+    method, target = _engine(args, "enum", check_plug_base)
     if method == "transfer":
         from .transfer import cylinder_count
-        n = cylinder_count(*cyl)
+        n = cylinder_count(*target)
     else:
-        n = count_tilings(region)
-    return CommandResult("count", region_spec(region),
-                         {"count": n, "method": method})
+        n = count_tilings(target)
+    return CommandResult("count", args.named_region, {"count": n, "method": method})
 
 
 def cmd_components(args) -> CommandResult:
     from .moves import flip_components
-    region = _region_arg(args, args.region)
-    report = flip_components(region)
+    report = flip_components(_build_region(args, _read_region(args, args.region)[0]))
     payload = {
         "component_count": len(report.components),
         "components": report.summary(),
@@ -182,7 +161,7 @@ def cmd_components(args) -> CommandResult:
         "visited": report.visited,
         "flip_edges": report.flip_edges,
     }
-    return CommandResult("components", region_spec(region), payload)
+    return CommandResult("components", args.named_region, payload)
 
 
 def cmd_twist(args) -> CommandResult:
@@ -191,17 +170,14 @@ def cmd_twist(args) -> CommandResult:
 
 
 def cmd_defect(args) -> CommandResult:
-    _check_cyl_base(args, check_defect_base)
-    _check_det_cells(args)
-    region = _region_arg(args, args.region)
-    method, cyl = _method(region, args.method, "det")
+    method, target = _engine(args, "det", check_defect_base)
     if method == "det":
-        value = defect_by_determinant(region)
+        value = defect_by_determinant(target)
     elif method == "enum":
-        value = defect_by_enumeration(region)
+        value = defect_by_enumeration(target)
     else:
         from .transfer import cylinder_defect
-        value = cylinder_defect(*cyl)
+        value = cylinder_defect(*target)
     payload = {
         "defect": value,
         "abs": abs(value),
@@ -209,12 +185,12 @@ def cmd_defect(args) -> CommandResult:
         "note": "sign depends on the cell labeling convention;"
                 " only the absolute value is intrinsic",
     }
-    return CommandResult("defect", region_spec(region), payload)
+    return CommandResult("defect", args.named_region, payload)
 
 
 def cmd_transfer_export(args) -> CommandResult:
+    base = _base_arg(args)
     from .transfer import get_transfer, save_transfer_cache, transfer_to_json_obj
-    base = _region_arg(args, args.base)
     tm = get_transfer(base)
     obj = transfer_to_json_obj(tm)
     out = Path(args.out)
@@ -225,12 +201,12 @@ def cmd_transfer_export(args) -> CommandResult:
     if args.binary:
         save_transfer_cache(tm, args.binary)
         payload["binary"] = args.binary
-    return CommandResult("transfer-export", region_spec(base), payload)
+    return CommandResult("transfer-export", args.named_region, payload)
 
 
 def cmd_spectral(args) -> CommandResult:
+    base = _base_arg(args)
     from .transfer import spectral_estimates
-    base = _region_arg(args, args.base)
     rep = spectral_estimates(base, tol=args.tol)
     payload = {
         "lambda": rep.lam,
@@ -239,7 +215,7 @@ def cmd_spectral(args) -> CommandResult:
         "residual": rep.residual,
         "residual_tilde": rep.residual_tilde,
     }
-    return CommandResult("spectral", region_spec(base), payload)
+    return CommandResult("spectral", args.named_region, payload)
 
 
 def cmd_padding(args) -> CommandResult:

@@ -187,12 +187,10 @@ class Region:
 
 def make_box(dims) -> Region:
     """Box [0,d1] x ... x [0,dn] with d1*...*dn unit cells."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise RegionError(f"box dimensions must be positive, got {dims}")
+    dims = _box_dims(dims)
     _check_size(math.prod(dims))
     cells = itertools.product(*(range(d) for d in dims))
-    return Region(len(dims), cells, spec="box:" + ",".join(map(str, dims)))
+    return Region(len(dims), cells, spec=spec_text(("box", dims)))
 
 
 def make_cylinder(base: Region, floors: int) -> Region:
@@ -205,9 +203,8 @@ def make_cylinder(base: Region, floors: int) -> Region:
         raise RegionError(f"cylinder needs a nonnegative floor count, got {floors}")
     _check_size(len(base) * floors)
     cells = [c + (h,) for h in range(floors) for c in base.cells]
-    spec = None
-    if base.spec and base.spec.startswith("box:"):
-        spec = f"cyl:{base.spec[4:]}xN={floors}"
+    box = (base.spec or "").startswith("box:")
+    spec = f"cyl:{base.spec[4:]}xN={floors}" if box else None
     return Region(base.dim + 1, cells, spec=spec)
 
 
@@ -232,9 +229,8 @@ def make_cork(base: Region, floors: int, p0_mask: int, p_top_mask: int) -> Regio
             if h == floors - 1 and (p_top_mask >> i) & 1:
                 continue
             cells.append(c + (h,))
-    spec = None
-    if base.spec and base.spec.startswith("box:"):
-        spec = f"cork:{base.spec[4:]}xN={floors}:p0={p0_mask:#x}:pN={p_top_mask:#x}"
+    box = (base.spec or "").startswith("box:")
+    spec = f"cork:{base.spec[4:]}xN={floors}:p0={p0_mask:#x}:pN={p_top_mask:#x}" if box else None
     return Region(base.dim + 1, cells, spec=spec)
 
 
@@ -246,42 +242,38 @@ def region_spec(region: Region) -> str:
     return f"cells:dim={region.dim};{body}"
 
 
-def parse_region_spec(text: str) -> Region:
-    """Parse 'box:...', 'cyl:...xN=...', 'cork:...' or 'cells:...' (see docs/formats.md)."""
+def read_spec(text: str) -> tuple:
+    """Read a spec (see docs/formats.md) into its kind and its builder's
+    arguments: ('box', dims), ('cyl', dims, floors), ('cork', dims, floors,
+    p0, pN) or ('cells', dim, cells).  Dims, floors and the size of a
+    cylinder or cork, whose base is built first, are checked here."""
     text = text.strip()
     kind, sep, rest = text.partition(":")
     if not sep:
         raise RegionError(f"bad region spec {text!r}: missing ':'")
     try:
         if kind == "box":
-            return make_box(_parse_dims(rest))
+            return kind, _box_dims(rest.split(","))
         if kind == "cyl":
-            dims_part, _, n_part = rest.partition("xN=")
-            if not n_part:
-                raise RegionError("cylinder spec needs 'xN=<floors>'")
-            dims, floors = _parse_dims(dims_part), int(n_part)
-            _check_size(math.prod(dims) * floors)  # before the base is built
-            return make_cylinder(make_box(dims), floors)
+            dims, floors = _parse_floors("cylinder", rest)
+            _check_size(math.prod(dims) * floors)
+            return kind, dims, floors
         if kind == "cork":
             head, p0_part, pn_part = rest.split(":")
-            dims_part, _, n_part = head.partition("xN=")
-            if not n_part:
-                raise RegionError("cork spec needs 'xN=<floors>'")
+            dims, floors = _parse_floors("cork", head)
             if not p0_part.startswith("p0=") or not pn_part.startswith("pN="):
                 raise RegionError("cork spec needs ':p0=<mask>:pN=<mask>'")
-            dims, floors = _parse_dims(dims_part), int(n_part)
-            base = math.prod(dims)  # checked before the base is built
+            base = math.prod(dims)
             if base > MAX_BASE_CELLS:
                 raise RegionError(f"base too large for plug masks: {base} > {MAX_BASE_CELLS}")
             _check_size(base * floors)
-            return make_cork(make_box(dims), floors, int(p0_part[3:], 0), int(pn_part[3:], 0))
+            return kind, dims, floors, int(p0_part[3:], 0), int(pn_part[3:], 0)
         if kind == "cells":
             dim_part, _, body = rest.partition(";")
             if not dim_part.startswith("dim="):
                 raise RegionError("cells spec needs 'dim=<n>;'")
-            dim = int(dim_part[4:])
             cells = [tuple(int(x) for x in item.split(",")) for item in body.split(";") if item]
-            return Region(dim, cells)
+            return kind, int(dim_part[4:]), cells
     except RegionError:
         raise
     except ValueError as e:
@@ -289,8 +281,39 @@ def parse_region_spec(text: str) -> Region:
     raise RegionError(f"unknown region kind {kind!r}")
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(int(x) for x in text.split(","))
-    if not dims:
-        raise RegionError("empty dimension list")
+def build_spec(spec: tuple) -> Region:
+    """The region of a spec that read_spec returned."""
+    kind, *args = spec
+    if kind == "box":
+        return make_box(*args)
+    if kind == "cells":
+        return Region(*args)
+    return (make_cylinder if kind == "cyl" else make_cork)(make_box(args[0]), *args[1:])
+
+
+def spec_text(spec: tuple) -> str:
+    """The spec of the region of a box or cyl spec that read_spec returned."""
+    box = ",".join(map(str, spec[1]))
+    return f"box:{box}" if spec[0] == "box" else f"cyl:{box}xN={spec[2]}"
+
+
+def parse_region_spec(text: str) -> Region:
+    """The region of a spec (see read_spec)."""
+    return build_spec(read_spec(text))
+
+
+def _box_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise RegionError(f"box dimensions must be positive, got {dims}")
     return dims
+
+
+def _parse_floors(name: str, text: str) -> tuple[tuple[int, ...], int]:
+    dims_part, _, n_part = text.partition("xN=")
+    if not n_part:
+        raise RegionError(f"{name} spec needs 'xN=<floors>'")
+    dims, floors = _box_dims(dims_part.split(",")), int(n_part)
+    if floors < 0:
+        raise RegionError(f"{name} needs a nonnegative floor count, got {floors}")
+    return dims, floors

@@ -687,22 +687,31 @@ def test_box_path_too_large_is_refused_before_its_cells(tmp_path, argv):
     assert obj["timing"] < 1
 
 
-@pytest.mark.parametrize("method", ["auto", "transfer"])
-def test_cylinder_count_over_a_large_base_is_refused_before_its_cells(method):
+# one large cylinder in each spelling the spec reader takes, by method; an
+# error result names its canonical text
+LARGE_CYLINDERS = [
+    pytest.param(method, spec, id=method + spelling)
+    for spelling, spec in [("", "cyl:1000,1000xN=1"), ("-spaced", "cyl:1000, 1000xN=1"),
+                           ("-signed", "cyl:+1000,1000xN=1")]
+    for method in ("auto", "transfer")]
+
+
+@pytest.mark.parametrize("method, spec", LARGE_CYLINDERS)
+def test_cylinder_count_over_a_large_base_is_refused_before_its_cells(method, spec):
     # the base's cell count is the product of the spec's dims: a base of
     # 10^6 cells is refused for the transfer engine before any cell is built
-    proc, obj = _run_capped(["count", "--region", "cyl:1000,1000xN=1", "--method", method])
+    proc, obj = _run_capped(["count", "--region", spec, "--method", method])
     assert (proc.returncode, obj["status"]) == (1, "error")
     assert obj["payload"]["message"] == "plug enumeration needs a base with at most 24 cells, got 1000000"
     assert obj["region"] == "cyl:1000,1000xN=1"
     assert obj["timing"] < 1
 
 
-@pytest.mark.parametrize("method", ["auto", "transfer"])
-def test_cylinder_defect_over_a_large_base_is_refused_before_its_cells(method):
+@pytest.mark.parametrize("method, spec", LARGE_CYLINDERS)
+def test_cylinder_defect_over_a_large_base_is_refused_before_its_cells(method, spec):
     # the defect recursion needs no plugs but keeps k x k matrices: a base of
     # 10^6 cells is refused from the spec before any cell is built
-    proc, obj = _run_capped(["defect", "--region", "cyl:1000,1000xN=1", "--method", method])
+    proc, obj = _run_capped(["defect", "--region", spec, "--method", method])
     assert (proc.returncode, obj["status"]) == (1, "error")
     assert obj["payload"]["message"] == \
         "the cylinder defect needs a base with at most 1024 cells, got 1000000"
@@ -713,7 +722,8 @@ def test_cylinder_defect_over_a_large_base_is_refused_before_its_cells(method):
 @pytest.mark.parametrize("argv", [
     ["--region", "cyl:1000,1000xN=1", "--method", "det"],
     ["--region", "box:1000,1000"],
-], ids=["det", "auto-box"])
+    ["--region", "box:1000, 1000"],
+], ids=["det", "auto-box", "auto-box-spaced"])
 def test_determinant_defect_over_a_large_region_is_refused_before_its_cells(argv):
     # det keeps a k x k sign matrix, k = cells/2: a balanced region of 10^6
     # cells is refused from the spec before any cell is built
@@ -721,8 +731,23 @@ def test_determinant_defect_over_a_large_region_is_refused_before_its_cells(argv
     assert (proc.returncode, obj["status"]) == (1, "error")
     assert obj["payload"]["message"] == \
         "the determinant defect needs a region with at most 1024 cells, got 1000000"
-    assert obj["region"] == argv[1]
+    assert obj["region"] == argv[1].replace(" ", "")
     assert obj["timing"] < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["transfer-export", "--out", "{tmp}/m.json"],
+], ids=["spectral", "transfer-export"])
+def test_transfer_base_too_large_is_refused_before_its_cells(tmp_path, argv):
+    # plug enumeration takes a base of at most 24 cells: a box base of 10^6
+    # cells is refused from its spec before any cell is built
+    proc, obj = _run_capped([a.format(tmp=tmp_path) for a in argv] + ["--base", "box:1000,1000"])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == "plug enumeration needs a base with at most 24 cells, got 1000000"
+    assert obj["region"] == "box:1000,1000"
+    assert obj["timing"] < 1
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_console_script_entry_point():

@@ -10,11 +10,13 @@ from dominotwist import regions
 from dominotwist.regions import (
     Region,
     RegionError,
+    build_spec,
     cell_color,
     make_box,
     make_cork,
     make_cylinder,
     parse_region_spec,
+    read_spec,
     region_spec,
 )
 from dominotwist.tilings import as_cylinder
@@ -129,6 +131,28 @@ def test_spec_cells_fallback():
     assert parse_region_spec(spec).cells == r.cells
 
 
+def _no_region(*args, **kwargs):
+    raise AssertionError("a region was built while reading a spec")
+
+
+@pytest.mark.parametrize("spec", [
+    "box:2,2", "box: 2, 3 ", "box:+2,2,2", "cyl:2,2xN=3", "cyl: 2,+3xN= 0",
+    "cork:2,2xN=2:p0=0x0:pN=0x3", "cork:2, 2xN=2:p0=0:pN=3", "cells:dim=2;1,0;0,0",
+    "cells:dim=2; 0, +1;"])
+def test_read_spec_gives_the_builders_arguments(monkeypatch, spec):
+    with monkeypatch.context() as m:
+        m.setattr(regions, "Region", _no_region)
+        kind, *args = read_spec(spec)
+    builders = {"box": make_box, "cells": Region,
+                "cyl": lambda dims, n: make_cylinder(make_box(dims), n),
+                "cork": lambda dims, *rest: make_cork(make_box(dims), *rest)}
+    region = builders[kind](*args)
+    assert region == build_spec((kind, *args)) == parse_region_spec(spec)
+    assert region_spec(region) == region_spec(parse_region_spec(spec))
+    if kind in ("box", "cyl"):
+        assert regions.spec_text((kind, *args)) == region_spec(region)
+
+
 @pytest.mark.parametrize("spec", [
     "box:100000,100000", "cyl:1000,1000xN=1000", "cork:1000,1000xN=1000:p0=0:pN=0",
     "cork:1000,1000xN=0:p0=0:pN=0", "cork:1000,1000xN=1:p0=0:pN=0"])
@@ -143,6 +167,11 @@ def test_oversized_spec_is_rejected_before_it_is_built(monkeypatch, spec):
         message = "base too large"
     with pytest.raises(RegionError, match=message):
         parse_region_spec(spec)
+    # read, the spec lists no cell: the reader refuses a cylinder or cork,
+    # and make_box a box before any cell is listed
+    monkeypatch.setattr(regions, "Region", _no_region)
+    with pytest.raises(RegionError, match=message):
+        build_spec(read_spec(spec))
 
 
 def test_oversized_region_is_rejected_before_it_is_built():
@@ -152,11 +181,17 @@ def test_oversized_region_is_rejected_before_it_is_built():
         make_cork(make_box((2, 2)), 10**9, 0, 0)
 
 
-def test_bad_specs_raise():
-    for bad in ("box", "box:", "cyl:2,2", "cork:2,2xN=2", "nope:1",
-                "cells:2;0,0", "box:2,a"):
+def test_bad_specs_raise(monkeypatch):
+    bad_specs = ("box", "box:", "cyl:2,2", "cork:2,2xN=2", "nope:1",
+                 "cells:2;0,0", "box:2,a", "box:0,2", "cyl:2,2xN=-1")
+    for bad in bad_specs:
         with pytest.raises((RegionError, ValueError)):
             parse_region_spec(bad)
+    # the reader refuses each of them without building a region
+    monkeypatch.setattr(regions, "Region", _no_region)
+    for bad in bad_specs:
+        with pytest.raises(RegionError):
+            read_spec(bad)
 
 
 @settings(max_examples=50, deadline=None)
