@@ -20,17 +20,19 @@ are sorted, and a flip keeps the order of the rows it applies to, so the
 k-th row on one side of a square flips to the k-th row on the other.
 
 The searches do not hold every tiling, so they key a tiling by one exact
-mixed-radix number (_key_table): a digit per black cell, the rank of its
-partner among its neighbours, packed into as many 64-bit words as the
-digits need, so keys are injective at any size with no random table.  A
-flip moves a key by a constant delta per square and orientation.  Both
-searches expand whole frontiers of rows and their keys through one
+mixed-radix number (_places, _key_table): a digit per black cell, the
+rank of its partner among its neighbours, packed into as many 64-bit
+words as the digits need, so keys are injective at any size with no
+random table.  The key words are the only state the searches store: the
+digits decode from them (_digits), and a flip applies where two digits
+have given values and moves the key by a constant delta per square and
+orientation.  Both searches expand whole frontiers of keys through one
 kernel, _expand: flip_connected is a bidirectional BFS, one level at a
 time, and padded_merge_search a best-first search, one score level at a
-time, that returns a path.  Both budgets cap the states built, one past
-the budget at most; an exhausted budget of flip_connected yields
-INDETERMINATE, never a wrong boolean, and one of padded_merge_search
-yields no path.
+time, that decodes partner bytes only for its goal test and its path.
+Both budgets cap the states built, one past the budget at most; an
+exhausted budget of flip_connected yields INDETERMINATE, never a wrong
+boolean, and one of padded_merge_search yields no path.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ from .kasteleyn import twist, twist_batch
 from .regions import DEFAULT_BUDGET, Region
 from .tilings import MAX_PACKED_CELLS, Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
-FRONTIER_CHUNK = 1 << 14  # frontier rows per chunk of a flip_connected level
+# frontier keys decoded per chunk of an _expand level: on the cli
+# benchmark's cyl:2,2,2xN=6 padding pair (2 cores, numpy 2.4), 1 << 12
+# lowered the `padding` process peak from 76 to 65 MB but took 0.77 s
+# against 0.62 s (medians of five)
+FRONTIER_CHUNK = 1 << 14
 # unit squares per census group: on cyl:2,2,2xN=5 groups of 8, 16 and 32
 # took the same time, at peaks of 289, 358 and 442 MB
 SQUARE_GROUP = 8
@@ -208,17 +214,15 @@ class ComponentReport:
         ]
 
 
-def _key_table(region: Region) -> np.ndarray:
-    """Mixed-radix key table T, cells x cells x w uint64.
+def _places(region: Region) -> list[tuple[int, int, int]]:
+    """Place values of the mixed-radix key: (word, radix R_i, degree) of
+    each black cell, in region.black_cells order.
 
-    Black cell i with neighbours nbrs[i] gets a place value R_i in one word:
-    the product of the degrees of the earlier black cells in that word, a
-    new word starting when R * deg would pass 2^64.  Then T[i, j] = T[j, i]
-    = rank(j in nbrs[i]) * R_i in word(i).  Summed over the black cells of
-    a tiling, every word is a mixed-radix number below 2^64, so keys are
-    exact and injective on tilings at any region size.
+    R_i is the product of the degrees of the earlier black cells in the
+    same word, a new word starting when R * deg would pass 2^64; the
+    cell's digit is the rank of its partner among its neighbours, below
+    its degree, and it adds digit * R_i to its word.
     """
-    n = len(region.cells)
     nbrs = region.neighbors
     places = []
     word, radix = 0, 1
@@ -226,32 +230,82 @@ def _key_table(region: Region) -> np.ndarray:
         deg = len(nbrs[i])
         if radix * deg > 1 << 64:
             word, radix = word + 1, 1
-        places.append((i, word, radix))
+        places.append((word, radix, deg))
         radix *= deg
-    table = np.zeros((n, n, word + 1), dtype=np.uint64)
-    for i, word, radix in places:
+    return places
+
+
+def _key_table(region: Region) -> np.ndarray:
+    """Mixed-radix key table T, cells x cells x w uint64: T[i, j] = T[j, i]
+    = rank(j in nbrs[i]) * R_i in word(i), for black cell i (_places).
+    Summed over the black cells of a tiling, every word is a mixed-radix
+    number below 2^64, so keys are exact and injective on tilings at any
+    region size.
+    """
+    n = len(region.cells)
+    nbrs = region.neighbors
+    places = _places(region)
+    table = np.zeros((n, n, places[-1][0] + 1 if places else 1), dtype=np.uint64)
+    for i, (word, radix, _) in zip(region.black_cells, places):
         for k, j in enumerate(nbrs[i]):
             table[i, j, word] = table[j, i, word] = k * radix
     return table
 
 
+def _digits(words: np.ndarray, places) -> np.ndarray:
+    """The key's digits, states x black cells uint8, in Fortran order so
+    that a black cell's digits are contiguous: digit k is
+    (words[:, word_k] // R_k) % deg_k, the rank of the k-th black cell's
+    partner among its neighbours (_places).  Each word is divided down one
+    degree at a time, as q // deg_k = word // R_(k+1) for the next cell of
+    the word, and the remainder is taken as q - q // deg * deg: numpy's //
+    by a scalar is about three times as fast as its % (2^14 keys, numpy
+    2.4).
+    """
+    D = np.empty((len(words), len(places)), dtype=np.uint8, order="F")
+    for k, (word, radix, deg) in enumerate(places):
+        if radix == 1:  # the first digit of its word
+            q = words[:, word]
+        deg = np.uint64(deg)
+        rest = q // deg
+        D[:, k] = q - rest * deg
+        q = rest
+    return D
+
+
+def _digit_test(region: Region, x: int, y: int) -> tuple[int, int]:
+    """(black rank p, digit r) such that cells x and y are paired exactly
+    when digit p equals r."""
+    if region.black_rank[x] < 0:
+        x, y = y, x
+    return region.black_rank[x], region.neighbors[x].index(y)
+
+
+def _rows(region: Region, D: np.ndarray) -> np.ndarray:
+    """Partner rows (states x cells uint8) of the states with digits D
+    (_digits): each black cell paired with the neighbour its digit names."""
+    rows = np.empty((len(D), len(region.cells)), dtype=np.uint8)
+    at = np.arange(len(D))
+    for k, i in enumerate(region.black_cells):
+        j = np.array(region.neighbors[i], dtype=np.uint8)[D[:, k]]
+        rows[:, i] = j
+        rows[at, j] = i
+    return rows
+
+
 def _flip_moves(region: Region, table: np.ndarray):
     """The two flips of every unit square (a, b, c, d): flip 2k from a-b,
-    c-d to a-c, b-d and flip 2k + 1 back.  Returns, per flip, the two
-    (cell, partner) pairs it needs, the four partner writes it makes (as
-    cells x4 and values x4 arrays) and its key delta (flips x w words).
-    Deltas are built on word arrays, so they wrap mod 2^64 silently."""
-    need, cols, vals, delta = [], [], [], []
+    c-d to a-c, b-d and flip 2k + 1 back.  Returns, per flip, the two digit
+    tests ((p, r), (q, s)) of the pairs it needs (_digit_test) and its key
+    delta (flips x w words).  Deltas are built on word arrays, so they wrap
+    mod 2^64 silently."""
+    need, delta = [], []
     for a, b, c, d in region.squares:
         step = table[a, c] + table[b, d] - table[a, b] - table[c, d]
-        need += [((a, b), (c, d)), ((a, c), (b, d))]
-        cols += [(a, c, b, d), (a, b, c, d)]
-        vals += [(c, a, d, b), (b, a, d, c)]
+        need += [(_digit_test(region, a, b), _digit_test(region, c, d)),
+                 (_digit_test(region, a, c), _digit_test(region, b, d))]
         delta += [step, -step]
-    w = table.shape[2]
-    return (need, np.array(cols, dtype=np.intp).reshape(-1, 4),
-            np.array(vals, dtype=np.uint8).reshape(-1, 4),
-            np.array(delta, dtype=np.uint64).reshape(-1, w))
+    return need, np.array(delta, dtype=np.uint64).reshape(-1, table.shape[2])
 
 
 def _as_key(words: np.ndarray) -> np.ndarray:
@@ -365,11 +419,11 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
 
     The twist shortcut is sound: flips preserve twist, so tilings with
     different twists are disconnected without any search.  Each side keeps
-    its sorted seen keys and its frontier (rows of partner bytes and their
-    key words); the side with the smaller frontier expands a whole level
-    through _expand.  `budget` caps the states visited: _expand builds at
-    most one state past the room left, so at most budget + 1 states are
-    ever built, and a meeting anywhere in a level answers CONNECTED first.
+    only keys: its sorted seen keys and the key words of its frontier; the
+    side with the smaller frontier expands a whole level through _expand.
+    `budget` caps the states visited: _expand builds at most one state past
+    the room left, so at most budget + 1 states are ever built, and a
+    meeting anywhere in a level answers CONNECTED first.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -382,9 +436,9 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     region = t0.region
     rows = np.frombuffer(pack_state(t0) + pack_state(t1), dtype=np.uint8).reshape(2, -1)
     table = _key_table(region)
-    moves = _flip_moves(region, table)
+    moves = (_places(region), *_flip_moves(region, table))
     words = _key_words(region, table, rows)
-    sides = [(_as_key(words[k:k + 1]).copy(), rows[k:k + 1], words[k:k + 1]) for k in (0, 1)]
+    sides = [(_as_key(words[k:k + 1]).copy(), words[k:k + 1]) for k in (0, 1)]
     visited = 2
     while len(sides[0][1]) and len(sides[1][1]):
         # expand the smaller frontier
@@ -392,74 +446,75 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
         level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0))
         if level is None:
             return Connectivity.CONNECTED
-        sides[i] = level = level[:3]  # drops the parent ids
+        sides[i] = level = level[:2]  # drops the parent ids
         visited += len(level[1])
         if visited > budget:
             return Connectivity.INDETERMINATE
     return Connectivity.DISCONNECTED
 
 
-def _expand(seen: np.ndarray, rows: np.ndarray, words: np.ndarray,
-            other: np.ndarray | None, moves, room: int):
-    """Expand a whole frontier by one flip: the new (seen, rows, words,
-    parent) of a search with sorted seen keys `seen` and frontier
-    rows/words, where parent[k] is the frontier row that new row k came
-    from; or None when a flip reaches `other`, the sorted seen keys of the
-    other side of a bidirectional search (None when there is no other
-    side).  Once the level's new keys pass `room`, only the first room + 1
-    of them in key order are built; the later chunks are still tested
+def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves, room: int):
+    """Expand a whole frontier by one flip: the new (seen, words, parent)
+    of a search with sorted seen keys `seen` and the nonempty frontier's
+    key words `words`, where parent[k] is the frontier state that new
+    state k came from; or None when a flip reaches `other`, the sorted seen
+    keys of the other side of a bidirectional search (None when there is
+    no other side).  Once the level's new keys pass `room`, only the first room + 1
+    of them in key order are kept; the later chunks are still tested
     against `other`, so a meeting anywhere in the level is found, but add
     no states.
 
-    The frontier is walked in chunks of FRONTIER_CHUNK rows.  Per chunk,
-    each flip's candidate keys are the key words of the rows it applies to
-    plus its delta; the distinct candidates seen neither before nor earlier
-    in this level are tested against `other`, merged into the level's
-    sorted keys, and only (parent row, flip) is kept per new key, so a
-    level holds each new state once.  The new rows are built at the end.
+    The frontier is walked in chunks of FRONTIER_CHUNK states, and only
+    keys are held.  Per chunk, _fresh gives the distinct candidates seen
+    neither before nor earlier in this level; they are tested against
+    `other`, merged into the level's sorted keys, and kept with their
+    parent, so a level holds each new state once.
     """
-    need, cols, vals, delta = moves
     level = seen[:0]  # sorted keys of the states new in this level
-    parts = []  # per chunk: (new key words, parent row, flip)
-    for lo in range(0, len(rows), FRONTIER_CHUNK):
-        F = np.asfortranarray(rows[lo:lo + FRONTIER_CHUNK])
-        K = words[lo:lo + FRONTIER_CHUNK]
-        at, flip, cand = [], [], []
-        for m, ((a, b), (c, d)) in enumerate(need):
-            hit = np.flatnonzero((F[:, a] == b) & (F[:, c] == d))
-            if len(hit):
-                at.append(hit)
-                flip.append(np.full(len(hit), m, dtype=np.int32))
-                cand.append(K[hit] + delta[m])
-        if not at:
-            continue
-        cand = np.concatenate(cand)
-        keys, first = np.unique(_as_key(cand), return_index=True)
-        fresh = ~_member(seen, keys)
-        if len(level):
-            fresh &= ~_member(level, keys)
-        keys, first = keys[fresh], first[fresh]
+    parts = []  # per chunk: (new key words, parent)
+    for lo in range(0, len(words), FRONTIER_CHUNK):
+        keys, new_words, parent = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, seen, level)
         if other is not None and _member(other, keys).any():
             return None
         if len(level) > room:  # the level is full
             continue
         level = np.insert(level, np.searchsorted(level, keys), keys)
-        parts.append((cand[first], np.concatenate(at)[first] + lo, np.concatenate(flip)[first]))
+        parts.append((new_words, parent + lo))
         if len(level) > room:
             level = level[:room + 1]
             keep = [_member(level, _as_key(part[0])) for part in parts]
-            parts = [tuple(x[k] for x in part) for part, k in zip(parts, keep)]
+            parts = [(w[k], parent[k]) for (w, parent), k in zip(parts, keep)]
             if other is None:
                 break
-    if not parts:
-        return seen, rows[:0], words[:0], np.empty(0, dtype=np.intp)
-    new_words, parent, flip = (np.concatenate(x) for x in zip(*parts))
-    del parts
-    new_rows = rows[parent]
-    at = np.arange(len(new_rows))
-    for k in range(4):
-        new_rows[at, cols[flip, k]] = vals[flip, k]
-    return np.insert(seen, np.searchsorted(seen, level), level), new_rows, new_words, parent
+    new_words, parent = (np.concatenate(x) for x in zip(*parts))
+    return np.insert(seen, np.searchsorted(seen, level), level), new_words, parent
+
+
+def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray):
+    """The states one flip from the states with key words K that are in
+    neither `seen` nor `level` (sorted keys, `seen` nonempty): their sorted
+    keys, their key words and, for each, the row of K it came from.
+
+    The black-cell digits are decoded from K (_digits); a flip applies to
+    the states whose digits pass its two digit tests, and its candidates
+    are their key words plus its delta.
+    """
+    places, need, delta = moves
+    D = _digits(K, places)
+    at, cand = [np.empty(0, dtype=np.intp)], [K[:0]]
+    for m, ((p, r), (q, s)) in enumerate(need):
+        hit = np.flatnonzero((D[:, p] == r) & (D[:, q] == s))
+        if len(hit):
+            at.append(hit)
+            cand.append(K[hit] + delta[m])
+    del D
+    cand = np.concatenate(cand)
+    keys, first = np.unique(_as_key(cand), return_index=True)
+    fresh = ~_member(seen, keys)
+    if len(level):
+        fresh &= ~_member(level, keys)
+    first = first[fresh]
+    return keys[fresh], cand[first], np.concatenate(at)[first]
 
 
 def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,
@@ -479,18 +534,19 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     """Flip path from t_start + vertical padding to some (w + same padding)
     with packed w in bottom_targets.
 
-    Best-first search on rows and exact keys, one score level at a time.
-    The score of a state is how many slab pairs of the padding are back in
-    vertical position.  Each round expands every open state of the top
-    score at once through _expand, which drops the states already seen;
-    the round's new rows, key words and parent ids are kept as one block.
-    The goal test runs on the new rows of full score.  Returns the
-    byte-state path (both endpoints included), walked back along the
-    parent ids, or None when no open state is left or when a round with
-    no goal would take the states stored past `budget`, so at most
-    `budget` states are ever kept.  _expand stops that round one state
-    past the room left, so at most max(budget, 1) + 1 states are ever
-    built.  Any returned path is a certificate: every step is a legal flip.
+    Best-first search on exact keys, one score level at a time.  The score
+    of a state is how many slab pairs of the padding are back in vertical
+    position, counted on its key's digits.  Each round expands every open
+    state of the top score at once through _expand, which drops the states
+    already seen; the round's new key words and parent ids are kept as one
+    block.  Only the new states of full score are decoded to partner bytes,
+    for the goal test, and the path at the end.  Returns the byte-state
+    path (both endpoints included), walked back along the parent ids, or
+    None when no open state is left or when a round with no goal would take
+    the states stored past `budget`, so at most `budget` states are ever
+    kept.  _expand stops that round one state past the room left, so at
+    most max(budget, 1) + 1 states are ever built.  Any returned path is a
+    certificate: every step is a legal flip.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -500,59 +556,58 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     nb = len(base.cells)
     padded = concat(t_start, vertical_tiling(base, extra_floors))
     region = padded.region
-    rows = np.frombuffer(pack_state(padded), dtype=np.uint8).reshape(1, -1)
     bottom_len = n0 * nb
-    # slab pair k is vertical when row[lower[k]] == upper[k] = lower[k] + nb
-    lower = np.array([h * nb + i for h in range(n0, n0 + extra_floors, 2) for i in range(nb)],
-                     dtype=np.intp)
-    upper = (lower + nb).astype(np.uint8)
+    places = _places(region)
+    # slab pair k (cells lower, lower + nb) is vertical when digit p[k] is r[k]
+    p, r = np.array([_digit_test(region, h * nb + i, (h + 1) * nb + i)
+                     for h in range(n0, n0 + extra_floors, 2) for i in range(nb)]).T
+    full = len(p)
 
-    def scores(rows: np.ndarray) -> np.ndarray:
-        return (rows[:, lower] == upper).sum(1)
-
-    def goal(rows: np.ndarray, score: np.ndarray) -> int | None:
-        for k in np.flatnonzero(score == len(lower)).tolist():
-            if rows[k, :bottom_len].tobytes() in bottom_targets:
-                return k
-        return None
+    def grade(words: np.ndarray) -> tuple[np.ndarray, int | None]:
+        """The states' scores, and the first state of full score whose
+        bottom is a target (None if there is none)."""
+        D = _digits(words, places)
+        score = (D[:, p] == r).sum(1)
+        at = np.flatnonzero(score == full)
+        for k, row in zip(at.tolist(), _rows(region, D[at])):
+            if row[:bottom_len].tobytes() in bottom_targets:
+                return score, k
+        return score, None
 
     table = _key_table(region)
-    moves = _flip_moves(region, table)
-    words = _key_words(region, table, rows)
+    moves = (places, *_flip_moves(region, table))
+    words = _key_words(region, table, np.frombuffer(pack_state(padded), dtype=np.uint8)[None])
     seen = _as_key(words).copy()
-    score = scores(rows)
-    hit = goal(rows, score)
-    blocks = [(rows, words, np.full(1, -1, dtype=np.intp))]  # per round: rows, words, parent ids
+    score, hit = grade(words)
+    blocks = [(words, np.full(1, -1, dtype=np.intp))]  # per round: key words, parent ids
     first = [0]  # id of each block's first state
     stored = 1
-    open_ = {int(score[0]): [(0, np.zeros(1, dtype=np.intp))]}  # score -> [(block, rows)]
+    open_ = {int(score[0]): [(0, np.zeros(1, dtype=np.intp))]}  # score -> [(block, states)]
     while hit is None:
         if not open_:
             return None
         top = open_.pop(max(open_))
         ids = np.concatenate([first[b] + at for b, at in top])
-        seen, rows, words, parent = _expand(
-            seen, np.concatenate([blocks[b][0][at] for b, at in top]),
-            np.concatenate([blocks[b][1][at] for b, at in top]), None, moves,
+        seen, words, parent = _expand(
+            seen, np.concatenate([blocks[b][0][at] for b, at in top]), None, moves,
             max(budget - stored, 0))
-        if not len(rows):
+        if not len(words):
             continue
-        score = scores(rows)
-        hit = goal(rows, score)
-        if hit is None and stored + len(rows) > budget:
+        score, hit = grade(words)
+        if hit is None and stored + len(words) > budget:
             return None
-        blocks.append((rows, words, ids[parent]))
+        blocks.append((words, ids[parent]))
         first.append(stored)
-        stored += len(rows)
-        for s in np.unique(score).tolist():
+        stored += len(words)
+        for s in np.flatnonzero(np.bincount(score)).tolist():
             open_.setdefault(s, []).append((len(blocks) - 1, np.flatnonzero(score == s)))
     b, k = len(blocks) - 1, hit
     path = []
     while True:
-        rows, _, parent = blocks[b]
-        path.append(rows[k].tobytes())
+        words, parent = blocks[b]
+        path.append(words[k])
         if parent[k] < 0:
-            return path[::-1]
+            return [row.tobytes() for row in _rows(region, _digits(np.array(path[::-1]), places))]
         b = bisect_right(first, parent[k]) - 1
         k = parent[k] - first[b]
 

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
-import subprocess
-import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +39,11 @@ from dominotwist.tilings import (
     decompose_floors,
     enumerate_tilings,
     partner_matrix,
+    tiling_from_text,
     vertical_tiling,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_pack_unpack_roundtrip():
@@ -457,6 +458,60 @@ def test_key_table_words_are_exact():
         assert all(sum(map(int, tops[:, k])) < 1 << 64 for k in range(words))
 
 
+def stacked_states(base: Region, floors: list[int], count: int, seed: int) -> np.ndarray:
+    """`count` seeded tilings of the cylinder over `base` with sum(floors)
+    floors, as partner rows: census states of the cylinders with floors[k]
+    floors, drawn at random and stacked."""
+    rng = np.random.default_rng(seed)
+    nb, parts = len(base.cells), []
+    for k, n in enumerate(floors):
+        P = partner_matrix(make_cylinder(base, n))
+        parts.append(P[rng.integers(len(P), size=count)] + np.uint8(sum(floors[:k]) * nb))
+    return np.hstack(parts)
+
+
+def random_walk(region: Region, steps: int, seed: int) -> np.ndarray:
+    """Partner rows of the tilings met on a seeded random walk of flips and
+    trits from the region's first enumerated tiling (a trit toggles the
+    twist, so both twists are met)."""
+    rng = np.random.default_rng(seed)
+    t = next(iter(enumerate_tilings(region)))
+    rows = []
+    for _ in range(steps):
+        options = flip_neighbors(t) + trit_neighbors(t)
+        t = options[rng.integers(len(options))]
+        rows.append(pack_state(t))
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(steps, -1)
+
+
+@pytest.mark.parametrize("spec, floors, words", [
+    pytest.param("cyl:2,2,2xN=6", [3, 3], 1, id="cyl:2,2,2xN=6"),
+    pytest.param("cyl:2,2,3xN=5", [2, 2, 1], 2, id="cyl:2,2,3xN=5"),
+    pytest.param("box:4,4,4", [2, 2], 2, id="box:4,4,4"),
+])
+def test_digits_decode_the_key_words(spec, floors, words):
+    # the searches hold only key words: decoding their digits gives back the
+    # partner rows, and each flip's two digit tests select the states that
+    # its two partner tests select
+    region = parse_region_spec(spec)
+    base, n = as_cylinder(region)
+    assert n == sum(floors)
+    P = np.vstack([stacked_states(base, floors, 300, seed=3), random_walk(region, 200, seed=4)])
+    table = moves._key_table(region)
+    assert table.shape[2] == words
+    D = moves._digits(moves._key_words(region, table, P), moves._places(region))
+    assert np.array_equal(moves._rows(region, D), P)
+    need, delta = moves._flip_moves(region, table)
+    assert len(need) == len(delta) == 2 * len(region.squares)
+    pairs = [m for a, b, c, d in region.squares for m in (((a, b), (c, d)), ((a, c), (b, d)))]
+    hits = 0
+    for ((p, r), (q, s)), ((a, b), (c, d)) in zip(need, pairs):
+        got = (D[:, p] == r) & (D[:, q] == s)
+        assert np.array_equal(got, (P[:, a] == b) & (P[:, c] == d))
+        hits += got.sum()
+    assert hits
+
+
 def reference_connected(t0: Tiling, t1: Tiling, budget: int = moves.DEFAULT_BUDGET) -> Connectivity:
     """Per-state bidirectional BFS on flip_neighbors_bytes: the side with
     the smaller frontier expands one level, and `budget` caps the states
@@ -594,6 +649,41 @@ def test_flip_connected_budget_caps_states_built(census_222_n3, monkeypatch, chu
         assert flip_connected(t0, t1) is Connectivity.CONNECTED
         met = 2 + sum(levels[:-1])  # states built before the meeting level
         assert flip_connected(t0, t1, met) is Connectivity.CONNECTED
+
+
+def test_flip_connected_peak_memory_on_the_pinned_padding_pair():
+    # the cli benchmark's pinned cyl:2,2,2xN=6 padding pair: holding only
+    # keys, the search's own arrays peak at 33.9 MB (numpy 2.4); a partner
+    # row kept beside each key takes them to about 70 MB
+    t0, t1 = (tiling_from_text((DATA / f"pad1_t{k}.txt").read_text()) for k in (0, 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = flip_connected(t0, t1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got is Connectivity.CONNECTED
+    assert peak < 50e6, f"the search peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.extended
+def test_flip_connected_peak_memory_at_two_million_states(fresh_python):
+    # cyl:2,2,2xN=8 (two key words), the vertical tiling against the first
+    # enumerated tiling of its twist: the budget runs out first, at 209 MB
+    # (numpy 2.4, Python 3.11); a partner row kept beside each key takes the
+    # process to about 315 MB
+    (got,), peak_mb = fresh_python(
+        "from dominotwist.kasteleyn import twist\n"
+        "from dominotwist.moves import flip_connected\n"
+        "from dominotwist.regions import make_box\n"
+        "from dominotwist.tilings import enumerate_tilings, vertical_tiling\n"
+        "t1 = vertical_tiling(make_box((2, 2, 2)), 8)\n"
+        "t0 = next(t for t in enumerate_tilings(t1.region) if twist(t) == twist(t1))\n"
+        "print(flip_connected(t0, t1, 2_000_000).value)\n")
+    assert got == "indeterminate"
+    assert peak_mb < 260, f"the search peaked at {peak_mb:.0f} MB"
 
 
 def test_isolated_twist1_tilings_disconnected(census_2222):
@@ -770,6 +860,24 @@ def test_merge_search_rejects_negative_budget():
         padded_merge_search(t, set(), 2, budget=-1)
 
 
+def test_searches_leave_numpy_ma_unimported(fresh_python):
+    # numpy 2.x imports numpy.ma (about 55 ms) from a plain np.unique; no
+    # census or search may pay for it
+    lines, _ = fresh_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from dominotwist import Tiling, parse_region_spec\n"
+        "from dominotwist.moves import flip_components, flip_connected, padded_merge_search\n"
+        "rep = flip_components(parse_region_spec('cyl:2,2,2xN=2'))\n"
+        "giant = np.flatnonzero(np.asarray(rep.comp_of) == 0)\n"
+        "t0, t1 = (Tiling(rep.region, rep.state(int(i))) for i in giant[[0, -1]])\n"
+        "print(flip_connected(t0, t1).value)\n"
+        "ones = [rep.state(i) for i in np.flatnonzero(rep.twists == 1)]\n"
+        "print(padded_merge_search(Tiling(rep.region, ones[0]), set(ones[1:]), 2) is not None)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert lines == ["connected", "True", "False"]
+
+
 def test_small_components_merge_into_giant_under_padding(census_223_n3):
     # every component of cyl:2,2,3xN=3 outside the two giants (sixteen of
     # 16 tilings and two of 2, all of twist 0) reaches the twist-0 giant
@@ -785,30 +893,14 @@ def test_small_components_merge_into_giant_under_padding(census_223_n3):
         assert_merge_certificate(start, giant, 2, path)
 
 
-# Runs the depth-5 census in a fresh interpreter and prints the component
-# list, then the interpreter's own peak (VmHWM, in kB).  Not ru_maxrss: on
-# Linux a child's ru_maxrss starts at its parent's RSS when it was spawned.
-DEPTH_FIVE_PROBE = (
-    "import re\n"
-    "from dominotwist import parse_region_spec\n"
-    "from dominotwist.moves import flip_components\n"
-    "rep = flip_components(parse_region_spec('cyl:2,2,2xN=5'))\n"
-    "print([(c.size, c.twist) for c in rep.components])\n"
-    "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
-)
-
-
 @pytest.mark.extended
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_depth_five_census_peak_memory():
+def test_depth_five_census_peak_memory(fresh_python):
     # no array of all 25,929,984 flip edges: the census peaks under 400 MB
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    proc = subprocess.run([sys.executable, "-c", DEPTH_FIVE_PROBE],
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    components, peak_kb = proc.stdout.splitlines()
+    (components,), peak_mb = fresh_python(
+        "from dominotwist import parse_region_spec\n"
+        "from dominotwist.moves import flip_components\n"
+        "rep = flip_components(parse_region_spec('cyl:2,2,2xN=5'))\n"
+        "print([(c.size, c.twist) for c in rep.components])\n")
     assert components == str([(3386376, 0), (202224, 1), (202224, 1),
                               (2028, 0), (2028, 0)])  # criterion 02's depth-5 census
-    assert int(peak_kb) < 400 * 1024, f"depth-5 census peaked at {int(peak_kb) >> 10} MB"
+    assert peak_mb < 400, f"depth-5 census peaked at {peak_mb:.0f} MB"

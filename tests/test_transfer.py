@@ -2,13 +2,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import subprocess
-import sys
 import zlib
 from operator import add
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,34 +443,18 @@ def test_large_base_matrix_free_route():
         assert cylinder_defect(base, floors) == defect_by_enumeration(r)
 
 
-# Builds the count table of the 24-cell base 4x6 in a fresh interpreter, then
-# prints its full entry, its sum and the interpreter's peak (VmHWM, in kB;
-# not ru_maxrss, which a child starts at its parent's RSS).
-TWENTY_FOUR_CELL_PROBE = (
-    "import re\n"
-    "from dominotwist.regions import make_box\n"
-    "from dominotwist.transfer import TransferMatrices\n"
-    "table = TransferMatrices(make_box((4, 6))).count_table\n"
-    "print(int(table[-1]), int(table.sum()))\n"
-    "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
-)
-
-
 @pytest.mark.extended
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_twenty_four_cell_count_table_peak_memory():
+def test_twenty_four_cell_count_table_peak_memory(fresh_python):
     # 2^24 int64 entries (128 MB) beside 2,704,156 plugs (215 MB before the
     # table): measured at 394-404 MB with numpy 2.4 and Python 3.11, 46 MB
     # under the bound; the scalar expansion into a list peaked at 470 MB
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    proc = subprocess.run([sys.executable, "-c", TWENTY_FOUR_CELL_PROBE],
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    values, peak_kb = proc.stdout.splitlines()
+    (values,), peak_mb = fresh_python(
+        "from dominotwist.regions import make_box\n"
+        "from dominotwist.transfer import TransferMatrices\n"
+        "table = TransferMatrices(make_box((4, 6))).count_table\n"
+        "print(int(table[-1]), int(table.sum()))\n")
     assert values == "281 1453535"  # the 4x6 tilings; all tilings of its cell subsets
-    assert int(peak_kb) < 450 * 1024, f"4x6 count table peaked at {int(peak_kb) >> 10} MB"
+    assert peak_mb < 450, f"4x6 count table peaked at {peak_mb:.0f} MB"
 
 
 # ------------------------------------------------ lumped symmetry-orbit engine
