@@ -76,7 +76,6 @@ _EXPORTS = {
         "cylinder_defect",
         "cork_count",
         "enumerate_plugs",
-        "floor_twist",
         "get_transfer",
         "load_transfer_cache",
         "save_transfer_cache",

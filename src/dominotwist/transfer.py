@@ -14,6 +14,9 @@ sigma_f matches black to white base labels, and inv_bl/inv_wh count label
 inversions induced by the two plugs.  (At^N)[empty][empty] is then the
 cylinder defect: twist-0 count minus twist-1 count.  cylinder_defect gets
 it without plugs, from the cylinder's block-tridiagonal Kasteleyn matrix.
+tests/test_transfer.py checks the formula entry by entry: each entry of A
+and At against count_tilings and defect_by_enumeration of the floor's
+region, and the products along each plug sequence against twist.
 
 All matrix entries and powers are exact integers; floating point appears
 only in spectral_estimates.
@@ -31,16 +34,9 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .kasteleyn import (
-    _negative_edges,
-    bareiss_determinant,
-    inversion_count,
-    inversion_parity,
-    sign_matrix,
-)
+from .kasteleyn import bareiss_determinant, inversion_count, inversion_parity, sign_matrix
 from .plugs import MAX_PLUG_BASE_CELLS, TransferError, check_defect_base, enumerate_plugs, is_plug  # noqa: F401 (re-exported)
 from .regions import Region, region_spec
-from .tilings import Tiling, enumerate_tilings
 
 MAX_MATRIX_PLUGS = 4096
 MAX_POWER_ITERATIONS = 200_000
@@ -116,12 +112,6 @@ class TransferMatrices:
     @cached_property
     def plug_index(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.plugs)}
-
-    def entry_count(self, p0: int, p1: int) -> int:
-        return dict(self.rows_count.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
-
-    def entry_signed(self, p0: int, p1: int) -> int:
-        return dict(self.rows_signed.row(self.plug_index[p0])).get(self.plug_index[p1], 0)
 
     def dense_count(self) -> np.ndarray:
         return self.rows_count.dense()
@@ -383,28 +373,7 @@ def get_transfer(base: Region) -> TransferMatrices:
     return build_transfer(base)
 
 
-# ---------------------------------------------------------------- floors
-
-def floor_subregion(base: Region, cells_mask: int) -> Region:
-    cells = [base.cells[i] for i in range(len(base.cells)) if cells_mask >> i & 1]
-    return Region(base.dim, cells)
-
-
-def floor_tilings(base: Region, p0: int, p1: int) -> list[Tiling]:
-    """All tilings of the base minus both plugs; empty when plugs overlap."""
-    _check_plug(base, p0)
-    _check_plug(base, p1)
-    if p0 & p1:
-        return []
-    full = (1 << len(base.cells)) - 1
-    return list(enumerate_tilings(floor_subregion(base, full ^ (p0 | p1))))
-
-
-def _check_mask(base: Region, cells_mask: int) -> None:
-    nc = len(base.cells)
-    if not 0 <= cells_mask < (1 << nc):
-        raise TransferError(f"cell mask {cells_mask:#x} out of range for {nc} cells")
-
+# ----------------------------------------------------------------- plugs
 
 def _check_plug(base: Region, mask: int) -> None:
     if not is_plug(base, mask):
@@ -416,62 +385,6 @@ def plug_inversions(base: Region, p0: int, p1: int) -> tuple[int, int]:
     """Exact (inv_bl, inv_wh) inversion counts for an ordered plug pair."""
     return tuple(inversion_count([(p1 >> i & 1) - (p0 >> i & 1) for i in cells])
                  for cells in (base.black_cells, base.white_cells))
-
-
-def floor_twist_pairs(base: Region, p0: int, p1: int,
-                      pairs: list[tuple[int, int]]) -> int:
-    """Floor twist from dominoes given as pairs of base cell indices."""
-    colors = base.colors
-    br = base.black_rank
-    wr = base.white_rank
-    sigma = sorted((br[i], wr[j]) if colors[i] > 0 else (br[j], wr[i]) for i, j in pairs)
-    negative = _negative_edges(base)
-    neg = sum(w in negative[b] for b, w in sigma)
-    inv_sigma = inversion_count([w for _, w in sigma])
-    inv_bl, inv_wh = plug_inversions(base, p0, p1)
-    return (neg + inv_sigma + inv_bl + inv_wh) & 1
-
-
-def floor_twist(base: Region, p0: int, p1: int, f: Tiling) -> int:
-    """Twist contribution of one floor (p0 below, f in the plane, p1 above)."""
-    _check_plug(base, p0)
-    _check_plug(base, p1)
-    if p0 & p1:
-        raise TransferError("plugs overlap; no floor exists")
-    full = (1 << len(base.cells)) - 1
-    want = full ^ (p0 | p1)
-    got = 0
-    index = base.index
-    for cell in f.region.cells:
-        i = index.get(cell)
-        if i is None:
-            raise TransferError(f"floor cell {cell} is not a base cell")
-        got |= 1 << i
-    if got != want:
-        raise TransferError("floor tiling does not cover base minus plugs")
-    pairs = [(index[v], index[w]) for v, w in f.dominoes()]
-    return floor_twist_pairs(base, p0, p1, pairs)
-
-
-def signed_floor_sum(base: Region, cells_mask: int) -> int:
-    """Sum of (-1)^(tk + inv(sigma)) over floor tilings of the mask."""
-    _check_mask(base, cells_mask)
-    return int(_base_tables(base).signed_table[cells_mask])
-
-
-def signed_floor_sum_by_enumeration(base: Region, cells_mask: int) -> int:
-    """Oracle for signed_floor_sum: enumerate and add up signs."""
-    _check_mask(base, cells_mask)
-    sub = floor_subregion(base, cells_mask)
-    if not sub.cells:
-        return 1
-    index = base.index
-    total = 0
-    for f in enumerate_tilings(sub):
-        pairs = [(index[v], index[w]) for v, w in f.dominoes()]
-        tw = floor_twist_pairs(base, 0, 0, pairs)
-        total += 1 - 2 * tw
-    return total
 
 
 # ------------------------------------------------------- powers and counts

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import zlib
+from collections import Counter
 from operator import add
 
 import numpy as np
@@ -25,16 +26,11 @@ from dominotwist.transfer import (
     cylinder_count,
     cylinder_defect,
     enumerate_plugs,
-    floor_subregion,
-    floor_tilings,
-    floor_twist,
     get_transfer,
     load_transfer_cache,
     plug_inversions,
     power_vector,
     save_transfer_cache,
-    signed_floor_sum,
-    signed_floor_sum_by_enumeration,
     spectral_estimates,
     transfer_to_json_obj,
     twist_split,
@@ -60,31 +56,45 @@ def test_plugs_sorted_and_balanced():
 
 
 def test_floor_tilings_match_entries():
+    # on every pair of disjoint plugs, A[i, j] counts the tilings of the base
+    # minus both plugs; At[i, j] is their defect under the floor's own labels,
+    # signed by inv_bl + inv_wh
     tm = get_transfer(B222)
-    plugs = tm.plugs
-    for i in (0, 1, 7, 35):
-        for j in (0, 2, 11, 69):
-            fts = floor_tilings(B222, plugs[i], plugs[j])
-            assert len(fts) == tm.entry_count(plugs[i], plugs[j])
+    a, at = tm.dense_count(), tm.dense_signed()
+    for i, p in enumerate(tm.plugs):
+        for j, q in enumerate(tm.plugs):
+            if p & q:
+                continue
+            floor = Region(3, [c for k, c in enumerate(B222.cells) if ~(p | q) >> k & 1])
+            sign = (-1) ** sum(plug_inversions(B222, p, q))
+            assert a[i, j] == count_tilings(floor), (p, q)
+            assert at[i, j] == sign * defect_by_enumeration(floor), (p, q)
 
 
 def test_entry_zero_when_plugs_overlap():
+    # a cell in both plugs is covered twice: no floor, in either matrix
     tm = get_transfer(B222)
-    p = tm.plugs[1]
-    assert tm.entry_count(p, p) == 0
-    assert tm.entry_signed(p, p) == 0
-    assert floor_tilings(B222, p, p) == []
+    a, at = tm.dense_count(), tm.dense_signed()
+    overlaps = 0
+    for i, p in enumerate(tm.plugs):
+        for j, q in enumerate(tm.plugs):
+            if p & q:
+                overlaps += 1
+                assert a[i, j] == at[i, j] == 0, (p, q)
+    assert overlaps > 0
 
 
 def test_signed_floor_sum_matches_enumeration():
     # both mask tables come from one expansion of K; on every mask, the count
-    # table against the enumerator and the signed table against the floor twist
+    # table against the enumerator and the signed table against the
+    # enumerated twist and the determinant of the mask's region
     for base in (B222, make_box((2, 3)), RING):
         tables = _base_tables(base)
         for mask in range(1 << len(base.cells)):
-            assert tables.count_table[mask] == count_tilings(floor_subregion(base, mask)), bin(mask)
-            assert signed_floor_sum(base, mask) == \
-                signed_floor_sum_by_enumeration(base, mask), bin(mask)
+            sub = Region(base.dim, [c for k, c in enumerate(base.cells) if mask >> k & 1])
+            assert tables.count_table[mask] == count_tilings(sub), bin(mask)
+            assert tables.signed_table[mask] == defect_by_enumeration(sub) \
+                == defect_by_determinant(sub), bin(mask)
 
 
 def reference_minors(base: Region, signed: bool) -> list[int]:
@@ -217,26 +227,22 @@ def test_plug_inversions_identity_disjoint_pairs():
             assert lhs == b0 * b1 + (b0 + b1) * (nb - b0 - b1)
 
 
-def test_floor_twist_sums_to_global_twist():
-    # the per-floor twist bookkeeping must add up to the tiling's twist
-    r = make_cylinder(B222, 2)
-    for t in enumerate_tilings(r):
-        fd = decompose_floors(t)
-        total = 0
-        for k in range(fd.floors):
-            sub = [(i, j) for i, j in fd.floor_pairs[k]]
-            f = _floor_tiling_of(B222, fd.plugs[k], fd.plugs[k + 1], sub)
-            total ^= floor_twist(B222, fd.plugs[k], fd.plugs[k + 1], f)
-        assert total == twist(t)
-
-
-def _floor_tiling_of(base, p0, p1, pairs):
-    from dominotwist.tilings import Tiling
-    from dominotwist.transfer import floor_subregion
-    full = (1 << len(base.cells)) - 1
-    sub = floor_subregion(base, full & ~(p0 | p1))
-    return Tiling.from_dominoes(
-        sub, [(base.cells[i], base.cells[j]) for i, j in pairs])
+@pytest.mark.parametrize("floors", [2, 3])
+def test_plug_sequences_match_the_global_twist(floors):
+    # the tilings with one plug sequence number the product of A's entries
+    # along it, and their signs (-1)^twist add up to the product of At's
+    tm = get_transfer(B222)
+    a, at = tm.dense_count(), tm.dense_signed()
+    counts, signs = Counter(), Counter()
+    for t in enumerate_tilings(make_cylinder(B222, floors)):
+        seq = tuple(map(tm.plug_index.__getitem__, decompose_floors(t).plugs))
+        counts[seq] += 1
+        signs[seq] += (-1) ** twist(t)
+    assert (sum(counts.values()), len(counts)) == {2: (272, 66), 3: (6345, 551)}[floors]
+    for seq, n in counts.items():
+        steps = list(zip(seq, seq[1:]))
+        assert n == math.prod(int(a[i, j]) for i, j in steps), seq
+        assert signs[seq] == math.prod(int(at[i, j]) for i, j in steps), seq
 
 
 def test_power_vector_matches_dense_power():
@@ -601,11 +607,3 @@ def test_one_floor_over_4x4_matches_oracles():
     region = make_cylinder(base, 1)
     assert cylinder_count(base, 1) == count_tilings(region) == 36
     assert cylinder_defect(base, 1) == defect_by_determinant(region)
-
-
-@pytest.mark.parametrize("mask", [-1, 256], ids=["negative", "too-large"])
-def test_signed_floor_sum_rejects_mask_out_of_range(mask):
-    with pytest.raises(TransferError):
-        signed_floor_sum(B222, mask)
-    with pytest.raises(TransferError):
-        signed_floor_sum_by_enumeration(B222, mask)
