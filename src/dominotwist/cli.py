@@ -190,11 +190,11 @@ def cmd_defect(args) -> CommandResult:
 
 def cmd_transfer_export(args) -> CommandResult:
     base = _base_arg(args)
-    from .transfer import get_transfer, save_transfer_cache, transfer_to_json_obj
+    from .transfer import get_transfer, save_transfer_cache, write_transfer_json
     tm = get_transfer(base)
-    obj = transfer_to_json_obj(tm)
     out = Path(args.out)
-    out.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+    with out.open("w") as fh:
+        write_transfer_json(tm, fh)
     nnz_count, nnz_signed = tm.nnz
     payload = {"plugs": tm.size, "nnz_count": nnz_count,
                "nnz_signed": nnz_signed, "out": str(out)}

@@ -30,6 +30,9 @@ orientation.  Both searches expand whole frontiers of keys through one
 kernel, _expand: flip_connected is a bidirectional BFS, one level at a
 time, and padded_merge_search a best-first search, one score level at a
 time, that decodes partner bytes only for its goal test and its path.
+Only padded_merge_search asks the kernel for parent ids, to walk its path
+back; flip_connected's next frontier is its level's sorted keys, read back
+as words.
 Both budgets cap the states built, one past the budget at most; an
 exhausted budget of flip_connected yields INDETERMINATE, never a wrong
 boolean, and one of padded_merge_search yields no path.
@@ -49,9 +52,9 @@ from .regions import DEFAULT_BUDGET, Region
 from .tilings import MAX_PACKED_CELLS, Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
 
 # frontier keys decoded per chunk of an _expand level: on the cli
-# benchmark's cyl:2,2,2xN=6 padding pair (2 cores, numpy 2.4), 1 << 12
-# lowered the `padding` process peak from 76 to 65 MB but took 0.77 s
-# against 0.62 s (medians of five)
+# benchmark's cyl:2,2,2xN=6 padding pair (2 cores, numpy 2.4, medians of
+# seven `padding` processes), 1 << 12 peaked at 46 MB in 0.78 s, 1 << 14 at
+# 57 MB in 0.62 s and 1 << 16 at 74 MB in 0.56 s
 FRONTIER_CHUNK = 1 << 14
 # unit squares per census group: on cyl:2,2,2xN=5 groups of 8, 16 and 32
 # took the same time, at peaks of 289, 358 and 442 MB
@@ -316,6 +319,12 @@ def _as_key(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
 
 
+def _key_words_of(keys: np.ndarray) -> np.ndarray:
+    """The (k, w) uint64 key words of contiguous keys: the inverse of
+    _as_key, as a view."""
+    return keys.view(np.uint64).reshape(len(keys), keys.dtype.itemsize // 8)
+
+
 def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Which of `keys` occur in the nonempty sorted key array."""
     at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
@@ -443,61 +452,75 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     while len(sides[0][1]) and len(sides[1][1]):
         # expand the smaller frontier
         i = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
-        level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0))
+        level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0), False)
         if level is None:
             return Connectivity.CONNECTED
-        sides[i] = level = level[:2]  # drops the parent ids
+        sides[i] = level
         visited += len(level[1])
         if visited > budget:
             return Connectivity.INDETERMINATE
     return Connectivity.DISCONNECTED
 
 
-def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves, room: int):
-    """Expand a whole frontier by one flip: the new (seen, words, parent)
-    of a search with sorted seen keys `seen` and the nonempty frontier's
-    key words `words`, where parent[k] is the frontier state that new
-    state k came from; or None when a flip reaches `other`, the sorted seen
-    keys of the other side of a bidirectional search (None when there is
-    no other side).  Once the level's new keys pass `room`, only the first room + 1
-    of them in key order are kept; the later chunks are still tested
-    against `other`, so a meeting anywhere in the level is found, but add
-    no states.
+def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves, room: int,
+            parents: bool):
+    """Expand a whole frontier by one flip: the new (seen, words) of a
+    search with sorted seen keys `seen` and the nonempty frontier's key
+    words `words`, plus parent when `parents` is true, where parent[k] is
+    the frontier state that new state k came from; or None when a flip
+    reaches `other`, the sorted seen keys of the other side of a
+    bidirectional search (None when there is no other side).  Once the
+    level's new keys pass `room`, only the first room + 1 of them in key
+    order are kept; the later chunks are still tested against `other`, so
+    a meeting anywhere in the level is found, but add no states.
 
     The frontier is walked in chunks of FRONTIER_CHUNK states, and only
     keys are held.  Per chunk, _fresh gives the distinct candidates seen
     neither before nor earlier in this level; they are tested against
-    `other`, merged into the level's sorted keys, and kept with their
-    parent, so a level holds each new state once.
+    `other` and merged into the level's sorted keys, so a level holds each
+    new state once.  Without parents the new words are read back from the
+    level's keys, in key order; with them, each chunk's keys are kept with
+    their parents, in frontier order.
     """
     level = seen[:0]  # sorted keys of the states new in this level
-    parts = []  # per chunk: (new key words, parent)
+    parts = []  # with parents, per chunk: (new keys, parent)
     for lo in range(0, len(words), FRONTIER_CHUNK):
-        keys, new_words, parent = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, seen, level)
+        keys, parent = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, seen, level, parents)
         if other is not None and _member(other, keys).any():
             return None
         if len(level) > room:  # the level is full
             continue
-        level = np.insert(level, np.searchsorted(level, keys), keys)
-        parts.append((new_words, parent + lo))
+        level = _merge(level, keys)
+        if parents:
+            parts.append((keys, parent + lo))
         if len(level) > room:
             level = level[:room + 1]
-            keep = [_member(level, _as_key(part[0])) for part in parts]
-            parts = [(w[k], parent[k]) for (w, parent), k in zip(parts, keep)]
+            keep = [_member(level, keys) for keys, _ in parts]
+            parts = [(keys[k], parent[k]) for (keys, parent), k in zip(parts, keep)]
             if other is None:
                 break
-    new_words, parent = (np.concatenate(x) for x in zip(*parts))
-    return np.insert(seen, np.searchsorted(seen, level), level), new_words, parent
+    seen = _merge(seen, level)
+    if not parents:
+        return seen, _key_words_of(level)
+    keys, parent = (np.concatenate(x) for x in zip(*parts))
+    return seen, _key_words_of(keys), parent
 
 
-def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray):
+def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray, parents: bool):
     """The states one flip from the states with key words K that are in
     neither `seen` nor `level` (sorted keys, `seen` nonempty): their sorted
-    keys, their key words and, for each, the row of K it came from.
+    keys and, when `parents` is true, for each the row of K it came from
+    (else None).
 
     The black-cell digits are decoded from K (_digits); a flip applies to
     the states whose digits pass its two digit tests, and its candidates
-    are their key words plus its delta.
+    are their key words plus its delta.  With parents the candidates are
+    deduplicated by np.unique, whose stable argsort names each key's first
+    candidate as its parent.  Without, no index array is built: the keys
+    are sorted in place, on the candidates' own buffer, and the first of
+    each run is kept.  The sort is stable (timsort), which on two-word
+    keys runs faster than the default sort: 74 against 120 ms on 660k
+    candidates from cyl:2,2,2xN=8 (numpy 2.4).
     """
     places, need, delta = moves
     D = _digits(K, places)
@@ -505,16 +528,38 @@ def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray):
     for m, ((p, r), (q, s)) in enumerate(need):
         hit = np.flatnonzero((D[:, p] == r) & (D[:, q] == s))
         if len(hit):
-            at.append(hit)
+            if parents:
+                at.append(hit)
             cand.append(K[hit] + delta[m])
     del D
-    cand = np.concatenate(cand)
-    keys, first = np.unique(_as_key(cand), return_index=True)
+    keys = _as_key(np.concatenate(cand))
+    del cand
+    if parents:
+        keys, first = np.unique(keys, return_index=True)
+    else:
+        keys.sort(kind="stable")
+        start = np.ones(len(keys), dtype=bool)
+        start[1:] = keys[1:] != keys[:-1]
+        keys = keys[start]
     fresh = ~_member(seen, keys)
     if len(level):
         fresh &= ~_member(level, keys)
-    first = first[fresh]
-    return keys[fresh], cand[first], np.concatenate(at)[first]
+    return keys[fresh], np.concatenate(at)[first[fresh]] if parents else None
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted keys of a and b together, for sorted key arrays a and b:
+    np.insert(a, np.searchsorted(a, b), b) with no sort of the positions,
+    which are already ascending.  Element k of b lands at its rank in a
+    plus k; a fills the rest."""
+    at = np.searchsorted(a, b)
+    at += np.arange(len(b))
+    out = np.empty(len(a) + len(b), dtype=a.dtype)
+    out[at] = b
+    rest = np.ones(len(out), dtype=bool)
+    rest[at] = False
+    out[rest] = a
+    return out
 
 
 def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,
@@ -590,7 +635,7 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
         ids = np.concatenate([first[b] + at for b, at in top])
         seen, words, parent = _expand(
             seen, np.concatenate([blocks[b][0][at] for b, at in top]), None, moves,
-            max(budget - stored, 0))
+            max(budget - stored, 0), True)
         if not len(words):
             continue
         score, hit = grade(words)

@@ -334,6 +334,18 @@ class _CSR:
         out[self.row_ids(), self.cols] = self.vals
         return out
 
+    def dense_rows(self):
+        """The rows of dense() as lists of Python ints, built 64 rows at a
+        time, so that no n x n array is held (a row at a time took half as
+        long again on 2,2,3)."""
+        ids = self.row_ids()
+        for lo in range(0, self.size, 64):
+            hi = min(lo + 64, self.size)
+            a, b = self.indptr[lo], self.indptr[hi]
+            block = np.zeros((hi - lo, self.size), dtype=np.int64)
+            block[ids[a:b] - lo, self.cols[a:b]] = self.vals[a:b]
+            yield from block.tolist()
+
     @cached_property
     def _gather(self) -> list[tuple[list[int], list[int]]]:
         """(entries, columns) of each row, as lists of Python ints."""
@@ -566,14 +578,28 @@ def spectral_estimates(base: Region, tol: float = 1e-9) -> SpectralReport:
 
 # ------------------------------------------------------------------ export
 
+def _json_head(tm: TransferMatrices) -> dict:
+    return {"version": CACHE_FORMAT_VERSION, "base": region_spec(tm.base), "plugs": list(tm.plugs)}
+
+
 def transfer_to_json_obj(tm: TransferMatrices) -> dict:
-    return {
-        "version": CACHE_FORMAT_VERSION,
-        "base": region_spec(tm.base),
-        "plugs": list(tm.plugs),
-        "A": tm.dense_count().tolist(),
-        "Atilde": tm.dense_signed().tolist(),
-    }
+    return {**_json_head(tm),
+            "A": list(tm.rows_count.dense_rows()),
+            "Atilde": list(tm.rows_signed.dense_rows())}
+
+
+def write_transfer_json(tm: TransferMatrices, fh) -> None:
+    """Write json.dumps(transfer_to_json_obj(tm), separators=(",", ":"))
+    and a newline to the text file fh, one matrix row at a time, so that
+    neither a dense matrix nor the whole document is held."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    fh.write(encode(_json_head(tm))[:-1])  # the head, open for the matrices
+    for key, matrix in (("A", tm.rows_count), ("Atilde", tm.rows_signed)):
+        fh.write(f",{encode(key)}:[")
+        for i, row in enumerate(matrix.dense_rows()):
+            fh.write("," + encode(row) if i else encode(row))
+        fh.write("]")
+    fh.write("}\n")
 
 
 def save_transfer_cache(tm: TransferMatrices, path: str) -> None:

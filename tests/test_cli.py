@@ -23,7 +23,8 @@ from dominotwist.kasteleyn import twist
 from dominotwist.moves import flip_neighbors
 from dominotwist.regions import Region, make_box, make_cylinder, parse_region_spec
 from dominotwist.tilings import Tiling, enumerate_tilings, tiling_from_text, vertical_tiling
-from dominotwist.transfer import cylinder_count, get_transfer, load_transfer_cache
+from dominotwist.transfer import (cylinder_count, get_transfer, load_transfer_cache,
+                                  transfer_to_json_obj)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -194,6 +195,21 @@ def test_transfer_export_bytes_are_pinned(tmp_path):
     assert raw == raw[:8] + zlib.compress(body, 6)
     assert hashlib.sha256(raw[:8] + body).hexdigest() == \
         "8dbd65b487d054eb851b43bc0e27769057e5d8a4c49ea6362e2b4c596bb76a05"
+
+
+@pytest.mark.parametrize("spec", ["box:2,2,3", "box:3,4", "box:2,5"])
+def test_transfer_export_streams_the_json_object(tmp_path, spec):
+    # the file is written a row at a time, and reads byte for byte as the
+    # compact dump of transfer_to_json_obj, whose rows are those of the
+    # dense matrices
+    out = tmp_path / "m.json"
+    code, _ = run_json(["transfer-export", "--base", spec, "--out", str(out)])
+    assert code == 0
+    tm = get_transfer(parse_region_spec(spec))
+    obj = transfer_to_json_obj(tm)
+    assert obj["A"] == tm.dense_count().tolist()
+    assert obj["Atilde"] == tm.dense_signed().tolist()
+    assert out.read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def test_spectral_payload():

@@ -512,6 +512,61 @@ def test_digits_decode_the_key_words(spec, floors, words):
     assert hits
 
 
+@pytest.mark.parametrize("spec, floors, words", [
+    pytest.param("cyl:2,2,2xN=4", [2, 2], 1, id="cyl:2,2,2xN=4"),
+    pytest.param("cyl:2,2,3xN=5", [2, 2, 1], 2, id="cyl:2,2,3xN=5"),
+])
+def test_fresh_keys_match_flip_neighbours(spec, floors, words):
+    # a frontier chunk of random states, with some of its flip neighbours
+    # already seen and some already in the level: with or without parents,
+    # _fresh gives the sorted keys of the other neighbours, and each parent
+    # is a state one flip away
+    region = parse_region_spec(spec)
+    base, _ = as_cylinder(region)
+    P = np.vstack([stacked_states(base, floors, 150, seed=5), random_walk(region, 150, seed=6)])
+    table = moves._key_table(region)
+    assert table.shape[2] == words
+    mv = (moves._places(region), *moves._flip_moves(region, table))
+
+    def key_words(states) -> np.ndarray:
+        rows = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(-1, len(region.cells))
+        return moves._key_words(region, table, rows)
+
+    def sorted_keys(states) -> np.ndarray:
+        return np.sort(moves._as_key(key_words(states)))
+
+    nbrs = [flip_neighbors_bytes(row.tobytes(), region.squares) for row in P]
+    states = sorted({t for nb in nbrs for t in nb})
+    # 0: new, 1: seen (with every state of the frontier), 2: in the level
+    pick = dict(zip(states, np.random.default_rng(7).integers(3, size=len(states)).tolist()))
+    pick.update((row.tobytes(), 1) for row in P)
+    seen, level = (sorted_keys([t for t, k in pick.items() if k == c]) for c in (1, 2))
+    for hi in (len(P), 1):  # the whole frontier as one chunk, and its first state
+        fresh = sorted({t for nb in nbrs[:hi] for t in nb if pick[t] == 0})
+        state_of = dict(zip(map(tuple, key_words(fresh).tolist()), fresh))
+        want = moves._key_words_of(sorted_keys(fresh)).tolist()
+        K = moves._key_words(region, table, P[:hi])
+        plain, none = moves._fresh(K, mv, seen, level, False)
+        keys, parent = moves._fresh(K, mv, seen, level, True)
+        assert none is None
+        assert moves._key_words_of(plain).tolist() == moves._key_words_of(keys).tolist() == want
+        for words, k in zip(want, parent.tolist()):
+            assert is_flip_pair(region, P[k].tobytes(), state_of[tuple(words)])
+        assert hi == 1 or len(want) > 100
+
+
+@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("sizes", [(0, 0), (0, 9), (9, 0), (200, 37), (37, 200)])
+def test_merge_matches_insert(words, sizes):
+    rng = np.random.default_rng(sum(sizes) + words)
+    a, b = (np.sort(moves._as_key(rng.integers(0, 50, size=(n, words), dtype=np.uint64)))
+            for n in sizes)
+    got = moves._merge(a, b)
+    assert got.dtype == a.dtype
+    assert moves._key_words_of(got).tolist() == \
+        moves._key_words_of(np.insert(a, np.searchsorted(a, b), b)).tolist()
+
+
 def reference_connected(t0: Tiling, t1: Tiling, budget: int = moves.DEFAULT_BUDGET) -> Connectivity:
     """Per-state bidirectional BFS on flip_neighbors_bytes: the side with
     the smaller frontier expands one level, and `budget` caps the states
@@ -653,8 +708,10 @@ def test_flip_connected_budget_caps_states_built(census_222_n3, monkeypatch, chu
 
 def test_flip_connected_peak_memory_on_the_pinned_padding_pair():
     # the cli benchmark's pinned cyl:2,2,2xN=6 padding pair: holding only
-    # keys, the search's own arrays peak at 33.9 MB (numpy 2.4); a partner
-    # row kept beside each key takes them to about 70 MB
+    # sorted keys, and deduplicating each chunk with an in-place sort, the
+    # search's own arrays peak at 17.5 MB (numpy 2.4); np.unique's index
+    # arrays and a second copy of each level's words take them to 33.9 MB,
+    # and a partner row kept beside each key to about 70 MB
     t0, t1 = (tiling_from_text((DATA / f"pad1_t{k}.txt").read_text()) for k in (0, 1))
     tracemalloc.start()
     try:
@@ -665,7 +722,7 @@ def test_flip_connected_peak_memory_on_the_pinned_padding_pair():
     finally:
         tracemalloc.stop()
     assert got is Connectivity.CONNECTED
-    assert peak < 50e6, f"the search peaked at {peak / 1e6:.1f} MB"
+    assert peak < 27e6, f"the search peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.extended
@@ -881,16 +938,20 @@ def test_searches_leave_numpy_ma_unimported(fresh_python):
 def test_small_components_merge_into_giant_under_padding(census_223_n3):
     # every component of cyl:2,2,3xN=3 outside the two giants (sixteen of
     # 16 tilings and two of 2, all of twist 0) reaches the twist-0 giant
-    # with two padding floors
+    # with two padding floors; the path lengths are pinned, so a change to
+    # how the search picks a state's parent shows
     rep = census_223_n3.report
     giant = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 0)}
     small = range(2, len(rep.components))
     assert [rep.components[k].twist for k in small] == [0] * 18
+    lengths = []
     for k in small:
         start = rep.representative_tiling(k)
         path = padded_merge_search(start, giant, 2)
         assert path is not None, k
         assert_merge_certificate(start, giant, 2, path)
+        lengths.append(len(path))
+    assert lengths == [18, 18, 20, 19, 20, 18, 20, 18, 20, 20, 18, 17, 18, 20, 17, 20, 17, 17]
 
 
 @pytest.mark.extended
