@@ -70,9 +70,13 @@ def _name_region(args, spec: str) -> None:
 
 
 def _read_region(args, text: str) -> tuple[tuple, int]:
-    """A spec, read and named, and its cell count if box: or cyl:, else 0."""
+    """A spec, read and named, and its cell count if box:, cyl: or cork:
+    (base x floors, less the cells of its two plugs), else 0."""
     args.named_region = text.strip()
     spec = read_spec(text)
+    if spec[0] == "cork":
+        _, dims, floors, p0, pn = spec
+        return spec, math.prod(dims) * floors - p0.bit_count() - pn.bit_count()
     if spec[0] not in ("box", "cyl"):
         return spec, 0
     args.named_region = spec_text(spec)

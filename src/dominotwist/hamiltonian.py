@@ -214,18 +214,13 @@ def _transport(tiling: Tiling, src: HamiltonianPath, dst: HamiltonianPath,
         return b in dst_neighbors[a]
 
     if check_all_edges:
-        src_index = src.region.index
-        pos = src.position
-        for i, cell in enumerate(src.region.cells):
-            for j in src.region.neighbors[i]:
-                if j < i:
-                    continue
-                k0, k1 = pos[cell], pos[src.region.cells[j]]
-                if not adjacent_in_dst(k0, k1):
-                    raise HamiltonianError(
-                        f"folding condition violated: base cells at path"
-                        f" positions {k0} and {k1} are adjacent in the source"
-                        " but not in the target")
+        # consecutive path positions are adjacent in the target path too
+        for k0, k1 in non_respecting_base_dominoes(src):
+            if not adjacent_in_dst(k0, k1):
+                raise HamiltonianError(
+                    f"folding condition violated: base cells at path"
+                    f" positions {k0} and {k1} are adjacent in the source"
+                    " but not in the target")
 
     target = make_cylinder(dst.region, floors)
     pos = src.position

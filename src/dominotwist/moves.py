@@ -9,7 +9,8 @@ There is one flip path per state type.  Tilings go through flip_sites and
 apply_flip (flip_neighbors), at any region size.  Byte-packed partner
 vectors (pack_state, at most 255 cells) go through the numpy kernels
 below, in rows of a uint8 matrix; flip_neighbors_bytes, one state at a
-time, is kept as the independent check behind is_flip_pair.
+time, is the check behind is_flip_pair, which shares no code with the
+searches.
 
 The census (flip_components) runs over all tilings at once: the states x
 cells uint8 matrix of tilings.partner_matrix, kept as the report's states,
@@ -27,12 +28,12 @@ random table.  The key words are the only state the searches store: the
 digits decode from them (_digits), and a flip applies where two digits
 have given values and moves the key by a constant delta per square and
 orientation.  Both searches expand whole frontiers of keys through one
-kernel, _expand: flip_connected is a bidirectional BFS, one level at a
+kernel, _expand, which returns a level's new states as sorted keys and
+nothing else: flip_connected is a bidirectional BFS, one level at a
 time, and padded_merge_search a best-first search, one score level at a
-time, that decodes partner bytes only for its goal test and its path.
-Only padded_merge_search asks the kernel for parent ids, to walk its path
-back; flip_connected's next frontier is its level's sorted keys, read back
-as words.
+time, that decodes partner bytes only for its goal test.  It keeps each
+round's sorted keys and walks its path back over them, through
+flip_neighbors on tilings.
 Both budgets cap the states built, one past the budget at most; an
 exhausted budget of flip_connected yields INDETERMINATE, never a wrong
 boolean, and one of padded_merge_search yields no path.
@@ -40,7 +41,6 @@ boolean, and one of padded_merge_search yields no path.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -452,7 +452,7 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     while len(sides[0][1]) and len(sides[1][1]):
         # expand the smaller frontier
         i = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
-        level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0), False)
+        level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0))
         if level is None:
             return Connectivity.CONNECTED
         sides[i] = level
@@ -462,89 +462,70 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     return Connectivity.DISCONNECTED
 
 
-def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves, room: int,
-            parents: bool):
+def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves, room: int):
     """Expand a whole frontier by one flip: the new (seen, words) of a
     search with sorted seen keys `seen` and the nonempty frontier's key
-    words `words`, plus parent when `parents` is true, where parent[k] is
-    the frontier state that new state k came from; or None when a flip
-    reaches `other`, the sorted seen keys of the other side of a
-    bidirectional search (None when there is no other side).  Once the
-    level's new keys pass `room`, only the first room + 1 of them in key
-    order are kept; the later chunks are still tested against `other`, so
-    a meeting anywhere in the level is found, but add no states.
+    words `words`, the new words being the level's states in key order; or
+    None when a flip reaches `other`, the sorted seen keys of the other
+    side of a bidirectional search (None when there is no other side).
+    Once the level's new keys pass `room`, only the first room + 1 of them
+    in key order are kept; the later chunks are still tested against
+    `other`, so a meeting anywhere in the level is found, but add no states.
 
     The frontier is walked in chunks of FRONTIER_CHUNK states, and only
     keys are held.  Per chunk, _fresh gives the distinct candidates seen
     neither before nor earlier in this level; they are tested against
     `other` and merged into the level's sorted keys, so a level holds each
-    new state once.  Without parents the new words are read back from the
-    level's keys, in key order; with them, each chunk's keys are kept with
-    their parents, in frontier order.
+    new state once, and its words are those keys read back as words.
     """
     level = seen[:0]  # sorted keys of the states new in this level
-    parts = []  # with parents, per chunk: (new keys, parent)
     for lo in range(0, len(words), FRONTIER_CHUNK):
-        keys, parent = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, seen, level, parents)
+        keys = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, seen, level)
         if other is not None and _member(other, keys).any():
             return None
         if len(level) > room:  # the level is full
             continue
         level = _merge(level, keys)
-        if parents:
-            parts.append((keys, parent + lo))
         if len(level) > room:
             level = level[:room + 1]
-            keep = [_member(level, keys) for keys, _ in parts]
-            parts = [(keys[k], parent[k]) for (keys, parent), k in zip(parts, keep)]
             if other is None:
                 break
-    seen = _merge(seen, level)
-    if not parents:
-        return seen, _key_words_of(level)
-    keys, parent = (np.concatenate(x) for x in zip(*parts))
-    return seen, _key_words_of(keys), parent
+    return _merge(seen, level), _key_words_of(level)
 
 
-def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray, parents: bool):
-    """The states one flip from the states with key words K that are in
-    neither `seen` nor `level` (sorted keys, `seen` nonempty): their sorted
-    keys and, when `parents` is true, for each the row of K it came from
-    (else None).
-
-    The black-cell digits are decoded from K (_digits); a flip applies to
-    the states whose digits pass its two digit tests, and its candidates
-    are their key words plus its delta.  With parents the candidates are
-    deduplicated by np.unique, whose stable argsort names each key's first
-    candidate as its parent.  Without, no index array is built: the keys
-    are sorted in place, on the candidates' own buffer, and the first of
-    each run is kept.  The sort is stable (timsort), which on two-word
-    keys runs faster than the default sort: 74 against 120 ms on 660k
-    candidates from cyl:2,2,2xN=8 (numpy 2.4).
-    """
+def _flipped(K: np.ndarray, moves) -> np.ndarray:
+    """Key words of every flip of the states with key words K, one row per
+    state and flip that applies, repeats included.  The black-cell digits
+    are decoded from K (_digits); a flip applies to the states whose digits
+    pass its two digit tests, and moves their key words by its delta."""
     places, need, delta = moves
     D = _digits(K, places)
-    at, cand = [np.empty(0, dtype=np.intp)], [K[:0]]
+    cand = [K[:0]]
     for m, ((p, r), (q, s)) in enumerate(need):
         hit = np.flatnonzero((D[:, p] == r) & (D[:, q] == s))
         if len(hit):
-            if parents:
-                at.append(hit)
             cand.append(K[hit] + delta[m])
     del D
-    keys = _as_key(np.concatenate(cand))
-    del cand
-    if parents:
-        keys, first = np.unique(keys, return_index=True)
-    else:
-        keys.sort(kind="stable")
-        start = np.ones(len(keys), dtype=bool)
-        start[1:] = keys[1:] != keys[:-1]
-        keys = keys[start]
+    return np.concatenate(cand)
+
+
+def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """The sorted keys of the states one flip from the states with key
+    words K (_flipped) that are in neither `seen` nor `level` (sorted keys,
+    `seen` nonempty).  The candidates' keys are sorted in place, on their
+    own buffer, and the first of each run is kept.  The sort is stable
+    (timsort), which on two-word keys runs faster than the default sort:
+    74 against 120 ms on 660k candidates from cyl:2,2,2xN=8 (numpy 2.4).
+    """
+    keys = _as_key(_flipped(K, moves))
+    keys.sort(kind="stable")
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    keys = keys[start]
     fresh = ~_member(seen, keys)
     if len(level):
         fresh &= ~_member(level, keys)
-    return keys[fresh], np.concatenate(at)[first[fresh]] if parents else None
+    return keys[fresh]
 
 
 def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -583,14 +564,22 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     of a state is how many slab pairs of the padding are back in vertical
     position, counted on its key's digits.  Each round expands every open
     state of the top score at once through _expand, which drops the states
-    already seen; the round's new key words and parent ids are kept as one
-    block.  Only the new states of full score are decoded to partner bytes,
-    for the goal test, and the path at the end.  Returns the byte-state
-    path (both endpoints included), walked back along the parent ids, or
-    None when no open state is left or when a round with no goal would take
-    the states stored past `budget`, so at most `budget` states are ever
-    kept.  _expand stops that round one state past the room left, so at
-    most max(budget, 1) + 1 states are ever built.  Any returned path is a
+    already seen; the round's new key words, in key order, are kept as one
+    block, block 0 being the start.  Only the new states of full score are
+    decoded to partner bytes, for the goal test.  Returns None when no open
+    state is left or when a round with no goal would take the states
+    stored past `budget`, so at most `budget` states are ever kept.
+    _expand stops that round one state past the room left, so at most
+    max(budget, 1) + 1 states are ever built.
+
+    Otherwise returns the byte-state path (both endpoints included), walked
+    back from the goal over the blocks.  A state new in round b is one flip
+    from a state of an earlier block, the frontier it was expanded from; so
+    each step goes to a flip neighbour (flip_neighbors on tilings, not the
+    search's kernel) in the earliest earlier block that holds one.  The
+    block index falls at every step, so the walk reaches block 0, the
+    start, after at most one step per round; a state with no neighbour in
+    an earlier block raises RuntimeError.  Any returned path is a
     certificate: every step is a legal flip.
     """
     if budget < 0:
@@ -608,15 +597,15 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
                      for h in range(n0, n0 + extra_floors, 2) for i in range(nb)]).T
     full = len(p)
 
-    def grade(words: np.ndarray) -> tuple[np.ndarray, int | None]:
+    def grade(words: np.ndarray) -> tuple[np.ndarray, bytes | None]:
         """The states' scores, and the first state of full score whose
-        bottom is a target (None if there is none)."""
+        bottom is a target, packed (None if there is none)."""
         D = _digits(words, places)
         score = (D[:, p] == r).sum(1)
         at = np.flatnonzero(score == full)
-        for k, row in zip(at.tolist(), _rows(region, D[at])):
+        for row in _rows(region, D[at]):
             if row[:bottom_len].tobytes() in bottom_targets:
-                return score, k
+                return score, row.tobytes()
         return score, None
 
     table = _key_table(region)
@@ -624,37 +613,37 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     words = _key_words(region, table, np.frombuffer(pack_state(padded), dtype=np.uint8)[None])
     seen = _as_key(words).copy()
     score, hit = grade(words)
-    blocks = [(words, np.full(1, -1, dtype=np.intp))]  # per round: key words, parent ids
-    first = [0]  # id of each block's first state
+    blocks = [words]  # per round: the key words of its new states, in key order
     stored = 1
     open_ = {int(score[0]): [(0, np.zeros(1, dtype=np.intp))]}  # score -> [(block, states)]
     while hit is None:
         if not open_:
             return None
         top = open_.pop(max(open_))
-        ids = np.concatenate([first[b] + at for b, at in top])
-        seen, words, parent = _expand(
-            seen, np.concatenate([blocks[b][0][at] for b, at in top]), None, moves,
-            max(budget - stored, 0), True)
+        seen, words = _expand(seen, np.concatenate([blocks[b][at] for b, at in top]), None, moves,
+                              max(budget - stored, 0))
         if not len(words):
             continue
         score, hit = grade(words)
         if hit is None and stored + len(words) > budget:
             return None
-        blocks.append((words, ids[parent]))
-        first.append(stored)
+        blocks.append(words)
         stored += len(words)
         for s in np.flatnonzero(np.bincount(score)).tolist():
             open_.setdefault(s, []).append((len(blocks) - 1, np.flatnonzero(score == s)))
-    b, k = len(blocks) - 1, hit
-    path = []
-    while True:
-        words, parent = blocks[b]
-        path.append(words[k])
-        if parent[k] < 0:
-            return [row.tobytes() for row in _rows(region, _digits(np.array(path[::-1]), places))]
-        b = bisect_right(first, parent[k]) - 1
-        k = parent[k] - first[b]
+    path = [Tiling(region, hit)]
+    b = len(blocks) - 1
+    while b:
+        nbrs = flip_neighbors(path[-1])
+        keys = _as_key(_key_words(region, table, np.array([t.partner for t in nbrs], dtype=np.uint8)))
+        for b in range(b):
+            at = np.flatnonzero(_member(_as_key(blocks[b]), keys))
+            if len(at):
+                break
+        else:
+            raise RuntimeError("no earlier round holds a flip neighbour of a path state")
+        path.append(nbrs[at[0]])
+    return [pack_state(t) for t in reversed(path)]
 
 
 def is_flip_pair(region: Region, s0: bytes, s1: bytes) -> bool:

@@ -751,6 +751,22 @@ def test_determinant_defect_over_a_large_region_is_refused_before_its_cells(argv
     assert obj["timing"] < 1
 
 
+def test_determinant_defect_over_a_large_cork_is_refused_before_its_cells():
+    # a cork's cells are base x floors less its two plugs' cells, counted
+    # from the spec: 64 x 16000 cells are refused before any is built
+    cork = "cork:8,8xN=16000:p0=0x0:pN=0x0"
+    proc, obj = _run_capped(["defect", "--method", "det", "--region", cork])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == \
+        "the determinant defect needs a region with at most 1024 cells, got 1024000"
+    assert obj["region"] == cork
+    assert obj["timing"] < 0.1
+    # the two plugs' cells are left out of the count
+    code, obj = run_json(["defect", "--method", "det", "--region", "cork:1,1xN=1028:p0=0x1:pN=0x1"])
+    assert (code, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"].endswith("got 1026")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral"],
     ["transfer-export", "--out", "{tmp}/m.json"],

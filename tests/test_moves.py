@@ -518,9 +518,8 @@ def test_digits_decode_the_key_words(spec, floors, words):
 ])
 def test_fresh_keys_match_flip_neighbours(spec, floors, words):
     # a frontier chunk of random states, with some of its flip neighbours
-    # already seen and some already in the level: with or without parents,
-    # _fresh gives the sorted keys of the other neighbours, and each parent
-    # is a state one flip away
+    # already seen and some already in the level: _fresh gives the sorted
+    # keys of the other neighbours
     region = parse_region_spec(spec)
     base, _ = as_cylinder(region)
     P = np.vstack([stacked_states(base, floors, 150, seed=5), random_walk(region, 150, seed=6)])
@@ -543,15 +542,9 @@ def test_fresh_keys_match_flip_neighbours(spec, floors, words):
     seen, level = (sorted_keys([t for t, k in pick.items() if k == c]) for c in (1, 2))
     for hi in (len(P), 1):  # the whole frontier as one chunk, and its first state
         fresh = sorted({t for nb in nbrs[:hi] for t in nb if pick[t] == 0})
-        state_of = dict(zip(map(tuple, key_words(fresh).tolist()), fresh))
         want = moves._key_words_of(sorted_keys(fresh)).tolist()
-        K = moves._key_words(region, table, P[:hi])
-        plain, none = moves._fresh(K, mv, seen, level, False)
-        keys, parent = moves._fresh(K, mv, seen, level, True)
-        assert none is None
-        assert moves._key_words_of(plain).tolist() == moves._key_words_of(keys).tolist() == want
-        for words, k in zip(want, parent.tolist()):
-            assert is_flip_pair(region, P[k].tobytes(), state_of[tuple(words)])
+        keys = moves._fresh(moves._key_words(region, table, P[:hi]), mv, seen, level)
+        assert moves._key_words_of(keys).tolist() == want
         assert hi == 1 or len(want) > 100
 
 
@@ -909,6 +902,61 @@ def test_merge_search_budget_runs_out(census_223_n3, monkeypatch):
         assert kept <= budget < kept + rounds[-1], budget
         assert 1 + sum(rounds) <= budget + 1, budget
     assert reference_merge_search(start, giant, 2, budget=1000) is None
+
+
+def test_merge_search_walks_back_one_step_per_round_at_most(census_223_n3, monkeypatch):
+    # the path is walked back over the rounds' blocks, each step to a flip
+    # neighbour in an earlier block: it holds the start and at most one
+    # state per round that found new states, and every step is a legal flip
+    rep = census_223_n3.report
+    giant = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 0)}
+    expand, rounds = moves._expand, []
+
+    def counted(*args):
+        out = expand(*args)
+        rounds.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(moves, "_expand", counted)
+    for k in range(2, len(rep.components), 3):
+        rounds.clear()
+        start = rep.representative_tiling(k)
+        path = padded_merge_search(start, giant, 2)
+        assert path is not None, k
+        assert_merge_certificate(start, giant, 2, path)
+        assert len(path) <= sum(map(bool, rounds)) + 1, (k, len(path), rounds)
+
+
+def test_merge_search_refuses_a_path_it_cannot_walk_back(monkeypatch):
+    # a state with no flip neighbour in an earlier round cannot be reached
+    # from the start: the search raises rather than return an unchecked path
+    region = parse_region_spec("cyl:2,3xN=2")
+    states = [row.tobytes() for row in partner_matrix(region)]
+    monkeypatch.setattr(moves, "flip_neighbors", lambda t: [t])
+    with pytest.raises(RuntimeError, match="no earlier round"):
+        padded_merge_search(Tiling(region, states[0]), {states[-1]}, 2)
+
+
+def test_merge_search_peak_memory_on_the_twins(census_222_n4):
+    # cyl:2,2,2xN=4, from the second twist-1 twin to the first under two
+    # padding floors: the twins stay apart, so the search spends its whole
+    # budget of 2,000,000 states.  Keeping only each round's sorted keys, it
+    # peaks at 68.9 MB (numpy 2.4); parent ids beside the keys, and the
+    # stable argsort that named them, take it to 83.7 MB
+    rep = census_222_n4.report
+    assert [(c.size, c.twist) for c in rep.components[1:3]] == [(6412, 1), (6412, 1)]
+    targets = {rep.state(i) for i in np.flatnonzero(np.asarray(rep.comp_of) == 1)}
+    start = rep.representative_tiling(2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        path = padded_merge_search(start, targets, 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path is None
+    assert peak < 76e6, f"the search peaked at {peak / 1e6:.1f} MB"
 
 
 def test_merge_search_rejects_negative_budget():
