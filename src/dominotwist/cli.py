@@ -11,7 +11,8 @@ Start-up is most of a short call, so the module imports only the scalar,
 pure-Python engines.  A command imports moves or transfer, and with them
 numpy, where it runs their array code: twist, render, fold, flux,
 generators, count on a box and defect --method det never load numpy.  The
-timing of a command that does includes that import.
+timing of a command that does includes that import.  Only fold, flux and
+generators import hamiltonian, the path engine.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import hamiltonian as ham
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
 from .plugs import check_defect_base, check_determinant_cells, check_plug_base
 from .regions import (DEFAULT_BUDGET, Region, build_spec, make_box, parse_region_spec, read_spec,
@@ -97,9 +97,11 @@ def _read_tiling(args, path: str) -> Tiling:
     return t
 
 
-def _parse_path_arg(args, text: str) -> ham.HamiltonianPath:
-    """Path argument: 'box:<dims>' for the serpentine path, or a JSON file
-    holding {"region": <spec>, "cells": <ordered cell list>}."""
+def _parse_path_arg(args, text: str):
+    """The hamiltonian.HamiltonianPath of a path argument: 'box:<dims>' for
+    the serpentine path, or a JSON file holding {"region": <spec>,
+    "cells": <ordered cell list>}."""
+    from . import hamiltonian as ham
     if text.startswith("box:"):
         dims = read_spec(text)[1]
         _name_region(args, text)
@@ -239,8 +241,10 @@ def cmd_padding(args) -> CommandResult:
 
 
 def cmd_generators(args) -> CommandResult:
+    from . import hamiltonian as ham
     path = _parse_path_arg(args, args.base)
-    gens = ham.generator_set(path, cap=args.cap)
+    cap = ham.DEFAULT_HALF_FLOOR_CAP if args.cap is None else args.cap
+    gens = ham.generator_set(path, cap=cap)
     entries = []
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -268,6 +272,7 @@ def cmd_generators(args) -> CommandResult:
 
 
 def cmd_flux(args) -> CommandResult:
+    from . import hamiltonian as ham
     path = _parse_path_arg(args, args.base)
     if args.d is None:
         if args.plug is not None:
@@ -289,6 +294,7 @@ def cmd_flux(args) -> CommandResult:
 
 
 def cmd_fold(args) -> CommandResult:
+    from . import hamiltonian as ham
     t = _read_tiling(args, args.tiling)
     src = _parse_path_arg(args, args.src)
     dst = _parse_path_arg(args, args.dst)
@@ -462,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True,
                    help="'box:<dims>' or a path JSON file")
     p.add_argument("--out", help="directory for tiling text files")
-    p.add_argument("--cap", type=int, default=ham.DEFAULT_HALF_FLOOR_CAP)
+    p.add_argument("--cap", type=int)  # None: hamiltonian's DEFAULT_HALF_FLOOR_CAP
     common(p)
     p.set_defaults(func=cmd_generators)
 

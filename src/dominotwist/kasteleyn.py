@@ -14,7 +14,7 @@ Python; twist_batch and twist_census load numpy when called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from random import Random
 
@@ -287,13 +287,12 @@ def twist_census(region: Region) -> tuple[int, int]:
     return (counts[0], counts[1])
 
 
-@dataclass
-class GaugeReport:
-    """Result of comparing a sign system against the canonical one."""
+class GaugeReport(namedtuple("GaugeReport", "consistent epsilon counterexample")):
+    """Result of comparing a sign system against the canonical one: whether
+    it is consistent, the unit epsilon (None if not) and, if not, a pair of
+    tilings whose ratios differ (else None)."""
 
-    consistent: bool
-    epsilon: int | None
-    counterexample: tuple[Tiling, Tiling] | None
+    __slots__ = ()
 
 
 def gauge_twist_comparison(region: Region, system: SignSystem) -> GaugeReport:

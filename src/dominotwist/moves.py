@@ -28,12 +28,14 @@ random table.  The key words are the only state the searches store: the
 digits decode from them (_digits), and a flip applies where two digits
 have given values and moves the key by a constant delta per square and
 orientation.  Both searches expand whole frontiers of keys through one
-kernel, _expand, which returns a level's new states as sorted keys and
-nothing else: flip_connected is a bidirectional BFS, one level at a
-time, and padded_merge_search a best-first search, one score level at a
-time, that decodes partner bytes only for its goal test.  It keeps each
-round's sorted keys and walks its path back over them, through
-flip_neighbors on tilings.
+kernel, _expand, which drops the states in the sorted key arrays it is
+given and returns a level's new states as sorted keys, nothing else.
+flip_connected is a bidirectional BFS, one level at a time, that keeps
+only each side's last two levels.  padded_merge_search is a best-first
+search, one score level at a time, that merges each round into one
+sorted seen array and decodes partner bytes only for its goal test.  It
+keeps each round's sorted keys and walks its path back over them,
+through flip_neighbors on tilings.
 Both budgets cap the states built, one past the budget at most; an
 exhausted budget of flip_connected yields INDETERMINATE, never a wrong
 boolean, and one of padded_merge_search yields no path.
@@ -53,8 +55,9 @@ from .tilings import MAX_PACKED_CELLS, Tiling, as_cylinder, concat, partner_matr
 
 # frontier keys decoded per chunk of an _expand level: on the cli
 # benchmark's cyl:2,2,2xN=6 padding pair (2 cores, numpy 2.4, medians of
-# seven `padding` processes), 1 << 12 peaked at 46 MB in 0.78 s, 1 << 14 at
-# 57 MB in 0.62 s and 1 << 16 at 74 MB in 0.56 s
+# seven `padding` processes, search time only), 1 << 12 peaked at 42.5 MB
+# in 0.43 s, 1 << 13 at 42.7 MB in 0.32 s, 1 << 14 at 45.4 MB in 0.28 s,
+# 1 << 15 at 50.6 MB in 0.27 s and 1 << 16 at 70.6 MB in 0.34 s
 FRONTIER_CHUNK = 1 << 14
 # unit squares per census group: on cyl:2,2,2xN=5 groups of 8, 16 and 32
 # took the same time, at peaks of 289, 358 and 442 MB
@@ -389,7 +392,8 @@ def _label_components(region: Region, P: np.ndarray) -> tuple[np.ndarray, int]:
         np.minimum.at(lab, np.maximum(u, v), np.minimum(u, v))
         lab = _jump(lab)
         u, v = lab[u], lab[v]
-        u, v = u[u != v], v[u != v]
+        keep = u != v
+        u, v = u[keep], v[keep]
     return lab, edges
 
 
@@ -428,8 +432,18 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
 
     The twist shortcut is sound: flips preserve twist, so tilings with
     different twists are disconnected without any search.  Each side keeps
-    only keys: its sorted seen keys and the key words of its frontier; the
-    side with the smaller frontier expands a whole level through _expand.
+    only its last two levels, as sorted keys: the previous level and the
+    frontier, whose key words are its keys read back as words.  The side
+    with the smaller frontier expands a whole level through _expand.  Two
+    levels are enough, because the flip graph is undirected:
+    - own-side dedup: a neighbour of a level-j state lies in level j - 1, j
+      or j + 1, so a candidate is new exactly when it is in neither the
+      side's previous level, its frontier nor the level built so far;
+    - meetings: the sides' visited states stay disjoint until they meet.
+      Were a candidate x in an already expanded level of the other side,
+      its neighbour y in our frontier would have been visited by the other
+      side when it expanded x's level, and the sides would have met then.
+      So a meeting is tested against the other side's frontier only.
     `budget` caps the states visited: _expand builds at most one state past
     the room left, so at most budget + 1 states are ever built, and a
     meeting anywhere in a level answers CONNECTED first.
@@ -447,40 +461,44 @@ def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Conn
     table = _key_table(region)
     moves = (_places(region), *_flip_moves(region, table))
     words = _key_words(region, table, rows)
-    sides = [(_as_key(words[k:k + 1]).copy(), words[k:k + 1]) for k in (0, 1)]
+    fronts = [_as_key(words[k:k + 1]).copy() for k in (0, 1)]
+    sides = [(front[:0], front) for front in fronts]  # (previous level, frontier)
     visited = 2
     while len(sides[0][1]) and len(sides[1][1]):
         # expand the smaller frontier
         i = 0 if len(sides[0][1]) <= len(sides[1][1]) else 1
-        level = _expand(*sides[i], sides[1 - i][0], moves, max(budget - visited, 0))
+        front = sides[i][1]
+        level = _expand(sides[i], _key_words_of(front), sides[1 - i][1], moves,
+                        max(budget - visited, 0))
         if level is None:
             return Connectivity.CONNECTED
-        sides[i] = level
-        visited += len(level[1])
+        sides[i] = (front, level)
+        visited += len(level)
         if visited > budget:
             return Connectivity.INDETERMINATE
     return Connectivity.DISCONNECTED
 
 
-def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves, room: int):
-    """Expand a whole frontier by one flip: the new (seen, words) of a
-    search with sorted seen keys `seen` and the nonempty frontier's key
-    words `words`, the new words being the level's states in key order; or
-    None when a flip reaches `other`, the sorted seen keys of the other
-    side of a bidirectional search (None when there is no other side).
-    Once the level's new keys pass `room`, only the first room + 1 of them
-    in key order are kept; the later chunks are still tested against
-    `other`, so a meeting anywhere in the level is found, but add no states.
+def _expand(exclude: tuple, words: np.ndarray, other: np.ndarray | None, moves, room: int):
+    """Expand a whole frontier by one flip: the sorted keys of the states
+    one flip from the nonempty frontier with key words `words` that lie in
+    none of the sorted key arrays of `exclude` (the first of them fixes the
+    key dtype); or None when a flip reaches `other`, the other side's
+    frontier in a bidirectional search, as sorted keys (None when there is
+    no other side).  Once the level's new keys pass `room`, only the first
+    room + 1 of them in key order are kept; the later chunks are still
+    tested against `other`, so a meeting anywhere in the level is found,
+    but add no states.
 
     The frontier is walked in chunks of FRONTIER_CHUNK states, and only
-    keys are held.  Per chunk, _fresh gives the distinct candidates seen
-    neither before nor earlier in this level; they are tested against
+    keys are held.  Per chunk, _fresh gives the distinct candidates in
+    neither `exclude` nor the level built so far; they are tested against
     `other` and merged into the level's sorted keys, so a level holds each
-    new state once, and its words are those keys read back as words.
+    new state once.
     """
-    level = seen[:0]  # sorted keys of the states new in this level
+    level = exclude[0][:0]  # sorted keys of the states new in this level
     for lo in range(0, len(words), FRONTIER_CHUNK):
-        keys = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, seen, level)
+        keys = _fresh(words[lo:lo + FRONTIER_CHUNK], moves, (*exclude, level))
         if other is not None and _member(other, keys).any():
             return None
         if len(level) > room:  # the level is full
@@ -490,7 +508,7 @@ def _expand(seen: np.ndarray, words: np.ndarray, other: np.ndarray | None, moves
             level = level[:room + 1]
             if other is None:
                 break
-    return _merge(seen, level), _key_words_of(level)
+    return level
 
 
 def _flipped(K: np.ndarray, moves) -> np.ndarray:
@@ -509,22 +527,24 @@ def _flipped(K: np.ndarray, moves) -> np.ndarray:
     return np.concatenate(cand)
 
 
-def _fresh(K: np.ndarray, moves, seen: np.ndarray, level: np.ndarray) -> np.ndarray:
+def _fresh(K: np.ndarray, moves, exclude: tuple) -> np.ndarray:
     """The sorted keys of the states one flip from the states with key
-    words K (_flipped) that are in neither `seen` nor `level` (sorted keys,
-    `seen` nonempty).  The candidates' keys are sorted in place, on their
-    own buffer, and the first of each run is kept.  The sort is stable
-    (timsort), which on two-word keys runs faster than the default sort:
-    74 against 120 ms on 660k candidates from cyl:2,2,2xN=8 (numpy 2.4).
+    words K (_flipped) that lie in none of the sorted key arrays of
+    `exclude`; empty ones are skipped.  The candidates' keys are sorted in
+    place, on their own buffer, and the first of each run is kept.  The
+    sort is stable (timsort), which on two-word keys runs faster than the
+    default sort: 74 against 120 ms on 660k candidates from cyl:2,2,2xN=8
+    (numpy 2.4).
     """
     keys = _as_key(_flipped(K, moves))
     keys.sort(kind="stable")
     start = np.ones(len(keys), dtype=bool)
     start[1:] = keys[1:] != keys[:-1]
     keys = keys[start]
-    fresh = ~_member(seen, keys)
-    if len(level):
-        fresh &= ~_member(level, keys)
+    fresh = np.ones(len(keys), dtype=bool)
+    for sorted_keys in exclude:
+        if len(sorted_keys):
+            fresh &= ~_member(sorted_keys, keys)
     return keys[fresh]
 
 
@@ -564,8 +584,9 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
     of a state is how many slab pairs of the padding are back in vertical
     position, counted on its key's digits.  Each round expands every open
     state of the top score at once through _expand, which drops the states
-    already seen; the round's new key words, in key order, are kept as one
-    block, block 0 being the start.  Only the new states of full score are
+    already seen, and merges the round's new keys into the sorted seen
+    keys; its new key words, in key order, are kept as one block, block 0
+    being the start.  Only the new states of full score are
     decoded to partner bytes, for the goal test.  Returns None when no open
     state is left or when a round with no goal would take the states
     stored past `budget`, so at most `budget` states are ever kept.
@@ -620,8 +641,10 @@ def padded_merge_search(t_start: Tiling, bottom_targets: set[bytes], extra_floor
         if not open_:
             return None
         top = open_.pop(max(open_))
-        seen, words = _expand(seen, np.concatenate([blocks[b][at] for b, at in top]), None, moves,
-                              max(budget - stored, 0))
+        level = _expand((seen,), np.concatenate([blocks[b][at] for b, at in top]), None, moves,
+                        max(budget - stored, 0))
+        seen = _merge(seen, level)
+        words = _key_words_of(level)
         if not len(words):
             continue
         score, hit = grade(words)

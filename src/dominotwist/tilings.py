@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .regions import Region, make_box, make_cylinder, parse_region_spec, region_spec
 
@@ -400,19 +400,16 @@ def concat(t0: Tiling, t1: Tiling) -> Tiling:
     return Tiling(make_cylinder(base0, n0 + n1), partner)
 
 
-@dataclass
-class FloorDecomposition:
-    """Alternating plugs and floor matchings of a cylinder tiling.
+class FloorDecomposition(namedtuple("FloorDecomposition", "base floors plugs floor_pairs")):
+    """Alternating plugs and floor matchings of a cylinder tiling: the base
+    Region, the number of floors and two lists.
 
     plugs[k] is the bitmask of base cells whose vertical domino crosses
     height k (so plugs[0] = plugs[N] = 0); floor_pairs[k-1] lists the
     horizontal dominoes of floor k as base-index pairs (i, j).
     """
 
-    base: Region
-    floors: int
-    plugs: list[int]
-    floor_pairs: list[list[tuple[int, int]]]
+    __slots__ = ()
 
 
 def decompose_floors(t: Tiling) -> FloorDecomposition:

@@ -637,6 +637,44 @@ def test_array_commands_import_numpy():
     assert loaded
 
 
+# Imports the CLI in a fresh interpreter and runs each argument, split at
+# "|", as a command; prints the exit codes on one line, then which of the
+# modules named below the import and the commands added.  site may load
+# some of them before the import, so the count starts there.
+LAZY_PROBE = (
+    "import contextlib, io, sys\n"
+    "before = set(sys.modules)\n"
+    "from dominotwist.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    codes = [main(argv.split('|')) for argv in sys.argv[1:]]\n"
+    "print(*codes)\n"
+    "print(*sorted({'dataclasses', 'inspect', 'dominotwist.hamiltonian'} & (set(sys.modules) - before)))\n"
+)
+
+
+def _probe_lazy(argvs: list[list[str]]) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *map("|".join, argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, added = proc.stdout.split("\n")[:2]
+    assert codes.split() == ["0"] * len(argvs), proc.stdout
+    return added.split()
+
+
+def test_cli_start_up_leaves_hamiltonian_and_dataclasses_unimported(probe_inputs):
+    # only fold, flux and generators need the path engine, and no result
+    # type of the scalar engines is a dataclass (dataclasses imports
+    # inspect); the import alone, and twist, render, a box count and a
+    # determinant defect after it, load none of them
+    scalar = [[a.format(**probe_inputs) for a in NUMPY_FREE_COMMANDS[name]]
+              for name in ("twist-text", "twist-json", "render", "count-box", "defect-det")]
+    assert _probe_lazy([]) == []
+    assert _probe_lazy(scalar) == []
+    # the control: fold does import the path engine
+    fold = [a.format(**probe_inputs) for a in NUMPY_FREE_COMMANDS["fold"]]
+    assert "dominotwist.hamiltonian" in _probe_lazy([fold])
+
+
 @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
 def test_closed_stdout_gives_no_traceback(mode):
     read_end, write_end = os.pipe()

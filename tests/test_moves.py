@@ -543,7 +543,7 @@ def test_fresh_keys_match_flip_neighbours(spec, floors, words):
     for hi in (len(P), 1):  # the whole frontier as one chunk, and its first state
         fresh = sorted({t for nb in nbrs[:hi] for t in nb if pick[t] == 0})
         want = moves._key_words_of(sorted_keys(fresh)).tolist()
-        keys = moves._fresh(moves._key_words(region, table, P[:hi]), mv, seen, level)
+        keys = moves._fresh(moves._key_words(region, table, P[:hi]), mv, (seen, level))
         assert moves._key_words_of(keys).tolist() == want
         assert hi == 1 or len(want) > 100
 
@@ -683,7 +683,7 @@ def test_flip_connected_budget_caps_states_built(census_222_n3, monkeypatch, chu
 
     def counted(*args):
         out = expand(*args)
-        levels.append(None if out is None else len(out[1]))
+        levels.append(None if out is None else len(out))
         return out
 
     monkeypatch.setattr(moves, "_expand", counted)
@@ -699,12 +699,85 @@ def test_flip_connected_budget_caps_states_built(census_222_n3, monkeypatch, chu
         assert flip_connected(t0, t1, met) is Connectivity.CONNECTED
 
 
+def reference_levels(t0: Tiling, t1: Tiling) -> tuple[Connectivity, list]:
+    """A set-based bidirectional BFS that keeps every level, expanding its
+    sides in reference_connected's order with no budget: its verdict, and
+    per expansion the expanding side's previous level (empty at the start)
+    and frontier and the other side's frontier, as lists of packed states."""
+    squares = t0.region.squares
+    levels = [[[pack_state(t)]] for t in (t0, t1)]  # per side, its levels
+    seen = [set(side[0]) for side in levels]
+    expansions = []
+    while levels[0][-1] and levels[1][-1]:
+        i = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
+        side = levels[i]
+        expansions.append((side[-2] if len(side) > 1 else [], side[-1], levels[1 - i][-1]))
+        new = set()
+        for s in side[-1]:
+            for nb in flip_neighbors_bytes(s, squares):
+                if nb in seen[1 - i]:
+                    return Connectivity.CONNECTED, expansions
+                if nb not in seen[i]:
+                    new.add(nb)
+        seen[i] |= new
+        side.append(sorted(new))
+    return Connectivity.DISCONNECTED, expansions
+
+
+def test_flip_connected_excludes_the_last_two_levels(census_222_n3, monkeypatch):
+    # each side keeps only its previous level and its frontier: every
+    # expansion excludes exactly those two levels of the expanding side, as
+    # a BFS that keeps every level finds them, and tests for a meeting
+    # against the other side's frontier; pairs inside the giant and inside
+    # one twist-1 twin meet, pairs across the twins exhaust a twin
+    rep = census_222_n3.report
+    region = rep.region
+    table = moves._key_table(region)
+    assert [(c.size, c.twist) for c in rep.components] == [(5985, 0), (180, 1), (180, 1)]
+
+    def packed_keys(states) -> set:
+        rows = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(-1, len(region.cells))
+        return set(map(tuple, moves._key_words(region, table, rows).tolist()))
+
+    def word_set(words) -> set:
+        return set(map(tuple, words.tolist()))
+
+    expand, calls = moves._expand, []
+
+    def spy(exclude, words, other, *rest):
+        calls.append(([word_set(moves._key_words_of(k)) for k in exclude], word_set(words),
+                      word_set(moves._key_words_of(other))))
+        return expand(exclude, words, other, *rest)
+
+    monkeypatch.setattr(moves, "_expand", spy)
+    comp_of = np.asarray(rep.comp_of)
+    ts = {k: [Tiling(region, rep.state(int(i))) for i in np.flatnonzero(comp_of == k)[::15]]
+          for k in range(3)}
+    pairs = list(itertools.combinations(ts[0][::40], 2)) + list(zip(ts[1][:3], ts[1][-3:]))
+    pairs += list(zip(ts[1][:3], ts[2][:3]))
+    verdicts = []
+    for t0, t1 in pairs:
+        calls.clear()
+        got = flip_connected(t0, t1)
+        want, expansions = reference_levels(t0, t1)
+        assert got is want
+        verdicts.append((got, len(expansions)))
+        assert len(calls) == len(expansions) > 1
+        for (exclude, front, other), (prev, frontier, other_front) in zip(calls, expansions):
+            assert exclude == [packed_keys(prev), packed_keys(frontier)]
+            assert front == packed_keys(frontier)
+            assert other == packed_keys(other_front)
+    assert [got for got, _ in verdicts[-3:]] == [Connectivity.DISCONNECTED] * 3
+    assert Connectivity.DISCONNECTED not in [got for got, _ in verdicts[:-3]]
+    assert max(depth for _, depth in verdicts) > 4
+
+
 def test_flip_connected_peak_memory_on_the_pinned_padding_pair():
     # the cli benchmark's pinned cyl:2,2,2xN=6 padding pair: holding only
-    # sorted keys, and deduplicating each chunk with an in-place sort, the
-    # search's own arrays peak at 17.5 MB (numpy 2.4); np.unique's index
-    # arrays and a second copy of each level's words take them to 33.9 MB,
-    # and a partner row kept beside each key to about 70 MB
+    # each side's last two levels as sorted keys, the search's own arrays
+    # peak at 12.4 MB (numpy 2.4); a merged seen array per side takes them
+    # to 17.5 MB, np.unique's index arrays and a second copy of each level's
+    # words to 33.9 MB, and a partner row kept beside each key to about 70 MB
     t0, t1 = (tiling_from_text((DATA / f"pad1_t{k}.txt").read_text()) for k in (0, 1))
     tracemalloc.start()
     try:
@@ -715,15 +788,16 @@ def test_flip_connected_peak_memory_on_the_pinned_padding_pair():
     finally:
         tracemalloc.stop()
     assert got is Connectivity.CONNECTED
-    assert peak < 27e6, f"the search peaked at {peak / 1e6:.1f} MB"
+    assert peak < 15e6, f"the search peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.extended
 def test_flip_connected_peak_memory_at_two_million_states(fresh_python):
     # cyl:2,2,2xN=8 (two key words), the vertical tiling against the first
-    # enumerated tiling of its twist: the budget runs out first, at 209 MB
-    # (numpy 2.4, Python 3.11); a partner row kept beside each key takes the
-    # process to about 315 MB
+    # enumerated tiling of its twist: the budget runs out first, at 110 MB
+    # (numpy 2.4, Python 3.11); a merged seen array per side takes the
+    # process to 136 MB, and a partner row kept beside each key to about
+    # 315 MB
     (got,), peak_mb = fresh_python(
         "from dominotwist.kasteleyn import twist\n"
         "from dominotwist.moves import flip_connected\n"
@@ -733,7 +807,7 @@ def test_flip_connected_peak_memory_at_two_million_states(fresh_python):
         "t0 = next(t for t in enumerate_tilings(t1.region) if twist(t) == twist(t1))\n"
         "print(flip_connected(t0, t1, 2_000_000).value)\n")
     assert got == "indeterminate"
-    assert peak_mb < 260, f"the search peaked at {peak_mb:.0f} MB"
+    assert peak_mb < 160, f"the search peaked at {peak_mb:.0f} MB"
 
 
 def test_isolated_twist1_tilings_disconnected(census_2222):
@@ -891,7 +965,7 @@ def test_merge_search_budget_runs_out(census_223_n3, monkeypatch):
 
     def counted(*args):
         out = expand(*args)
-        rounds.append(len(out[1]))
+        rounds.append(len(out))
         return out
 
     monkeypatch.setattr(moves, "_expand", counted)
@@ -914,7 +988,7 @@ def test_merge_search_walks_back_one_step_per_round_at_most(census_223_n3, monke
 
     def counted(*args):
         out = expand(*args)
-        rounds.append(len(out[1]))
+        rounds.append(len(out))
         return out
 
     monkeypatch.setattr(moves, "_expand", counted)
