@@ -27,10 +27,11 @@ import time
 from pathlib import Path
 
 from .kasteleyn import defect_by_determinant, defect_by_enumeration, twist
-from .plugs import check_defect_base, check_determinant_cells, check_plug_base
+from .plugs import check_defect_base, check_determinant_cells, check_matrix_plugs, check_plug_base
 from .regions import (DEFAULT_BUDGET, Region, build_spec, make_box, parse_region_spec, read_spec,
                       region_spec, spec_text)
-from .tilings import Tiling, _is_int_cell, count_tilings, tiling_from_json_obj, tiling_from_text
+from .tilings import (Tiling, _is_int_cell, check_packed_cells, count_tilings, tiling_from_json_obj,
+                      tiling_from_text)
 
 DIRECTION_GLYPHS = ("[]", "nu", "fb", "ws")  # in-floor axes 0..3
 FLOOR_GLYPHS = "UD"  # partner above / below
@@ -141,10 +142,13 @@ def _engine(args, fallback: str, check_base) -> tuple[str, object]:
 
 def _base_arg(args) -> Region:
     """The --base of spectral or transfer-export; a box: or cyl: base of
-    more cells than plug enumeration takes is refused from its spec."""
+    more cells than plug enumeration takes is refused from its spec, and one
+    of more plugs than the matrices take before numpy is imported."""
     spec, cells = _read_region(args, args.base)
     check_plug_base(cells)
-    return _build_region(args, spec)
+    base = _build_region(args, spec)
+    check_matrix_plugs(base)
+    return base
 
 
 def cmd_count(args) -> CommandResult:
@@ -158,8 +162,10 @@ def cmd_count(args) -> CommandResult:
 
 
 def cmd_components(args) -> CommandResult:
+    spec, cells = _read_region(args, args.region)
+    check_packed_cells(cells)  # counted from a box:, cyl: or cork: spec, before any cell is built
     from .moves import flip_components
-    report = flip_components(_build_region(args, _read_region(args, args.region)[0]))
+    report = flip_components(_build_region(args, spec))
     payload = {
         "component_count": len(report.components),
         "components": report.summary(),
@@ -196,8 +202,8 @@ def cmd_defect(args) -> CommandResult:
 
 def cmd_transfer_export(args) -> CommandResult:
     base = _base_arg(args)
-    from .transfer import get_transfer, save_transfer_cache, write_transfer_json
-    tm = get_transfer(base)
+    from .transfer import build_transfer, save_transfer_cache, write_transfer_json
+    tm = build_transfer(base)
     out = Path(args.out)
     with out.open("w") as fh:
         write_transfer_json(tm, fh)

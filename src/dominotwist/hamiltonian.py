@@ -89,18 +89,12 @@ def path_from_cells(region: Region, cells) -> HamiltonianPath:
     return HamiltonianPath(region, tuple(tuple(c) for c in cells))
 
 
-def _split_cylinder_cell(cell: Cell) -> tuple[Cell, int]:
-    return cell[:-1], cell[-1]
-
-
 def domino_respects_path(path: HamiltonianPath, v: Cell, w: Cell) -> bool:
     """Vertical dominoes respect the path; horizontal ones must span
     consecutive path positions."""
-    bv, hv = _split_cylinder_cell(v)
-    bw, hw = _split_cylinder_cell(w)
-    if hv != hw:
+    if v[-1] != w[-1]:
         return True
-    return abs(path.position[bv] - path.position[bw]) == 1
+    return abs(path.position[v[:-1]] - path.position[w[:-1]]) == 1
 
 
 def respects_path(path: HamiltonianPath, tiling: Tiling) -> bool:
@@ -174,12 +168,18 @@ def flux(path: HamiltonianPath, d: tuple[int, int], plug: int) -> tuple[int, int
 
 
 def compatible_plugs(path: HamiltonianPath, d: tuple[int, int]) -> list[int]:
+    """The plugs of the path's region that avoid both cells of d, ascending:
+    every listed plug is balanced, so d is checked once and only its two
+    cells are tested."""
     base = path.region
     if len(base.cells) > MAX_FLUX_BASE_CELLS:
         raise HamiltonianError(
             f"plug enumeration for flux is capped at {MAX_FLUX_BASE_CELLS}"
             f" base cells, got {len(base.cells)}")
-    return [p for p in enumerate_plugs(base) if plug_compatible(path, d, p)]
+    plugs = enumerate_plugs(base)
+    lo, hi = path_domino_cells(path, d)
+    cells = 1 << base.index[lo] | 1 << base.index[hi]
+    return [p for p in plugs if not p & cells]
 
 
 def flux_set(path: HamiltonianPath, d: tuple[int, int]) -> set[tuple[int, int, int]]:
@@ -226,12 +226,10 @@ def _transport(tiling: Tiling, src: HamiltonianPath, dst: HamiltonianPath,
     pos = src.position
     dominoes = []
     for v, w in tiling.dominoes():
-        bv, hv = _split_cylinder_cell(v)
-        bw, hw = _split_cylinder_cell(w)
-        kv, kw = pos[bv], pos[bw]
-        if hv == hw and abs(kv - kw) != 1 and not adjacent_in_dst(kv, kw):
+        kv, kw = pos[v[:-1]], pos[w[:-1]]
+        if v[-1] == w[-1] and abs(kv - kw) != 1 and not adjacent_in_dst(kv, kw):
             raise UnfoldError((min(kv, kw), max(kv, kw)))
-        dominoes.append((dst.cells[kv - 1] + (hv,), dst.cells[kw - 1] + (hw,)))
+        dominoes.append((dst.cells[kv - 1] + v[-1:], dst.cells[kw - 1] + w[-1:]))
     return Tiling.from_dominoes(target, dominoes)
 
 
@@ -317,10 +315,6 @@ def cork_filler(base: Region, plug: int) -> Tiling:
 
 # ------------------------------------------------------- generator tilings
 
-def _first_tiling(region: Region) -> Tiling | None:
-    return next(enumerate_tilings(region), None)
-
-
 @dataclass(frozen=True)
 class GeneratorTiling:
     """Tiling of base x [0, 2*half] whose unique non-respecting domino is d
@@ -365,18 +359,15 @@ def generator_tiling(path: HamiltonianPath, d: tuple[int, int], plug: int,
         removed_high = {(i - 1, n - 1) for i in plug_positions + d_positions}
         upper_cells = [(x, y) for y in range(n - 1, 2 * n) for x in range(m)
                        if (x, y) not in removed_high]
-        lower = Region(2, lower_cells) if lower_cells else None
-        upper = Region(2, upper_cells)
-        t_low = _first_tiling(lower) if lower is not None else None
-        if lower is not None and t_low is None:
+        # the plug avoids d's two cells, so the lower strip keeps at least two
+        t_low = next(enumerate_tilings(Region(2, lower_cells)), None)
+        if t_low is None:
             continue
-        t_up = _first_tiling(upper)
+        t_up = next(enumerate_tilings(Region(2, upper_cells)), None)
         if t_up is None:
             continue
-        dominoes = []
-        for t in ((t_low, t_up) if t_low is not None else (t_up,)):
-            for (x0, y0), (x1, y1) in t.dominoes():
-                dominoes.append((path.cells[x0] + (y0,), path.cells[x1] + (y1,)))
+        dominoes = [(path.cells[x0] + (y0,), path.cells[x1] + (y1,))
+                    for t in (t_low, t_up) for (x0, y0), (x1, y1) in t.dominoes()]
         for i in plug_positions:
             s = path.cells[i - 1]
             dominoes.append((s + (n - 2,), s + (n - 1,)))

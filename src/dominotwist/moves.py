@@ -51,7 +51,7 @@ import numpy as np
 
 from .kasteleyn import twist, twist_batch
 from .regions import DEFAULT_BUDGET, Region
-from .tilings import MAX_PACKED_CELLS, Tiling, as_cylinder, concat, partner_matrix, vertical_tiling
+from .tilings import Tiling, as_cylinder, check_packed_cells, concat, partner_matrix, vertical_tiling
 
 # frontier keys decoded per chunk of an _expand level: on the cli
 # benchmark's cyl:2,2,2xN=6 padding pair (2 cores, numpy 2.4, medians of
@@ -79,8 +79,7 @@ class MoveSite:
 
 
 def pack_state(tiling: Tiling) -> bytes:
-    if len(tiling.region.cells) > MAX_PACKED_CELLS:
-        raise ValueError(f"byte packing needs a region with at most {MAX_PACKED_CELLS} cells")
+    check_packed_cells(len(tiling.region.cells))
     return bytes(tiling.partner)
 
 

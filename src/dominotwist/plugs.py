@@ -10,11 +10,13 @@ the size limits the command line checks before it builds a region.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .regions import Region
 
 MAX_PLUG_BASE_CELLS = 24
+MAX_MATRIX_PLUGS = 4096
 # the defect recursion keeps k x k matrices, k = cells/2, and ends in a
 # Bareiss determinant: a 32 x 32 base takes about 4 s and 40 MB at N = 1
 MAX_DEFECT_BASE_CELLS = 1024
@@ -55,6 +57,18 @@ def check_determinant_cells(cells: int) -> None:
         raise TransferError(
             f"the determinant defect needs a region with at most {MAX_DEFECT_BASE_CELLS}"
             f" cells, got {cells}")
+
+
+def check_matrix_plugs(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> None:
+    """Refuse a balanced base of n cells whose C(n, n/2) plugs exceed
+    max_plugs, before any is listed; the cell limit comes first."""
+    n = len(base.cells)
+    check_plug_base(n)
+    plugs = math.comb(n, n // 2)
+    if base.balanced and plugs > max_plugs:
+        raise TransferError(
+            f"{plugs} plugs exceeds the matrix limit {max_plugs};"
+            " cylinder_count and cylinder_defect need no matrix")
 
 
 def enumerate_plugs(base: Region) -> list[int]:

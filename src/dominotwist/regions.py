@@ -72,9 +72,6 @@ class Region:
     def index(self) -> dict[Cell, int]:
         return {c: i for i, c in enumerate(self.cells)}
 
-    def __contains__(self, cell) -> bool:
-        return tuple(cell) in self.index
-
     @cached_property
     def colors(self) -> tuple[int, ...]:
         return tuple(cell_color(c) for c in self.cells)

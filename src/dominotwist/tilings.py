@@ -196,6 +196,12 @@ def enumerate_tilings(region: Region):
 MAX_PACKED_CELLS = 255  # the most cells whose partner vectors pack into bytes
 
 
+def check_packed_cells(cells: int) -> None:
+    """Refuse a region of more cells than byte-packed partner vectors take."""
+    if cells > MAX_PACKED_CELLS:
+        raise TilingError(f"byte packing needs a region with at most {MAX_PACKED_CELLS} cells, got {cells}")
+
+
 def partner_matrix(region: Region) -> np.ndarray:
     """All tilings as a column-major states x cells uint8 matrix of partner
     vectors (regions up to 255 cells), in the order of enumerate_tilings,
@@ -222,8 +228,7 @@ def partner_matrix(region: Region) -> np.ndarray:
     import numpy as np
 
     n = len(region.cells)
-    if n > MAX_PACKED_CELLS:
-        raise TilingError(f"byte-packed enumeration needs a region with at most {MAX_PACKED_CELLS} cells")
+    check_packed_cells(n)
     if not region.balanced or not n:
         return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")
     cells, nbrs = region.cells, region.neighbors

@@ -35,10 +35,10 @@ from operator import add, mul, sub
 import numpy as np
 
 from .kasteleyn import bareiss_determinant, inversion_count, inversion_parity, sign_matrix
-from .plugs import MAX_PLUG_BASE_CELLS, TransferError, check_defect_base, enumerate_plugs, is_plug  # noqa: F401 (re-exported)
+from .plugs import (MAX_MATRIX_PLUGS, TransferError, check_defect_base, check_matrix_plugs,
+                    enumerate_plugs, is_plug)
 from .regions import Region, region_spec
 
-MAX_MATRIX_PLUGS = 4096
 MAX_POWER_ITERATIONS = 200_000
 CACHE_FORMAT_VERSION = 1
 
@@ -108,10 +108,6 @@ class TransferMatrices:
     @property
     def nnz(self) -> tuple[int, int]:
         return self.rows_count.nnz, self.rows_signed.nnz
-
-    @cached_property
-    def plug_index(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.plugs)}
 
     def dense_count(self) -> np.ndarray:
         return self.rows_count.dense()
@@ -371,18 +367,12 @@ class _CSR:
 
 def build_transfer(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> TransferMatrices:
     """A and At of a base region: its cached TransferMatrices, once its plug
-    count is within the limit."""
-    tm = _base_tables(base)
-    if tm.size > max_plugs:
-        raise TransferError(
-            f"{tm.size} plugs exceeds the matrix limit {max_plugs};"
-            " cylinder_count and cylinder_defect need no matrix")
-    return tm
+    count is within max_plugs, checked before any plug is listed."""
+    check_matrix_plugs(base, max_plugs)
+    return _base_tables(base)
 
 
-def get_transfer(base: Region) -> TransferMatrices:
-    """build_transfer(base) under the default plug limit."""
-    return build_transfer(base)
+get_transfer = build_transfer
 
 
 # ----------------------------------------------------------------- plugs
@@ -473,8 +463,8 @@ def cork_count(base: Region, floors: int, p0: int, p_top: int) -> int:
         raise TransferError("floor count must be nonnegative")
     _check_plug(base, p0)
     _check_plug(base, p_top)
-    tm = get_transfer(base)
-    return tm.rows_count.power(tm.plug_index[p0], floors)[tm.plug_index[p_top]]
+    tm = build_transfer(base)
+    return tm.rows_count.power(tm.plugs.index(p0), floors)[tm.plugs.index(p_top)]
 
 
 def twist_split(base: Region, floors: int) -> tuple[int, int]:
@@ -526,9 +516,6 @@ class SpectralReport:
     iterations: int
     iterations_tilde: int
 
-    def __iter__(self):
-        return iter((self.lam, self.lam_tilde, self.ratio))
-
 
 def _power_iteration(step, n: int, tol: float) -> tuple[float, float, int]:
     """(Rayleigh quotient, residual, iterations) of the converged unit vector
@@ -563,7 +550,7 @@ def spectral_estimates(base: Region, tol: float = 1e-9) -> SpectralReport:
     """
     if not (math.isfinite(tol) and tol > 0):  # nan, inf, 0 or below never converge
         raise TransferError("tol must be a positive finite number")
-    tm = get_transfer(base)
+    tm = build_transfer(base)
     a, at = tm.rows_count, tm.rows_signed
     lam, resid, iters = _power_iteration(a.matvec, tm.size, tol)
     lam2, resid2, iters2 = _power_iteration(lambda v: at.matvec(at.matvec(v)), tm.size, tol)

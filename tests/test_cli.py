@@ -240,7 +240,7 @@ def test_spectral_rejects_bad_tol_before_building(monkeypatch, tol):
     def refuse(base):
         raise AssertionError("built a transfer matrix for a bad tol")
 
-    monkeypatch.setattr("dominotwist.transfer.get_transfer", refuse)
+    monkeypatch.setattr("dominotwist.transfer.build_transfer", refuse)
     code, out, err = run_cli(["spectral", "--base", "box:2,2", "--tol", tol, "--json"])
     assert code == 1
     assert len(out.splitlines()) == 1
@@ -818,6 +818,34 @@ def test_transfer_base_too_large_is_refused_before_its_cells(tmp_path, argv):
     assert obj["region"] == "box:1000,1000"
     assert obj["timing"] < 1
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["transfer-export", "--out", "{tmp}/m.json"],
+], ids=["spectral", "transfer-export"])
+def test_transfer_base_past_the_matrix_limit_is_refused_before_its_plugs(tmp_path, argv):
+    # box:4,6 is within the 24 cells of plug enumeration, but its C(24, 12)
+    # plugs are past the matrix limit: refused from the cell count, where
+    # listing the plugs first took about 2 s
+    proc, obj = _run_capped([a.format(tmp=tmp_path) for a in argv] + ["--base", "box:4,6"])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == \
+        "2704156 plugs exceeds the matrix limit 4096; cylinder_count and cylinder_defect need no matrix"
+    assert obj["region"] == "box:4,6"
+    assert obj["timing"] < 0.1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_components_past_byte_packing_is_refused_before_its_cells():
+    # a census packs partner vectors in bytes: a region of 10^6 cells is
+    # refused from its spec, where building its cells first took about 0.9 s
+    proc, obj = _run_capped(["components", "--region", "box:1000,1000"])
+    assert (proc.returncode, obj["status"]) == (1, "error")
+    assert obj["payload"]["message"] == \
+        "byte packing needs a region with at most 255 cells, got 1000000"
+    assert obj["region"] == "box:1000,1000"
+    assert obj["timing"] < 0.1
 
 
 def test_console_script_entry_point():

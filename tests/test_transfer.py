@@ -5,6 +5,7 @@ import math
 import struct
 import zlib
 from collections import Counter
+from functools import lru_cache
 from operator import add
 
 import numpy as np
@@ -18,6 +19,7 @@ from dominotwist.transfer import (
     _CSR,
     _base_tables,
     _parity_table,
+    _tables,
     TransferError,
     TransferMatrices,
     build_transfer,
@@ -235,7 +237,7 @@ def test_plug_sequences_match_the_global_twist(floors):
     a, at = tm.dense_count(), tm.dense_signed()
     counts, signs = Counter(), Counter()
     for t in enumerate_tilings(make_cylinder(B222, floors)):
-        seq = tuple(map(tm.plug_index.__getitem__, decompose_floors(t).plugs))
+        seq = tuple(map(tm.plugs.index, decompose_floors(t).plugs))
         counts[seq] += 1
         signs[seq] += (-1) ** twist(t)
     assert (sum(counts.values()), len(counts)) == {2: (272, 66), 3: (6345, 551)}[floors]
@@ -315,7 +317,8 @@ def test_few_vertical_floors_match_enumeration(base, max_floors):
 
 
 def test_spectral_estimates_values():
-    lam, lam_tilde, ratio = spectral_estimates(B222, tol=1e-12)
+    rep = spectral_estimates(B222, tol=1e-12)
+    lam, lam_tilde, ratio = rep.lam, rep.lam_tilde, rep.ratio
     assert math.isclose(lam, 24.373194549258, rel_tol=1e-9)
     assert math.isclose(lam_tilde, 22.956439237389, rel_tol=1e-9)
     assert lam_tilde < lam
@@ -435,6 +438,24 @@ def test_cache_rejects_corrupt_file(tmp_path, corrupt):
 def test_build_transfer_plug_cap():
     with pytest.raises(TransferError, match="cylinder_count and cylinder_defect need no matrix"):
         build_transfer(B223, max_plugs=10)
+    assert get_transfer is build_transfer
+
+
+def test_build_transfer_refuses_a_large_base_before_listing_its_plugs(monkeypatch):
+    # the plug count C(n, n/2) is held against the limit first: listing the
+    # 2,704,156 plugs of box:4,6 only to refuse them took about 2 s
+    def refuse(base):
+        raise AssertionError("listed the plugs of a base past the matrix limit")
+
+    monkeypatch.setattr("dominotwist.transfer.enumerate_plugs", refuse)
+    monkeypatch.setattr("dominotwist.plugs.enumerate_plugs", refuse)
+    # an empty cache, so that no table built by an earlier test answers
+    monkeypatch.setattr("dominotwist.transfer._tables", lru_cache(maxsize=8)(_tables.__wrapped__))
+    for dims, plugs in (((4, 4), 12870), ((4, 6), 2704156)):
+        with pytest.raises(TransferError) as err:
+            build_transfer(make_box(dims))
+        assert str(err.value) == (f"{plugs} plugs exceeds the matrix limit 4096;"
+                                  " cylinder_count and cylinder_defect need no matrix")
 
 
 @pytest.mark.extended
@@ -469,6 +490,16 @@ LUMP_BASES = [(2, 2, 2), (2, 3), (2, 5), (2, 2, 3), (3, 4)]
 RING = Region(2, [c for c in np.ndindex(3, 3) if c != (1, 1)])  # 3x3 minus its centre
 SMALL_BASES = [make_box(dims) for dims in LUMP_BASES] + [RING]
 SMALL_IDS = [",".join(map(str, dims)) for dims in LUMP_BASES] + ["ring"]
+
+
+@pytest.mark.parametrize("base", SMALL_BASES + [make_box((4, 4)), make_box((2, 2, 2, 2))],
+                         ids=SMALL_IDS + ["4,4", "2,2,2,2"])
+def test_plug_count_is_the_central_binomial(base):
+    # a balanced base of n cells has sum_k C(n/2, k)^2 = C(n, n/2) plugs,
+    # the count build_transfer sizes a base by
+    n = len(base.cells)
+    assert math.comb(n, n // 2) == len(enumerate_plugs(base)) == \
+        {6: 20, 8: 70, 10: 252, 12: 924, 16: 12870}[n]
 
 
 @pytest.mark.parametrize("base", SMALL_BASES, ids=SMALL_IDS)
