@@ -155,6 +155,11 @@ def flux(path: HamiltonianPath, d: tuple[int, int], plug: int) -> tuple[int, int
     if not plug_compatible(path, d, plug):
         raise HamiltonianError(f"plug {plug:#x} is not a balanced subset of the"
                                f" base cells off the domino {d}")
+    return _flux(path, d, plug)
+
+
+def _flux(path: HamiltonianPath, d: tuple[int, int], plug: int) -> tuple[int, int, int]:
+    """flux without the check that plug is compatible with d."""
     i_minus, i_plus = d
     index = path.region.index
     phi = [0, 0, 0]
@@ -184,7 +189,7 @@ def compatible_plugs(path: HamiltonianPath, d: tuple[int, int]) -> list[int]:
 
 def flux_set(path: HamiltonianPath, d: tuple[int, int]) -> set[tuple[int, int, int]]:
     """All flux values achieved by plugs compatible with d."""
-    return {flux(path, d, p) for p in compatible_plugs(path, d)}
+    return {_flux(path, d, p) for p in compatible_plugs(path, d)}
 
 
 # ------------------------------------------------------------- fold/unfold
@@ -339,10 +344,8 @@ def generator_tiling(path: HamiltonianPath, d: tuple[int, int], plug: int,
     plug's verticals plus d itself.  Tries half heights 2, 4, ... (or only
     `half_floors`) and uses the smallest that tiles both halves.
     """
+    phi = flux(path, d, plug)
     lo_cell, hi_cell = path_domino_cells(path, d)
-    if not plug_compatible(path, d, plug):
-        raise HamiltonianError(f"plug {plug:#x} is not a balanced subset of the"
-                               f" base cells off the domino {d}")
     base = path.region
     index = base.index
     m = len(path)
@@ -382,7 +385,7 @@ def generator_tiling(path: HamiltonianPath, d: tuple[int, int], plug: int,
         fd = decompose_floors(tiling)
         if fd.plugs[n - 1] != plug:
             raise HamiltonianError("internal error: plug below d is wrong")
-        return GeneratorTiling(tiling, d, plug, n, flux(path, d, plug), twist(tiling))
+        return GeneratorTiling(tiling, d, plug, n, phi, twist(tiling))
     raise HamiltonianError(
         f"no half height up to {cap} tiles both halves for d={d}, plug={plug:#x}")
 
@@ -400,8 +403,7 @@ def generator_set(path: HamiltonianPath,
     for d in dominoes:
         by_flux: dict[tuple[int, int, int], int] = {}
         for p in compatible_plugs(path, d):
-            phi = flux(path, d, p)
-            by_flux.setdefault(phi, p)
+            by_flux.setdefault(_flux(path, d, p), p)
         for phi in sorted(by_flux):
             out.append(generator_tiling(path, d, by_flux[phi], cap=cap))
     return out

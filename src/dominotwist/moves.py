@@ -186,17 +186,23 @@ class ComponentReport:
     descending, then by representative bytes; comp_of[i] is the component
     id of state i; twists[i] is its twist, computed on first read (None
     with no states); flip_edges counts the edges of the whole flip graph,
-    each flip once.  complete is always true and visited is the number of
-    states: the census has no budget.
+    each flip once.  The census has no budget, so complete is always true
+    and visited is the number of states.
     """
 
     region: Region
     states: np.ndarray
     components: list[Component]
     comp_of: list[int]
-    complete: bool
-    visited: int
     flip_edges: int
+
+    @property
+    def complete(self) -> bool:
+        return True
+
+    @property
+    def visited(self) -> int:
+        return len(self.states)
 
     @cached_property
     def twists(self) -> np.ndarray | None:
@@ -414,7 +420,7 @@ def flip_components(region: Region) -> ComponentReport:
     P = partner_matrix(region)
     m = len(P)
     if not m:
-        return ComponentReport(region, P, [], [], True, 0, 0)
+        return ComponentReport(region, P, [], [], 0)
     lab, flip_edges = _label_components(region, P)
     roots, sizes = np.unique(lab, return_counts=True)
     raw = sorted(zip(sizes.tolist(), roots.tolist()), key=lambda c: (-c[0], c[1]))
@@ -423,7 +429,7 @@ def flip_components(region: Region) -> ComponentReport:
     cid[reps] = np.arange(len(raw))
     twists = twist_batch(region, P[reps]).tolist()
     components = [Component(size, tw, P[root].tobytes()) for (size, root), tw in zip(raw, twists)]
-    return ComponentReport(region, P, components, cid[lab].tolist(), True, m, flip_edges)
+    return ComponentReport(region, P, components, cid[lab].tolist(), flip_edges)
 
 
 def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Connectivity:

@@ -33,11 +33,9 @@ class Tiling:
 
     __slots__ = ("region", "partner")
 
-    def __init__(self, region: Region, partner, validate: bool = False):
+    def __init__(self, region: Region, partner):
         self.region = region
         self.partner: tuple[int, ...] = tuple(partner)
-        if validate:
-            self.validate()
 
     def validate(self) -> None:
         region = self.region
@@ -69,7 +67,9 @@ class Tiling:
             partner[j] = i
         if -1 in partner:
             raise TilingError(f"cell {region.cells[partner.index(-1)]} left uncovered")
-        return cls(region, partner, validate=True)
+        tiling = cls(region, partner)
+        tiling.validate()
+        return tiling
 
     def dominoes(self) -> list[Domino]:
         """Dominoes as (black cell, white cell), sorted by black cell label."""

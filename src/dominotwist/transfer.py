@@ -85,9 +85,11 @@ class TransferMatrices:
     base; each part is built on first use.
 
     count_table[m] counts tilings of the cells in mask m using only in-base
-    dominoes; signed_table[m] is the corresponding sum of
-    (-1)^(tk + inv(sigma)), the Kasteleyn submatrix determinant on the
-    mask's black rows and white columns taken in label order.  bproj/wproj
+    dominoes, the permanent of |K| on the mask; signed_table[m] is the
+    corresponding sum of (-1)^(tk + inv(sigma)), the determinant of the
+    Kasteleyn submatrix on the mask's black rows and white columns taken in
+    label order.  Both come from _minors, a Laplace expansion along each
+    mask's lowest cell on slice views of the table.  bproj/wproj
     hold each plug's bits at the black/white cells, packed in label order;
     they index the parity table of plug-pair inversions.
     """
@@ -117,45 +119,38 @@ class TransferMatrices:
 
     def _minors(self, signed: bool) -> np.ndarray:
         """The minor of K on every cell mask: the determinant if signed, else
-        the permanent of |K| (every sign +1, no column parity).
+        the permanent of |K| (every sign +1, no row or column parity).
 
-        Laplace expansion along the mask's lowest black cell i gives
-        table[m] = sum over the white neighbours j of i in m of
-        +-table[m ^ (1 << i | 1 << j)], a mask whose black cells all lie
-        above i.  So the black cells are taken from the last label to the
-        first, and the masks whose lowest black cell is i are filled at once,
-        from entries already final: they are 1 << i | c | low, for c a subset
-        of i's neighbours and low one of the other white cells and the black
-        cells above i.  Masks with no black cell keep 0, but for the empty
-        mask's 1."""
+        Laplace expansion along the mask's lowest cell i, its row of K if i
+        is black and its column if white, gives table[m] = sum over the
+        neighbours j of i in m of +-table[m ^ (1 << i | 1 << j)], a mask whose
+        cells all lie above i.  The term's sign is K's entry on the edge
+        times -1 for each cell of j's colour strictly between i and j in m.
+        So the cells are taken from the last label to the first, and for
+        each later neighbour j the masks with lowest cell i and bit j set are
+        filled at once, from entries already final: one reshape puts bits j
+        and i on their own axes, with the bits between them on the middle
+        axis, and the slice with both bits clear (and none below i) adds
+        into the slice with both set.  Masks whose cells cannot all be
+        matched keep 0, and the empty mask holds 1."""
         base = self.base
         kb = sign_matrix(base)
-        wr = base.white_rank
-        whites = base.white_cells
+        br, wr = base.black_rank, base.white_rank
+        black_bits = sum(1 << b for b in base.black_cells)
         table = np.zeros(self.full + 1, dtype=np.int64)
         table[0] = 1
-        for r in reversed(range(self.k)):
-            i = base.black_cells[r]
-            nbrs = base.neighbors[i]
-            low = _subsets([j for j in whites if j not in nbrs] + list(base.black_cells[r + 1:]))
-            # the term of j is negated by a -1 entry of K and by the white
-            # cells before j: those of low as a +-1 array, those of c below
-            neg = [signed and kb[r][wr[j]] < 0 for j in nbrs]
-            before = [sum(1 << w for w in whites if w < j) if signed else 0 for j in nbrs]
-            flips = [1 - 2 * _parity(low & b).astype(np.int8) if b else None for b in before]
-            for c in range(1, 1 << len(nbrs)):
-                cbits = sum(1 << j for t, j in enumerate(nbrs) if c >> t & 1)
-                acc = np.zeros(len(low), dtype=np.int64)
-                for t, j in enumerate(nbrs):
-                    if c >> t & 1:
-                        term = table[low + (cbits ^ 1 << j)]
-                        if flips[t] is not None:
-                            term *= flips[t]
-                        if (neg[t] + (cbits & before[t]).bit_count()) & 1:
-                            acc -= term
-                        else:
-                            acc += term
-                table[low + (cbits | 1 << i)] = acc
+        for i in reversed(range(len(base.cells))):
+            for j in base.neighbors[i]:
+                if j < i:
+                    continue
+                view = table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+                term = view[:, 0, :, 0, 0]
+                if signed:
+                    b, w = (i, j) if br[i] >= 0 else (j, i)
+                    same = black_bits if br[j] >= 0 else self.full ^ black_bits
+                    mid = np.arange(1 << (j - i - 1), dtype=np.int32) & same >> i + 1
+                    term = term * (kb[br[b]][wr[w]] * (1 - 2 * _parity(mid)))
+                view[:, 1, :, 1, 0] += term
         return table
 
     @cached_property
@@ -232,15 +227,6 @@ class TransferMatrices:
         """comp[o]: the orbit of the complement of orbit o's representative."""
         comp = np.searchsorted(self.plugs_np, self.full ^ self.plugs_np[self.reps])
         return self.plug_orbit[comp].tolist()
-
-
-def _subsets(bits: list[int]) -> np.ndarray:
-    """The masks of every subset of the given bit positions (below 31), as
-    int32: after k positions the first 2^k entries hold their subsets."""
-    out = np.zeros(1 << len(bits), dtype=np.int32)
-    for k, b in enumerate(bits):
-        np.bitwise_or(out[:1 << k], 1 << b, out=out[1 << k:2 << k])
-    return out
 
 
 def _parity(x: np.ndarray) -> np.ndarray:

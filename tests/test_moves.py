@@ -243,8 +243,7 @@ def reference_components(region) -> ComponentReport:
                   for k in order]
     edges = sum(len(flip_neighbors_bytes(s, squares)) for s in states)
     assert edges % 2 == 0
-    return ComponentReport(region, states, components, [remap[c] for c in comp_of],
-                           True, len(states), edges // 2)
+    return ComponentReport(region, states, components, [remap[c] for c in comp_of], edges // 2)
 
 
 def assert_same_report(got: ComponentReport, want: ComponentReport) -> None:

@@ -91,11 +91,11 @@ def test_enumeration_is_deterministic_and_unique():
 def test_validate_rejects_garbage():
     r = make_box((2, 2))
     with pytest.raises(TilingError):
-        Tiling(r, [1, 0, 3, 3], validate=True)  # 3 matched to itself
+        Tiling(r, [1, 0, 3, 3]).validate()  # 3 matched to itself
     with pytest.raises(TilingError):
-        Tiling(r, [3, 2, 1, 0], validate=True)  # diagonal pairs
+        Tiling(r, [3, 2, 1, 0]).validate()  # diagonal pairs
     with pytest.raises(TilingError):
-        Tiling(r, [1, 0], validate=True)  # wrong length
+        Tiling(r, [1, 0]).validate()  # wrong length
 
 
 def test_from_dominoes_checks_cover():
