@@ -10,13 +10,27 @@ weights each floor tiling by its twist contribution
     tw(f) = (tk(f) + inv(sigma_f) + inv_bl + inv_wh) mod 2
 
 where tk multiplies the base Kasteleyn signs over the floor's dominoes,
-sigma_f matches black to white base labels, and inv_bl/inv_wh count label
-inversions induced by the two plugs.  (At^N)[empty][empty] is then the
-cylinder defect: twist-0 count minus twist-1 count.  cylinder_defect gets
-it without plugs, from the cylinder's block-tridiagonal Kasteleyn matrix.
-tests/test_transfer.py checks the formula entry by entry: each entry of A
-and At against count_tilings and defect_by_enumeration of the floor's
-region, and the products along each plug sequence against twist.
+sigma_f matches black to white base labels, and inv_bl/inv_wh count the
+inversions of h = 1_q - 1_p over each colour's labels, for the plugs p
+below and q above.  (At^N)[empty][empty] is then the cylinder defect:
+twist-0 count minus twist-1 count.  cylinder_defect gets it without
+plugs, from the cylinder's block-tridiagonal Kasteleyn matrix.
+
+The plug part is one masked bit parity.  With r(x) the rank of cell x
+among the k cells of its colour, inv(h) on one colour is
+
+    sum_{x in q} (k-1-r(x)) + sum_{y in p} r(y) - C(|q|,2) - C(|p|,2)
+        - #{x in q, y in p : r(x) < r(y)},
+
+the pairs of a q cell and a later cell and of an earlier cell and a p
+cell, less those inside q or p and those counted twice.  Plugs are
+balanced, so the binomials recur with equal sizes on the other colour
+and |q| is even.  Hence, with Y the cells of odd rank and S(p) the XOR
+over y in p of the cells of y's colour ranked before y, inv_bl + inv_wh
+= |p & Y| + |q & (Y ^ S(p))| mod 2 (rows_signed; plug_inversions is the
+scalar reference).  tests/test_transfer.py checks each entry of A and At
+against the floor's region, and their products along each plug sequence
+against twist.
 
 All matrix entries and powers are exact integers; floating point appears
 only in spectral_estimates.
@@ -34,7 +48,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .kasteleyn import bareiss_determinant, inversion_count, inversion_parity, sign_matrix
+from .kasteleyn import bareiss_determinant, inversion_count, sign_matrix
 from .plugs import (MAX_MATRIX_PLUGS, TransferError, check_defect_base, check_matrix_plugs,
                     enumerate_plugs, is_plug)
 from .regions import Region, region_spec
@@ -89,9 +103,7 @@ class TransferMatrices:
     corresponding sum of (-1)^(tk + inv(sigma)), the determinant of the
     Kasteleyn submatrix on the mask's black rows and white columns taken in
     label order.  Both come from _minors, a Laplace expansion along each
-    mask's lowest cell on slice views of the table.  bproj/wproj
-    hold each plug's bits at the black/white cells, packed in label order;
-    they index the parity table of plug-pair inversions.
+    mask's lowest cell on slice views of the table.
     """
 
     def __init__(self, base: Region):
@@ -99,9 +111,6 @@ class TransferMatrices:
         self.plugs = enumerate_plugs(base)  # checks the base before any 2^n table
         self.plugs_np = np.array(self.plugs, dtype=np.int64)
         self.full = (1 << len(base.cells)) - 1
-        self.k = len(base.black_cells)
-        self.bproj = _project(self.plugs_np, base.black_cells)
-        self.wproj = _project(self.plugs_np, base.white_cells)
 
     @property
     def size(self) -> int:
@@ -161,29 +170,33 @@ class TransferMatrices:
     def signed_table(self) -> np.ndarray:
         return self._minors(True)
 
-    def row(self, i: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero columns and entries of plug i's row of At if signed, else A."""
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nonzero columns and entries of plug i's row of A."""
         p = self.plugs[i]
         cols = np.flatnonzero((self.plugs_np & p) == 0)
-        rest = self.full ^ (p | self.plugs_np[cols])
-        if signed:
-            vals = self.signed_table[rest]
-            k, par = self.k, _parity_table(self.k)
-            flip = (par[(self.bproj[i] << k) | self.bproj[cols]]
-                    ^ par[(self.wproj[i] << k) | self.wproj[cols]])
-            vals[flip == 1] *= -1
-        else:
-            vals = self.count_table[rest]
+        vals = self.count_table[self.full ^ (p | self.plugs_np[cols])]
         live = vals != 0
         return cols[live], vals[live]
 
     @cached_property
     def rows_count(self) -> _CSR:
-        return _CSR.from_rows(self.row(i, False) for i in range(len(self.plugs)))
+        return _CSR.from_rows(map(self.row, range(len(self.plugs))))
 
     @cached_property
     def rows_signed(self) -> _CSR:
-        return _CSR.from_rows(self.row(i, True) for i in range(len(self.plugs)))
+        """At on A's nonzeros, which hold all of At's (|det| <= perm): the
+        signed_table entries, negated by the plug parity of the module notes."""
+        a, plugs = self.rows_count, self.plugs_np
+        y, s = 0, np.zeros_like(plugs)  # Y, and S(p) of each plug
+        for cells in (self.base.black_cells, self.base.white_cells):
+            for r, c in enumerate(cells):
+                y |= (r & 1) << c
+                s ^= (plugs >> c & 1) * sum(1 << b for b in cells[:r])
+        rows, q = a.row_ids(), plugs[a.cols]
+        vals = self.signed_table[self.full ^ plugs[rows] ^ q]
+        vals[(_parity(plugs & y)[rows] ^ _parity(q & (y ^ s)[rows])) == 1] *= -1
+        live = np.flatnonzero(vals)
+        return _CSR(np.searchsorted(live, a.indptr), a.cols[live], vals[live])
 
     @cached_property
     def plug_orbit(self) -> np.ndarray:
@@ -214,7 +227,7 @@ class TransferMatrices:
     def lumped(self) -> _CSR:
         """R: A lumped over the plug orbits, from the representatives' rows."""
         def lumped_row(r: int) -> tuple[np.ndarray, np.ndarray]:
-            cols, vals = self.row(r, False)
+            cols, vals = self.row(r)
             acc = np.zeros(len(self.reps), dtype=np.int64)
             np.add.at(acc, self.plug_orbit[cols], vals)
             nz = np.flatnonzero(acc)
@@ -230,7 +243,7 @@ class TransferMatrices:
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry of a nonnegative int32 array."""
+    """Bit parity of each entry of a nonnegative int32 or int64 array below 2^32."""
     for s in (16, 8, 4, 2, 1):
         x = x ^ x >> s
     return x & 1
@@ -242,21 +255,6 @@ def _project(plugs: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
     for r, i in enumerate(cells):
         out |= (plugs >> i & 1) << r
     return out
-
-
-@lru_cache(maxsize=4)
-def _parity_table(k: int) -> np.ndarray:
-    """table[(a << k) | c] = inversion parity of h = [r in c] - [r in a] over
-    k labels of one color, for disjoint label masks a and c (other entries 0).
-
-    Both colors of a balanced base have k labels, so one table serves both."""
-    labels = np.arange(k, dtype=np.int32)  # narrow dtypes keep the build's peak RSS small
-    h = (np.arange(3 ** k, dtype=np.int32)[:, None] // 3 ** labels % 3 - 1).astype(np.int8)
-    a = (h < 0) @ (1 << labels)
-    c = (h > 0) @ (1 << labels)
-    table = np.zeros(1 << (2 * k), dtype=np.int8)
-    table[(a << k) | c] = inversion_parity(h)
-    return table
 
 
 def _base_tables(base: Region) -> TransferMatrices:
@@ -370,7 +368,8 @@ def _check_plug(base: Region, mask: int) -> None:
 
 
 def plug_inversions(base: Region, p0: int, p1: int) -> tuple[int, int]:
-    """Exact (inv_bl, inv_wh) inversion counts for an ordered plug pair."""
+    """Exact (inv_bl, inv_wh) inversion counts for plug p0 below p1: the
+    scalar reference for the parity rule of rows_signed (module notes)."""
     return tuple(inversion_count([(p1 >> i & 1) - (p0 >> i & 1) for i in cells])
                  for cells in (base.black_cells, base.white_cells))
 

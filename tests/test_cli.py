@@ -180,21 +180,25 @@ def test_transfer_export_files(tmp_path):
     assert list(loaded.rows_signed) == list(tm.rows_signed)
 
 
-def test_transfer_export_bytes_are_pinned(tmp_path):
-    # the JSON export and the version-1 cache of box:2,2,2, byte for byte;
-    # the cache is pinned through its decompressed body, since the
-    # compressed bytes belong to the zlib build
+@pytest.mark.parametrize("spec, json_sha, cache_sha", [
+    ("box:2,2,2", "bc29d9df3cb778a5716614c6ef371f2c5207ff3083c55875fd25f450edd7c4d4",
+     "8dbd65b487d054eb851b43bc0e27769057e5d8a4c49ea6362e2b4c596bb76a05"),
+    ("box:2,2,3", "48a5bbaf2bda6cfbbf36cfb1f8c03f6a40398593f496b7919d282a3fd4bd03eb",
+     "698654d61e40b49905f7987f345096d46a1e993588b6f67f05dc601f5807c35c"),
+], ids=["2,2,2", "2,2,3"])
+def test_transfer_export_bytes_are_pinned(tmp_path, spec, json_sha, cache_sha):
+    # the JSON export and the version-1 cache, byte for byte, of a 70-plug
+    # and a 924-plug base; the cache is pinned through its decompressed
+    # body, since the compressed bytes belong to the zlib build
     out, cache = tmp_path / "m.json", tmp_path / "m.dtrc"
-    code, _ = run_json(["transfer-export", "--base", "box:2,2,2",
+    code, _ = run_json(["transfer-export", "--base", spec,
                         "--out", str(out), "--binary", str(cache)])
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "bc29d9df3cb778a5716614c6ef371f2c5207ff3083c55875fd25f450edd7c4d4"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
     raw = cache.read_bytes()
     body = zlib.decompress(raw[8:])
     assert raw == raw[:8] + zlib.compress(body, 6)
-    assert hashlib.sha256(raw[:8] + body).hexdigest() == \
-        "8dbd65b487d054eb851b43bc0e27769057e5d8a4c49ea6362e2b4c596bb76a05"
+    assert hashlib.sha256(raw[:8] + body).hexdigest() == cache_sha
 
 
 @pytest.mark.parametrize("spec", ["box:2,2,3", "box:3,4", "box:2,5"])

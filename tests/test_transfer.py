@@ -18,7 +18,6 @@ from dominotwist.tilings import count_tilings, decompose_floors, enumerate_tilin
 from dominotwist.transfer import (
     _CSR,
     _base_tables,
-    _parity_table,
     _tables,
     TransferError,
     TransferMatrices,
@@ -40,6 +39,8 @@ from dominotwist.transfer import (
 
 B222 = make_box((2, 2, 2))
 B223 = make_box((2, 2, 3))
+RING = Region(2, [c for c in np.ndindex(3, 3) if c != (1, 1)])  # 3x3 minus its centre
+SHIFTED = Region(2, [(x + 1, y) for y in range(4) for x in range(3)])  # box 3x4, +1 in x
 
 
 def test_enumerate_plugs_counts():
@@ -201,19 +202,21 @@ def test_atilde_symmetric():
             assert np.array_equal(m, m.T)
 
 
-def test_parity_table_matches_plug_inversions():
-    # the one cached table per label count k, looked up by both colors'
-    # projections, gives the parity of the exact scalar counts
-    for base in (B222, B223):
-        tables = _base_tables(base)
-        k, par = tables.k, _parity_table(tables.k)
-        for i, p0 in enumerate(tables.plugs):
-            cols = np.flatnonzero((tables.plugs_np & p0) == 0)
-            got = zip(par[(tables.bproj[i] << k) | tables.bproj[cols]].tolist(),
-                      par[(tables.wproj[i] << k) | tables.wproj[cols]].tolist())
-            want = [tuple(inv % 2 for inv in plug_inversions(base, p0, tables.plugs[j]))
-                    for j in cols.tolist()]
-            assert list(got) == want
+@pytest.mark.parametrize("base", [B222, B223, SHIFTED, RING],
+                         ids=["2,2,2", "2,2,3", "shifted", "ring"])
+def test_signed_rows_match_plug_inversions(base):
+    # on every disjoint plug pair (p below, q above), At holds the signed
+    # table entry of the cells outside both plugs, signed by the exact
+    # scalar inversion counts, and no stored entry of At is zero
+    tables = _base_tables(base)
+    want = np.zeros((tables.size, tables.size), dtype=np.int64)
+    for i, p in enumerate(tables.plugs):
+        for j in np.flatnonzero((tables.plugs_np & p) == 0).tolist():
+            q = tables.plugs[j]
+            want[i, j] = (-1) ** sum(plug_inversions(base, p, q)) \
+                * tables.signed_table[tables.full ^ p ^ q]
+    assert np.array_equal(tables.dense_signed(), want)
+    assert np.all(tables.rows_signed.vals != 0)
 
 
 def test_plug_inversions_identity_disjoint_pairs():
@@ -476,25 +479,24 @@ def test_large_base_matrix_free_route():
 
 @pytest.mark.extended
 def test_twenty_four_cell_count_table_peak_memory(fresh_python):
-    # 2^24 int64 entries (128 MB) beside 2,704,156 plugs (215 MB before the
-    # table), filled in place through slice views: measured at 343.5 MB in
-    # six fresh runs with numpy 2.4 and Python 3.11, 31 MB under the bound.
-    # The expansion along the lowest black cell, through subset lists and
-    # gathers, peaked at 395 MB, and the scalar expansion into a list at 470 MB
+    # 2^24 int64 entries (128 MB) beside 2,704,156 plugs (158 MB before the
+    # table), filled in place through slice views: measured at 285.8-285.9 MB
+    # in six fresh runs with numpy 2.4 and Python 3.11, 34 MB under the bound.
+    # With black and white projections of every plug built eagerly it peaked
+    # at 343.5 MB; the expansion along the lowest black cell, through subset
+    # lists and gathers, at 395 MB, and the scalar expansion into a list at 470 MB
     (values,), peak_mb = fresh_python(
         "from dominotwist.regions import make_box\n"
         "from dominotwist.transfer import TransferMatrices\n"
         "table = TransferMatrices(make_box((4, 6))).count_table\n"
         "print(int(table[-1]), int(table.sum()))\n")
     assert values == "281 1453535"  # the 4x6 tilings; all tilings of its cell subsets
-    assert peak_mb < 375, f"4x6 count table peaked at {peak_mb:.0f} MB"
+    assert peak_mb < 320, f"4x6 count table peaked at {peak_mb:.0f} MB"
 
 
 # ------------------------------------------------ lumped symmetry-orbit engine
 
 LUMP_BASES = [(2, 2, 2), (2, 3), (2, 5), (2, 2, 3), (3, 4)]
-RING = Region(2, [c for c in np.ndindex(3, 3) if c != (1, 1)])  # 3x3 minus its centre
-SHIFTED = Region(2, [(x + 1, y) for y in range(4) for x in range(3)])  # box 3x4, +1 in x
 SMALL_BASES = [make_box(dims) for dims in LUMP_BASES] + [RING]
 SMALL_IDS = [",".join(map(str, dims)) for dims in LUMP_BASES] + ["ring"]
 
@@ -586,10 +588,11 @@ def test_few_vertical_floors_match_unlumped_split(base):
 
 # ------------------------------------------------ block-tridiagonal defects
 
-@pytest.mark.parametrize("base", SMALL_BASES, ids=SMALL_IDS)
+@pytest.mark.parametrize("base", SMALL_BASES + [SHIFTED], ids=SMALL_IDS + ["shifted"])
 def test_block_defect_matches_signed_power(base):
     # 2,3 and 2,5 have an odd number k of cells of each colour, where the
-    # sign (-1)^(k N(N+1)/2) of the closing determinant is not always +1
+    # sign (-1)^(k N(N+1)/2) of the closing determinant is not always +1;
+    # the shifted 3x4 box labels a white cell first
     tm = get_transfer(base)
     vec = power_vector(tm.rows_signed, 0, 0, tm.size)
     for n in range(21):
