@@ -2,16 +2,16 @@
 in pure Python.
 
 A plug is a balanced subset of base cells, encoded as a bitmask over the
-base's cell order.  The transfer engines index their matrices by plugs and
-the Hamiltonian-path code computes the flux of each plug; this module
-holds what both need, so that the path code imports no array library, and
-the size limits the command line checks before it builds a region.
+base's cell order; enumerate_plugs lists the masks that is_plug accepts,
+ascending.  The transfer engines index their matrices by plugs and the
+Hamiltonian-path code computes the flux of each plug; this module holds
+what both need, so that the path code imports no array library, and the
+size limits the command line checks before it builds a region.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .regions import Region
 
@@ -72,20 +72,12 @@ def check_matrix_plugs(base: Region, max_plugs: int = MAX_MATRIX_PLUGS) -> None:
 
 
 def enumerate_plugs(base: Region) -> list[int]:
-    """All balanced subsets of base cells as bitmasks, ascending.
-
-    Index 0 is the empty plug; the last entry is the full plug.
-    """
+    """The masks that is_plug accepts, ascending, once the base is checked:
+    index 0 is the empty plug, the last entry the full plug.  is_plug's
+    test is written inline, as a call per mask takes twice as long."""
     check_plug_base(len(base.cells))
     if not base.balanced:
         raise TransferError("plug enumeration needs a balanced base")
-    blacks = base.black_cells
-    whites = base.white_cells
-    plugs = []
-    for k in range(len(blacks) + 1):
-        for bsub in combinations(blacks, k):
-            bmask = sum(1 << i for i in bsub)
-            for wsub in combinations(whites, k):
-                plugs.append(bmask + sum(1 << i for i in wsub))
-    plugs.sort()
-    return plugs
+    black = sum(1 << i for i in base.black_cells)
+    return [m for m in range(1 << len(base.cells))
+            if 2 * (m & black).bit_count() == m.bit_count()]

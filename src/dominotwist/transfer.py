@@ -96,7 +96,8 @@ def _base_symmetries(base: Region) -> list[tuple[int, ...]]:
 class TransferMatrices:
     """Count matrix A and signed matrix At over a base's plugs, as CSR
     matrices indexed by plug index, with everything else derived from the
-    base; each part is built on first use.
+    base; each part is built on first use.  plugs is the int64 array of
+    enumerate_plugs(base), the one form every kernel reads.
 
     count_table[m] counts tilings of the cells in mask m using only in-base
     dominoes, the permanent of |K| on the mask; signed_table[m] is the
@@ -108,8 +109,7 @@ class TransferMatrices:
 
     def __init__(self, base: Region):
         self.base = base
-        self.plugs = enumerate_plugs(base)  # checks the base before any 2^n table
-        self.plugs_np = np.array(self.plugs, dtype=np.int64)
+        self.plugs = np.array(enumerate_plugs(base), dtype=np.int64)  # checks the base first
         self.full = (1 << len(base.cells)) - 1
 
     @property
@@ -173,8 +173,8 @@ class TransferMatrices:
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero columns and entries of plug i's row of A."""
         p = self.plugs[i]
-        cols = np.flatnonzero((self.plugs_np & p) == 0)
-        vals = self.count_table[self.full ^ (p | self.plugs_np[cols])]
+        cols = np.flatnonzero((self.plugs & p) == 0)
+        vals = self.count_table[self.full ^ (p | self.plugs[cols])]
         live = vals != 0
         return cols[live], vals[live]
 
@@ -186,7 +186,7 @@ class TransferMatrices:
     def rows_signed(self) -> _CSR:
         """At on A's nonzeros, which hold all of At's (|det| <= perm): the
         signed_table entries, negated by the plug parity of the module notes."""
-        a, plugs = self.rows_count, self.plugs_np
+        a, plugs = self.rows_count, self.plugs
         y, s = 0, np.zeros_like(plugs)  # Y, and S(p) of each plug
         for cells in (self.base.black_cells, self.base.white_cells):
             for r, c in enumerate(cells):
@@ -204,7 +204,7 @@ class TransferMatrices:
         order of their least plugs, so orbit 0 is the empty plug alone."""
         # a plug's bits read through a cell permutation give its inverse image,
         # which generates the same group; orbit labels (least plug index) propagate
-        images = [np.searchsorted(self.plugs_np, _project(self.plugs_np, perm))
+        images = [np.searchsorted(self.plugs, _project(self.plugs, perm))
                   for perm in _base_symmetries(self.base)]
         label, settled = np.arange(len(self.plugs)), None
         while not np.array_equal(label, settled):
@@ -238,7 +238,7 @@ class TransferMatrices:
     @cached_property
     def complement_orbit(self) -> list[int]:
         """comp[o]: the orbit of the complement of orbit o's representative."""
-        comp = np.searchsorted(self.plugs_np, self.full ^ self.plugs_np[self.reps])
+        comp = np.searchsorted(self.plugs, self.full ^ self.plugs[self.reps])
         return self.plug_orbit[comp].tolist()
 
 
@@ -449,7 +449,8 @@ def cork_count(base: Region, floors: int, p0: int, p_top: int) -> int:
     _check_plug(base, p0)
     _check_plug(base, p_top)
     tm = build_transfer(base)
-    return tm.rows_count.power(tm.plugs.index(p0), floors)[tm.plugs.index(p_top)]
+    start, end = np.searchsorted(tm.plugs, [p0, p_top]).tolist()
+    return tm.rows_count.power(start, floors)[end]
 
 
 def twist_split(base: Region, floors: int) -> tuple[int, int]:
@@ -551,7 +552,7 @@ def spectral_estimates(base: Region, tol: float = 1e-9) -> SpectralReport:
 # ------------------------------------------------------------------ export
 
 def _json_head(tm: TransferMatrices) -> dict:
-    return {"version": CACHE_FORMAT_VERSION, "base": region_spec(tm.base), "plugs": list(tm.plugs)}
+    return {"version": CACHE_FORMAT_VERSION, "base": region_spec(tm.base), "plugs": tm.plugs.tolist()}
 
 
 def transfer_to_json_obj(tm: TransferMatrices) -> dict:
@@ -582,7 +583,7 @@ def save_transfer_cache(tm: TransferMatrices, path: str) -> None:
         "base": region_spec(tm.base),
         "plugs": len(tm.plugs),
     }).encode()
-    chunks = [struct.pack("<I", len(header)), header, np.array(tm.plugs, dtype="<i8").tobytes()]
+    chunks = [struct.pack("<I", len(header)), header, tm.plugs.astype("<i8").tobytes()]
     for matrix in (tm.rows_count, tm.rows_signed):
         triples = np.rec.fromarrays([matrix.row_ids(), matrix.cols, matrix.vals], dtype=_TRIPLE)
         chunks += [struct.pack("<q", matrix.nnz), triples.tobytes()]
@@ -612,7 +613,7 @@ def load_transfer_cache(path: str, base: Region | None = None) -> TransferMatric
         from .regions import parse_region_spec
         base = parse_region_spec(spec)
     tm = TransferMatrices(base)
-    if plugs != tm.plugs:
+    if not np.array_equal(plugs, tm.plugs):
         raise TransferError(f"{path}: the plug list is not the plugs of {spec}")
     tm.rows_count, tm.rows_signed = matrices
     return tm
@@ -626,7 +627,7 @@ def _read_cache_body(data: bytes):
     if not isinstance(spec, str) or not isinstance(n, int) or n < 0:
         raise ValueError("bad header")
     off = 4 + hlen
-    plugs = np.frombuffer(data, dtype="<i8", count=n, offset=off).tolist()
+    plugs = np.frombuffer(data, dtype="<i8", count=n, offset=off)
     off += 8 * n
     matrices = []
     for _ in range(2):

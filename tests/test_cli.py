@@ -175,7 +175,7 @@ def test_transfer_export_files(tmp_path):
     base = make_box((2, 2))
     tm = get_transfer(base)
     loaded = load_transfer_cache(str(cache), base)
-    assert loaded.plugs == tm.plugs
+    assert loaded.plugs.tolist() == tm.plugs.tolist()
     assert list(loaded.rows_count) == list(tm.rows_count)
     assert list(loaded.rows_signed) == list(tm.rows_signed)
 
@@ -447,9 +447,11 @@ def test_missing_tiling_file_is_error(tmp_path):
      "dominoes": [[[0, 0], [1, 0]], [[0, 1.0], [1, 1]]]},
     {"version": 1, "region": "box:2,2",
      "dominoes": [[[0, 0], [1, 0]], [[0, "1"], [1, 1]]]},
+    {"version": 2, "region": "box:2,2",  # with version 1, a tiling of box:2,2
+     "dominoes": [[[0, 0], [1, 0]], [[1, 1], [0, 1]]]},
 ], ids=["no-region", "region-not-spec", "no-dominoes", "dominoes-not-list",
         "domino-not-pair", "domino-three-cells", "float-coordinate",
-        "string-coordinate"])
+        "string-coordinate", "version-2"])
 def test_malformed_json_tiling_is_error(tmp_path, obj):
     f = tmp_path / "t.json"
     f.write_text(json.dumps(obj))

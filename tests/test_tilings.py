@@ -133,6 +133,30 @@ def test_text_parse_errors():
         tiling_from_text("tiling v1 dim=2 region=box:2,2\n(0,0)(1,0)\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("tiling v1 dim=3 region=box:2,2\n", "line 1: header says dim=3, region has dim=2"),
+    ("tiling v1 dim=2 region=box:2,2\n(0,0)-(1,0)\n(0,1,0)-(1,1,0)\n",
+     "line 3: cell arity does not match dim=2"),
+], ids=["header-dim", "domino-arity"])
+def test_text_reader_refuses(text, message):
+    with pytest.raises(TilingError) as err:
+        tiling_from_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dims, pairs, message", [
+    ((2, 2), [((0, 0), (2, 0)), ((0, 1), (1, 1))], "cell (2, 0) not in region"),
+    ((2, 3), [((0, 0), (1, 2)), ((1, 0), (1, 1)), ((0, 1), (0, 2))],
+     "cells (0, 0) and (1, 2) are not adjacent"),
+], ids=["outside", "opposite-colours-apart"])
+def test_from_dominoes_refuses(dims, pairs, message):
+    # (0, 0) and (1, 2) differ in colour, so only the adjacency check of
+    # validate stands between them and a domino
+    with pytest.raises(TilingError) as err:
+        Tiling.from_dominoes(make_box(dims), pairs)
+    assert str(err.value) == message
+
+
 def test_vertical_tiling_needs_even_floors():
     base = make_box((2, 2))
     t = vertical_tiling(base, 4)

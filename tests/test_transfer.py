@@ -194,8 +194,7 @@ def test_atilde_symmetric():
     # A, At and both parts of A split by vertical floors must be symmetric
     for base in (B222, B223):
         tm = get_transfer(base)
-        plugs = np.array(tm.plugs)
-        vertical = (plugs[:, None] | plugs[None, :]) == (1 << len(base.cells)) - 1
+        vertical = (tm.plugs[:, None] | tm.plugs[None, :]) == (1 << len(base.cells)) - 1
         a = tm.dense_count()
         for m in (a, tm.dense_signed(), np.where(vertical, 0, a), np.where(vertical, a, 0)):
             assert m.any()
@@ -209,10 +208,11 @@ def test_signed_rows_match_plug_inversions(base):
     # table entry of the cells outside both plugs, signed by the exact
     # scalar inversion counts, and no stored entry of At is zero
     tables = _base_tables(base)
+    plugs = tables.plugs.tolist()
     want = np.zeros((tables.size, tables.size), dtype=np.int64)
-    for i, p in enumerate(tables.plugs):
-        for j in np.flatnonzero((tables.plugs_np & p) == 0).tolist():
-            q = tables.plugs[j]
+    for i, p in enumerate(plugs):
+        for j in np.flatnonzero((tables.plugs & p) == 0).tolist():
+            q = plugs[j]
             want[i, j] = (-1) ** sum(plug_inversions(base, p, q)) \
                 * tables.signed_table[tables.full ^ p ^ q]
     assert np.array_equal(tables.dense_signed(), want)
@@ -242,9 +242,10 @@ def test_plug_sequences_match_the_global_twist(floors):
     # along it, and their signs (-1)^twist add up to the product of At's
     tm = get_transfer(B222)
     a, at = tm.dense_count(), tm.dense_signed()
+    index = tm.plugs.tolist().index
     counts, signs = Counter(), Counter()
     for t in enumerate_tilings(make_cylinder(B222, floors)):
-        seq = tuple(map(tm.plugs.index, decompose_floors(t).plugs))
+        seq = tuple(map(index, decompose_floors(t).plugs))
         counts[seq] += 1
         signs[seq] += (-1) ** twist(t)
     assert (sum(counts.values()), len(counts)) == {2: (272, 66), 3: (6345, 551)}[floors]
@@ -289,6 +290,20 @@ def test_cork_count_matches_enumeration():
             r = make_cork(base, floors, 0, p_top)
             assert cork_count(base, floors, 0, p_top) == count_tilings(r), \
                 (floors, p_top)
+
+
+@pytest.mark.parametrize("p0, p_top", [(0x1, 0), (0, 0x1), (0x39, 0), (0, 0x39)],
+                         ids=["unbalanced-bottom", "unbalanced-top",
+                              "past-the-base-bottom", "past-the-base-top"])
+def test_cork_count_refuses_a_mask_that_is_no_plug(p0, p_top):
+    # box:2,2 has black cells 0 and 3: 0x1 is one black cell, and 0x39 adds
+    # bits 4 and 5 past the base to both black cells, so that its popcount
+    # is twice its black count.  Unchecked, the plug lookup reads another
+    # plug's row for 0x1 and an index past the plugs for 0x39
+    with pytest.raises(TransferError) as err:
+        cork_count(make_box((2, 2)), 2, p0, p_top)
+    bad = p0 | p_top
+    assert str(err.value) == f"plug mask {bad:#x} is not a balanced subset of the 4 base cells"
 
 
 def test_count_with_few_vertical_floors():
@@ -370,7 +385,7 @@ def test_cache_roundtrip(tmp_path):
     save_transfer_cache(tm, path)
     back = load_transfer_cache(path)
     assert isinstance(back, TransferMatrices)
-    assert back.plugs == tm.plugs
+    assert back.plugs.tolist() == tm.plugs.tolist()
     assert np.array_equal(back.dense_count(), tm.dense_count())
     assert np.array_equal(back.dense_signed(), tm.dense_signed())
 
@@ -393,7 +408,7 @@ def test_export_names_the_base_it_was_given(tmp_path):
         tm = get_transfer(base)
         assert transfer_to_json_obj(tm)["base"] == spec
         save_transfer_cache(tm, path)
-        assert load_transfer_cache(path, base).plugs == tm.plugs
+        assert load_transfer_cache(path, base).plugs.tolist() == tm.plugs.tolist()
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -425,21 +440,48 @@ def _repeated_entry(body: bytes, off: int, n: int) -> bytes:
     return body[:off] + struct.pack("<q", count + 1) + first + body[off + 8:]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda raw: raw[:len(raw) // 2],
-    lambda raw: raw[:8] + b"\x78\x9c" + b"\xff" * (len(raw) - 10),
-    lambda raw: raw[:4],
-    lambda raw: raw[:8] + zlib.compress(zlib.decompress(raw[8:]) + bytes(40)),
-    lambda raw: _edit_cache_body(raw, _foreign_plugs),
-    lambda raw: _edit_cache_body(raw, _repeated_entry),
+def _negative_plug_count(body: bytes, off: int, n: int) -> bytes:
+    header = json.dumps({"format": 1, "base": "box:2,2,2", "plugs": -1}).encode()
+    return struct.pack("<I", len(header)) + header + body[off:]
+
+
+def _negative_entry_count(body: bytes, off: int, n: int) -> bytes:
+    off += 8 * n
+    return body[:off] + struct.pack("<q", -1) + body[off + 8:]
+
+
+def _row_past_the_plugs(body: bytes, off: int, n: int) -> bytes:
+    # the first count triple's row index becomes n
+    off += 8 * n + 8
+    return body[:off] + struct.pack("<i", n) + body[off + 4:]
+
+
+# message: the error after the path where the reader's own check words it;
+# None where zlib, struct or numpy does, whose words vary with their versions
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: raw[:len(raw) // 2], None),
+    (lambda raw: raw[:8] + b"\x78\x9c" + b"\xff" * (len(raw) - 10), None),
+    (lambda raw: raw[:4], None),
+    (lambda raw: raw[:8] + zlib.compress(zlib.decompress(raw[8:]) + bytes(40)), None),
+    (lambda raw: _edit_cache_body(raw, _foreign_plugs), None),
+    (lambda raw: _edit_cache_body(raw, _repeated_entry), None),
+    (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "cache format 2 unsupported"),
+    (lambda raw: _edit_cache_body(raw, _negative_plug_count), "corrupt transfer cache: bad header"),
+    (lambda raw: _edit_cache_body(raw, _negative_entry_count),
+     "corrupt transfer cache: negative entry count -1"),
+    (lambda raw: _edit_cache_body(raw, _row_past_the_plugs),
+     "corrupt transfer cache: entry index outside 70 plugs"),
 ], ids=["half-length", "bad-zlib-body", "four-bytes", "trailing-bytes", "foreign-plugs",
-        "repeated-entry"])
-def test_cache_rejects_corrupt_file(tmp_path, corrupt):
+        "repeated-entry", "format-2", "negative-plug-count", "negative-entry-count",
+        "row-past-the-plugs"])
+def test_cache_rejects_corrupt_file(tmp_path, corrupt, message):
     path = tmp_path / "b222.dtrc"
     save_transfer_cache(get_transfer(B222), str(path))
     path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(TransferError):
+    with pytest.raises(TransferError) as err:
         load_transfer_cache(str(path))
+    if message is not None:
+        assert str(err.value) == f"{path}: {message}"
 
 
 def test_build_transfer_plug_cap():
@@ -479,19 +521,21 @@ def test_large_base_matrix_free_route():
 
 @pytest.mark.extended
 def test_twenty_four_cell_count_table_peak_memory(fresh_python):
-    # 2^24 int64 entries (128 MB) beside 2,704,156 plugs (158 MB before the
-    # table), filled in place through slice views: measured at 285.8-285.9 MB
-    # in six fresh runs with numpy 2.4 and Python 3.11, 34 MB under the bound.
-    # With black and white projections of every plug built eagerly it peaked
-    # at 343.5 MB; the expansion along the lowest black cell, through subset
-    # lists and gathers, at 395 MB, and the scalar expansion into a list at 470 MB
+    # 2^24 int64 entries (128 MB) beside 2,704,156 plugs held once, as a 22 MB
+    # int64 array, filled in place through slice views: measured at
+    # 178.8-179.1 MB in six fresh runs with numpy 2.4 and Python 3.11, 51 MB
+    # under the bound.  With the plugs also kept as a list of Python ints
+    # (about 104 MB) it peaked at 286.1-286.4 MB; with black and white
+    # projections of every plug built eagerly at 343.5 MB; the expansion
+    # along the lowest black cell, through subset lists and gathers, at
+    # 395 MB, and the scalar expansion into a list at 470 MB
     (values,), peak_mb = fresh_python(
         "from dominotwist.regions import make_box\n"
         "from dominotwist.transfer import TransferMatrices\n"
         "table = TransferMatrices(make_box((4, 6))).count_table\n"
         "print(int(table[-1]), int(table.sum()))\n")
     assert values == "281 1453535"  # the 4x6 tilings; all tilings of its cell subsets
-    assert peak_mb < 320, f"4x6 count table peaked at {peak_mb:.0f} MB"
+    assert peak_mb < 230, f"4x6 count table peaked at {peak_mb:.0f} MB"
 
 
 # ------------------------------------------------ lumped symmetry-orbit engine
@@ -560,7 +604,7 @@ def reference_few_vertical(base, max_floors: int, max_bound: int) -> list[list[i
     floors, from the unlumped rows of A split by p | q = full into a sharp
     and a vertical matrix, layer m holding the tilings with m vertical floors."""
     tm = get_transfer(base)
-    a, plugs = tm.rows_count, np.array(tm.plugs)
+    a, plugs = tm.rows_count, tm.plugs
     rows = a.row_ids()
     vertical = (plugs[rows] | plugs[a.cols]) == (1 << len(base.cells)) - 1
 
