@@ -33,7 +33,7 @@ from .regions import (DEFAULT_BUDGET, Region, build_spec, make_box, parse_region
 from .tilings import (Tiling, _is_int_cell, check_packed_cells, count_tilings, tiling_from_json_obj,
                       tiling_from_text)
 
-DIRECTION_GLYPHS = ("[]", "nu", "fb", "ws")  # in-floor axes 0..3
+DIRECTION_GLYPHS = ("[]", "nu", "fb", "ws")  # in-floor axes 0..3, the most render draws
 FLOOR_GLYPHS = "UD"  # partner above / below
 
 
@@ -100,8 +100,8 @@ def _read_tiling(args, path: str) -> Tiling:
 
 def _parse_path_arg(args, text: str):
     """The hamiltonian.HamiltonianPath of a path argument: 'box:<dims>' for
-    the serpentine path, or a JSON file holding {"region": <spec>,
-    "cells": <ordered cell list>}."""
+    the serpentine path, or a JSON file holding {"version": 1, "region":
+    <spec>, "cells": <ordered cell list>}."""
     from . import hamiltonian as ham
     if text.startswith("box:"):
         dims = read_spec(text)[1]
@@ -111,6 +111,8 @@ def _parse_path_arg(args, text: str):
     if not isinstance(obj, dict) or not isinstance(obj.get("region"), str):
         raise ham.HamiltonianError("path object needs a 'region' spec string")
     _name_region(args, obj["region"].strip())
+    if obj.get("version") != 1:
+        raise ham.HamiltonianError("expected a path object with version 1")
     cells = obj.get("cells")
     if not isinstance(cells, list) or not all(map(_is_int_cell, cells)):
         raise ham.HamiltonianError(
@@ -323,16 +325,19 @@ def _cell_glyph(region: Region, t: Tiling, i: int) -> str:
     up = b[axis] > a[axis]
     if axis == region.dim - 1:
         return FLOOR_GLYPHS[0 if up else 1]
-    pair = DIRECTION_GLYPHS[axis % len(DIRECTION_GLYPHS)]
-    return pair[0 if up else 1]
+    return DIRECTION_GLYPHS[axis][0 if up else 1]
 
 
 def render_tiling(t: Tiling) -> str:
     """ASCII rendering, one block per floor (last axis), rows by the second
     axis, columns by the first; extra middle axes become labeled slices.
     Each cell shows where its partner lies: [] nu fb ws pairs in-floor,
-    U/D for the floor above/below, '.' for cells outside the region."""
+    U/D for the floor above/below, '.' for cells outside the region.  A
+    region of more than four in-floor axes has no glyphs and is refused."""
     region = t.region
+    if region.dim - 1 > len(DIRECTION_GLYPHS):
+        raise ValueError(f"render draws at most {len(DIRECTION_GLYPHS)} in-floor axes,"
+                         f" the region has {region.dim - 1}")
     index = region.index
     if not region.cells:
         return "(empty region)\n"

@@ -127,7 +127,7 @@ def path_domino_cells(path: HamiltonianPath, d: tuple[int, int]) -> tuple[Cell, 
     i_minus, i_plus = d
     m = len(path)
     if not (1 <= i_minus < i_plus <= m):
-        raise HamiltonianError(f"positions {d} out of range 1..{m}")
+        raise HamiltonianError(f"positions {d} must satisfy 1 <= i < j <= {m}")
     lo, hi = path.cells[i_minus - 1], path.cells[i_plus - 1]
     if sum(abs(x - y) for x, y in zip(lo, hi)) != 1:
         raise HamiltonianError(f"path positions {d} are not adjacent base cells")
@@ -174,17 +174,16 @@ def _flux(path: HamiltonianPath, d: tuple[int, int], plug: int) -> tuple[int, in
 
 def compatible_plugs(path: HamiltonianPath, d: tuple[int, int]) -> list[int]:
     """The plugs of the path's region that avoid both cells of d, ascending:
-    every listed plug is balanced, so d is checked once and only its two
-    cells are tested."""
+    d is checked first, once, and as every listed plug is balanced only its
+    two cells are tested."""
+    lo, hi = path_domino_cells(path, d)
     base = path.region
     if len(base.cells) > MAX_FLUX_BASE_CELLS:
         raise HamiltonianError(
             f"plug enumeration for flux is capped at {MAX_FLUX_BASE_CELLS}"
             f" base cells, got {len(base.cells)}")
-    plugs = enumerate_plugs(base)
-    lo, hi = path_domino_cells(path, d)
     cells = 1 << base.index[lo] | 1 << base.index[hi]
-    return [p for p in plugs if not p & cells]
+    return [p for p in enumerate_plugs(base) if not p & cells]
 
 
 def flux_set(path: HamiltonianPath, d: tuple[int, int]) -> set[tuple[int, int, int]]:

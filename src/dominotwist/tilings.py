@@ -220,7 +220,9 @@ def partner_matrix(region: Region) -> np.ndarray:
     table, its top floor another) and every row expands into its options in
     that order, so rows come out in ascending byte order with no sort.
     Options whose up-plug cannot be completed in the layers above are pruned
-    before the expansion.  A cell matched down holds -1 in the table and
+    through an index of live plugs per layer, built top down (a plug lives
+    when an option reaches a live plug of the layer above; above the top,
+    only plug 0 does).  A cell matched down holds -1 in the table and
     gets its least neighbour, the cell below, when the layer's kept
     segments are joined.  Each layer keeps one (parent row, option) pair
     per row; one walk back from the top layer writes the columns.
@@ -243,32 +245,29 @@ def partner_matrix(region: Region) -> np.ndarray:
         full = (1 << stop - start) - 1
         levels.append({u: options(full ^ u) for u in plugs})
         plugs = {v for _, ups in levels[-1].values() for v in ups}
-    alive = {0}
-    tables = []
+    # per layer: live plug -> its index; above the top layer only plug 0 lives
+    index = [{0: 0}]
     for level in reversed(levels):
-        plugs, keep = [], []
-        for u, (seg, ups) in level.items():
-            k = [i for i, v in enumerate(ups) if v in alive]
-            if k:
-                plugs.append(u)
-                keep.append((seg[k], [ups[i] for i in k]))
-        tables.append((plugs, keep))
-        alive = set(plugs)
-    tables.reverse()
-    if not tables[0][0]:
+        up = index[-1]
+        live = (u for u, (_, ups) in level.items() if any(v in up for v in ups))
+        index.append({u: i for i, u in enumerate(live)})
+    index.reverse()
+    if not index[0]:
         return np.empty((0, n), dtype=np.uint8, order="F")
     # per layer: option segments (cells x options), first option and count
     # per plug index, and the next layer's plug index of each option
     links = []
     below = np.array([nb[0] if nb else 0 for nb in nbrs], dtype=np.int16)  # least neighbour
     state = np.zeros(1, dtype=np.int32)  # layer-0 plug index (plug 0) per row
-    for k, ((_, keep), (start, stop)) in enumerate(zip(tables, layers)):
-        nxt = {v: i for i, v in enumerate(tables[k + 1][0])} if k + 1 < len(tables) else {0: 0}
-        seg = np.concatenate([s for s, _ in keep])
-        seg = np.where(seg < 0, below[start:stop], seg + start)  # -1: matched down
-        count = np.array([len(s) for s, _ in keep], dtype=np.int32)
+    for level, live, up, (start, stop) in zip(levels, index, index[1:], layers):
+        options = [level[u] for u in live]
+        to = np.array([up.get(v, -1) for _, ups in options for v in ups], dtype=np.int32)
+        kept = to >= 0  # options whose up-plug is live
+        sizes = np.array([len(ups) for _, ups in options])
+        count = np.add.reduceat(kept, np.cumsum(sizes) - sizes, dtype=np.int32)
         first = (np.cumsum(count) - count).astype(np.int32)
-        to = np.array([nxt[v] for _, ups in keep for v in ups], dtype=np.int32)
+        to, seg = to[kept], np.concatenate([s for s, _ in options])[kept]
+        seg = np.where(seg < 0, below[start:stop], seg + start)  # -1: matched down
         c = count[state]
         parent = np.repeat(np.arange(len(state), dtype=np.int32), c)
         # a new row's option: its plug's first option plus its rank among its siblings

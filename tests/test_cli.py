@@ -410,6 +410,24 @@ def test_render_in_floor_glyphs(tmp_path):
     assert text == "floor 0\n  []\n  []\nfloor 1\n  []\n  []\n"
 
 
+def test_render_names_four_in_floor_axes_and_refuses_five(tmp_path):
+    # a domino along each region's last in-floor axis, on both floors
+    def along_last_in_floor_axis(dims):
+        region = make_box(dims)
+        lo, hi = [0] * len(dims), [0] * len(dims)
+        hi[-2] = 1
+        return Tiling.from_dominoes(region, [((*lo[:-1], h), (*hi[:-1], h)) for h in (0, 1)])
+
+    t = along_last_in_floor_axis((1, 1, 1, 2, 2))
+    code, out, _ = run_cli(["render", "--tiling", _write_tiling(tmp_path, "t5.txt", t)])
+    assert (code, out) == (0, "floor 0\n  [x2=0,x3=0]\n  w\n  [x2=0,x3=1]\n  s\n"
+                               "floor 1\n  [x2=0,x3=0]\n  w\n  [x2=0,x3=1]\n  s\n")
+    t = along_last_in_floor_axis((1, 1, 1, 1, 2, 2))
+    code, obj = run_json(["render", "--tiling", _write_tiling(tmp_path, "t6.txt", t)])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "box:1,1,1,1,2,2")
+    assert obj["payload"]["message"] == "render draws at most 4 in-floor axes, the region has 5"
+
+
 def test_json_output_deterministic():
     outs = set()
     for _ in range(2):
@@ -462,10 +480,10 @@ def test_malformed_json_tiling_is_error(tmp_path, obj):
 
 
 @pytest.mark.parametrize("obj", [
-    {"cells": []},
-    {"region": "box:2,2"},
-    {"region": "box:2,2", "cells": 3},
-    [{"region": "box:2,2", "cells": []}],
+    {"version": 1, "cells": []},
+    {"version": 1, "region": "box:2,2"},
+    {"version": 1, "region": "box:2,2", "cells": 3},
+    [{"version": 1, "region": "box:2,2", "cells": []}],
 ], ids=["no-region", "no-cells", "cells-not-list", "not-object"])
 def test_malformed_path_file_is_error(tmp_path, obj):
     f = tmp_path / "p.json"
@@ -474,6 +492,19 @@ def test_malformed_path_file_is_error(tmp_path, obj):
     assert code == 1
     assert json.loads(out)["status"] == "error"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("version", [7, None], ids=["version-7", "no-version"])
+def test_path_file_of_another_version_is_error(tmp_path, version):
+    # the serpentine path of box:2,2, refused as tiling files are
+    obj = {"region": "box:2,2", "cells": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+    if version is not None:
+        obj["version"] = version
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(obj))
+    code, obj = run_json(["flux", "--base", str(f)])
+    assert (code, obj["status"], obj["region"]) == (1, "error", "box:2,2")
+    assert obj["payload"]["message"] == "expected a path object with version 1"
 
 
 def test_error_result_names_the_region():
@@ -498,6 +529,18 @@ def test_flux_plug_needs_d():
     code, obj = run_json(["flux", "--base", "box:3,4", "--plug", "0x3"])
     assert (code, obj["status"], obj["region"]) == (1, "error", "box:3,4")
     assert obj["payload"]["message"] == "--plug needs --d"
+
+
+@pytest.mark.parametrize("base,d,message", [
+    ("box:3", "1,3", "path positions (1, 3) are not adjacent base cells"),
+    ("box:2,2", "4,1", "positions (4, 1) must satisfy 1 <= i < j <= 4"),
+    ("box:2,2", "0,3", "positions (0, 3) must satisfy 1 <= i < j <= 4"),
+    ("box:2,3", "1,2", "domino at (1, 2) respects the path"),
+], ids=["unbalanced-base", "reversed", "zero", "respecting"])
+def test_flux_checks_the_domino_before_listing_plugs(base, d, message):
+    code, obj = run_json(["flux", "--base", base, "--d", d])
+    assert (code, obj["status"], obj["region"]) == (1, "error", base)
+    assert obj["payload"]["message"] == message
 
 
 def test_path_json_of_an_unnamed_region_reads_back(tmp_path):

@@ -89,9 +89,9 @@ def files(tmp_path_factory):
         "path23.json": json.dumps(path_from_cells(
             make_box((2, 3)), [(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]).to_json_obj()),
         "path22.json": json.dumps(box_path((2, 2)).to_json_obj()),
-        "nocells.json": json.dumps({"region": "box:2,2"}),
+        "nocells.json": json.dumps({"version": 1, "region": "box:2,2"}),
         "list.json": json.dumps([1, 2]),
-        "badcells.json": json.dumps({"region": "box:2,2", "cells": [[0, 0]]}),
+        "badcells.json": json.dumps({"version": 1, "region": "box:2,2", "cells": [[0, 0]]}),
     }
     for name, text in texts.items():
         (d / name).write_text(text)
