@@ -571,8 +571,8 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def connected_with_padding(t0: Tiling, t1: Tiling, extra_floors: int,
                            budget: int = DEFAULT_BUDGET) -> Connectivity:
     """Append `extra_floors` vertical floors to both tilings, then test."""
-    if extra_floors % 2:
-        raise ValueError("padding must use an even number of floors")
+    if extra_floors % 2 or extra_floors < 0:
+        raise ValueError("padding must use a nonnegative even number of floors")
     if extra_floors == 0:  # any region, cylinder or not
         return flip_connected(t0, t1, budget)
     base, _ = as_cylinder(t0.region)

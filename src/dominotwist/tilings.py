@@ -9,8 +9,8 @@ number of partial tilings; enumerate_tilings walks the same choices depth
 first and yields Tilings lazily, at any size.  partner_matrix builds all of
 them at once, in the same order, as one states x cells uint8 matrix (up to
 255 cells), layer by layer (a layer: the cells that share a last
-coordinate).  Only partner_matrix and its helper use numpy, and they
-import it when called.
+coordinate), with one array sweep over each layer's cells.  Only
+partner_matrix and its helpers use numpy, and they import it when called.
 """
 
 from __future__ import annotations
@@ -212,20 +212,17 @@ def partner_matrix(region: Region) -> np.ndarray:
     layer is a run of labels that share a last coordinate, and a cell's
     only neighbours outside its layer are the cell below (its least
     neighbour) and the cell above.  Layer k of a tiling is a segment of the
-    partner vector, fixed by its plug u (the cells matched down into layer
-    k - 1) and an option: an up-plug v, the cells of layer k + 1 matched
-    down into it, plus a matching of the other cells in the layer.  Each
-    plug's options are sorted by segment (_layer_options, memoised per
-    layer shape and never written after: the floors of a cylinder read one
-    table, its top floor another) and every row expands into its options in
-    that order, so rows come out in ascending byte order with no sort.
-    Options whose up-plug cannot be completed in the layers above are pruned
-    through an index of live plugs per layer, built top down (a plug lives
-    when an option reaches a live plug of the layer above; above the top,
-    only plug 0 does).  A cell matched down holds -1 in the table and
-    gets its least neighbour, the cell below, when the layer's kept
-    segments are joined.  Each layer keeps one (parent row, option) pair
-    per row; one walk back from the top layer writes the columns.
+    partner vector, fixed by its plug (the cells matched down into layer
+    k - 1) and an option: partners for the other cells, in the layer or
+    above; the cells above so matched are the option's up-plug.  Going up,
+    _layer_options lists every plug's options, sorted by segment, and
+    _up_plugs numbers their up-plugs, the next layer's plugs (layer 0 has
+    one, the empty plug).  Going down, an option is kept when its up-plug
+    lives, and a plug lives when it keeps one; above the top layer only the
+    empty plug lives.  Going up again, every row expands into its plug's
+    kept options in order, so rows come out in ascending byte order with no
+    sort, and each layer keeps one (parent row, option) pair per row; one
+    walk back from the top layer writes the columns.
     """
     import numpy as np
 
@@ -235,39 +232,31 @@ def partner_matrix(region: Region) -> np.ndarray:
         return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")
     cells, nbrs = region.cells, region.neighbors
     starts = [i for i in range(n) if not i or cells[i][-1] != cells[i - 1][-1]]
-    layers = list(zip(starts, starts[1:] + [n]))  # label range of each layer
-    memos = {}  # layer shape -> its options
-    levels = []  # per layer: plug -> (segments, up-plugs) of its options
-    plugs = {0}
-    for start, stop in layers:
-        shape = tuple(tuple(j - start for j in nbrs[i] if j >= start) for i in range(start, stop))
-        options = memos.get(shape) or memos.setdefault(shape, _layer_options(shape))
-        full = (1 << stop - start) - 1
-        levels.append({u: options(full ^ u) for u in plugs})
-        plugs = {v for _, ups in levels[-1].values() for v in ups}
-    # per layer: live plug -> its index; above the top layer only plug 0 lives
-    index = [{0: 0}]
-    for level in reversed(levels):
-        up = index[-1]
-        live = (u for u, (_, ups) in level.items() if any(v in up for v in ups))
-        index.append({u: i for i, u in enumerate(live)})
-    index.reverse()
-    if not index[0]:
+    bounds = starts + [n, n]
+    layers = list(zip(starts, bounds[1:], bounds[2:]))  # labels of a layer and of the next
+    tables = []  # per layer: plug count, then the owner, segment and up-plug of each option
+    plugs = np.zeros((1, bounds[1]), dtype=bool)
+    for start, stop, top in layers:
+        owner, seg = _layer_options(nbrs, start, stop, plugs)
+        to, up = _up_plugs(seg, stop, top)
+        tables.append((len(plugs), owner, seg, to))
+        plugs = up
+    # going down: each layer's options whose up-plug lives, and each plug's
+    # count of them; above the top layer only the empty plug lives
+    live = np.ones(1, dtype=bool)
+    kept = []
+    for size, owner, _, to in reversed(tables):
+        keep = live[to]
+        count = np.bincount(owner[keep], minlength=size)
+        live = count > 0
+        kept.append((keep, count))
+    if not live[0]:
         return np.empty((0, n), dtype=np.uint8, order="F")
-    # per layer: option segments (cells x options), first option and count
-    # per plug index, and the next layer's plug index of each option
     links = []
-    below = np.array([nb[0] if nb else 0 for nb in nbrs], dtype=np.int16)  # least neighbour
-    state = np.zeros(1, dtype=np.int32)  # layer-0 plug index (plug 0) per row
-    for level, live, up, (start, stop) in zip(levels, index, index[1:], layers):
-        options = [level[u] for u in live]
-        to = np.array([up.get(v, -1) for _, ups in options for v in ups], dtype=np.int32)
-        kept = to >= 0  # options whose up-plug is live
-        sizes = np.array([len(ups) for _, ups in options])
-        count = np.add.reduceat(kept, np.cumsum(sizes) - sizes, dtype=np.int32)
+    state = np.zeros(1, dtype=np.int32)  # plug of each row, on layer 0 the empty one
+    for (_, _, seg, to), (keep, count) in zip(tables, reversed(kept)):
         first = (np.cumsum(count) - count).astype(np.int32)
-        to, seg = to[kept], np.concatenate([s for s, _ in options])[kept]
-        seg = np.where(seg < 0, below[start:stop], seg + start)  # -1: matched down
+        to, seg = to[keep], seg[keep]
         c = count[state]
         parent = np.repeat(np.arange(len(state), dtype=np.int32), c)
         # a new row's option: its plug's first option plus its rank among its siblings
@@ -275,10 +264,10 @@ def partner_matrix(region: Region) -> np.ndarray:
         opt += np.repeat(first[state] - (np.cumsum(c) - c).astype(np.int32), c)
         state = to[opt]
         links.append((np.ascontiguousarray(seg.T.astype(np.uint8)), parent, opt))
-    del state
+    del state, tables, kept, seg, to
     M = np.empty((len(links[-1][1]), n), dtype=np.uint8, order="F")
     at = None  # row of each tiling on the current layer; None: the tiling itself
-    for start, stop in reversed(layers):
+    for start, stop, _ in reversed(layers):
         seg, parent, opt = links.pop()
         if at is not None:
             opt = opt[at]
@@ -288,51 +277,60 @@ def partner_matrix(region: Region) -> np.ndarray:
     return M
 
 
-def _layer_options(shape: tuple[tuple[int, ...], ...]):
-    """options(m) -> (segments, up-plugs): the ways to cover the cells in
-    mask m of one layer, each matched to a neighbour in the layer or to the
-    cell above, sorted by segment.
+def _layer_options(nbrs, start: int, stop: int, plugs):
+    """(owner, segments): every option of every plug of the layer of labels
+    start to stop - 1, grouped by plug and sorted by segment.
 
-    shape[i] lists cell i's neighbours in or above the layer, ascending and
-    counted from the layer's first label: j < size is cell j of the layer,
-    j >= size the cell above, bit j - size of the up-plug.  A segment is an
-    int16 row over the layer's cells holding each partner counted the same
-    way, and -1 in the columns outside m.  Branching on the
-    lowest cell of m, partners ascending, gives segment order directly.
+    plugs is a plugs x cells bool matrix of the layer's cells matched down.
+    A segment is an int16 row over the layer's cells holding each cell's
+    partner label, the cell below for a cell matched down; option k
+    belongs to plug owner[k].  One sweep over the cells in label order: a
+    row whose cell i is still free (-1) is repeated into one child per
+    later free neighbour in the layer or the cell above, partners
+    ascending, and dies if it has none.  Children stay next to their
+    parent, so segment order comes out with no sort.
     """
     import numpy as np
 
-    size = len(shape)
-    memo: dict[int, tuple[np.ndarray, list[int]]] = {}
+    below = [nb[0] if nb else 0 for nb in nbrs[start:stop]]
+    seg = np.where(plugs, below, -1).astype(np.int16)
+    owner = np.arange(len(plugs), dtype=np.int32)
+    for i in range(start, stop):
+        later = [j for j in nbrs[i] if j > i]
+        free = seg[:, i - start] < 0
+        pick = np.empty((len(seg), len(later) + 1), dtype=bool)
+        pick[:, 0] = ~free  # a covered cell: the row goes on unchanged
+        for k, j in enumerate(later, 1):
+            pick[:, k] = free & (seg[:, j - start] < 0) if j < stop else free
+        rows, choice = np.nonzero(pick)  # row-major: children in partner order
+        owner, seg = owner[rows], seg[rows]
+        for k, j in enumerate(later, 1):
+            chosen = choice == k
+            seg[chosen, i - start] = j
+            if j < stop:
+                seg[chosen, j - start] = i
+    return owner, seg
 
-    def options(m: int):
-        got = memo.get(m)
-        if got is not None:
-            return got
-        if not m:
-            got = np.full((1, size), -1, dtype=np.int16), [0]
-        else:
-            low = m & -m
-            i = low.bit_length() - 1
-            m2 = m ^ low
-            segs, ups = [], []
-            for j in shape[i]:
-                if j < size and not m2 >> j & 1:
-                    continue
-                s, v = options(m2 ^ (1 << j) if j < size else m2)
-                s = s.copy()
-                s[:, i] = j
-                if j < size:
-                    s[:, j] = i
-                else:
-                    v = [x | 1 << (j - size) for x in v]
-                segs.append(s)
-                ups += v
-            got = (np.concatenate(segs) if segs else np.empty((0, size), dtype=np.int16)), ups
-        memo[m] = got
-        return got
 
-    return options
+def _up_plugs(seg, stop: int, top: int):
+    """(to, plugs): the number of each option's up-plug, and the up-plugs,
+    one bool row per number over the layer above (labels stop to top - 1).
+    Equal up-plugs match up the same cells of the layer, so one packbits
+    key per option over those cells, one lexsort and a run-start mask
+    number them."""
+    import numpy as np
+
+    key = np.packbits(seg >= stop, axis=1)
+    order = np.lexsort(key.T)
+    new = np.ones(len(order), dtype=bool)  # the first option of each up-plug in key order
+    new[1:] = np.any(key[order[1:]] != key[order[:-1]], axis=1)
+    to = np.empty(len(order), dtype=np.int32)
+    to[order] = np.cumsum(new) - 1
+    first = seg[order[new]]
+    plugs = np.zeros((len(first), top - stop), dtype=bool)
+    rows, cols = np.nonzero(first >= stop)
+    plugs[rows, first[rows, cols] - stop] = True
+    return to, plugs
 
 
 def count_tilings(region: Region) -> int:

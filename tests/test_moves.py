@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import tracemalloc
@@ -356,9 +357,9 @@ def test_partner_matrix_matches_reference_packer(spec):
 def test_partner_matrix_prunes_up_plugs_the_top_layer_rejects(fresh_python):
     # box:4,4,3 under two isolated cells: the top layer has no option, so
     # no plug of any layer is live and no row is built.  Peaks at about
-    # 96 MB (ten fresh runs, numpy 2.4, Python 3.11); with the pruning
+    # 101 MB (ten fresh runs, numpy 2.4, Python 3.11); with the pruning
     # deleted, so that rows die only where their plug has no option, at
-    # about 539 MB, and with one layer of look-ahead at about 209 MB
+    # about 538 MB, and with one layer of look-ahead at about 169 MB
     (shape,), peak_mb = fresh_python(
         "from dominotwist.regions import Region, make_box\n"
         "from dominotwist.tilings import partner_matrix\n"
@@ -366,6 +367,18 @@ def test_partner_matrix_prunes_up_plugs_the_top_layer_rejects(fresh_python):
         "print(partner_matrix(Region(3, cells)).shape)\n")
     assert shape == "(0, 50)"
     assert peak_mb < 160, f"partner_matrix peaked at {peak_mb:.0f} MB"
+
+
+def test_partner_matrix_pins_the_eighteen_cell_layers():
+    # cyl:2,3,3xN=2: 30,092 plugs above the first layer, more than any
+    # packer case; the digest is of the column-major bytes
+    P = partner_matrix(parse_region_spec("cyl:2,3,3xN=2"))
+    assert P.shape == (862112, 36) and P.dtype == np.uint8 and P.flags.f_contiguous
+    differ = P[1:] != P[:-1]
+    assert differ.any(axis=1).all()
+    rows, first = np.arange(len(differ)), differ.argmax(axis=1)
+    assert (P[1:][rows, first] > P[:-1][rows, first]).all()  # ascending as bytes
+    assert hashlib.md5(P.tobytes(order="F")).hexdigest() == "d469d216bc4e02c076466d41264f439e"
 
 
 @st.composite
@@ -856,8 +869,10 @@ def test_connected_with_padding_zero_floors_on_any_region():
 def test_connected_with_padding_rejects_odd():
     r = make_box((2, 2, 2))
     ts = list(enumerate_tilings(r))
-    with pytest.raises(ValueError):
-        connected_with_padding(ts[0], ts[1], 3)
+    # refused before any padded region is built, negative counts included
+    for floors in (3, -2):
+        with pytest.raises(ValueError, match="padding must use a nonnegative even number of floors"):
+            connected_with_padding(ts[0], ts[1], floors)
 
 
 def test_padded_merge_search_finds_certificate():
