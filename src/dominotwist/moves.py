@@ -14,9 +14,15 @@ searches.
 
 The census (flip_components) runs over all tilings at once: the states x
 cells uint8 matrix of tilings.partner_matrix, kept as the report's states,
-flip edges found a group of unit squares at a time and merged into min
-labels (hooking, pointer jumping) before the next group, and one twist
-per component, read from its representative.  It needs no key: the rows
+labelled in two phases, and one twist per component, read from its
+representative.  A flip on a unit square inside one layer (the cells that
+share a last coordinate) swaps one of the layer's options for another of
+the same plugs, so phase 1 merges those flips once per layer, on the
+options, while the matrix is built, and gives each row the least row of
+its class (tilings._layered_tilings).  Phase 2 (_label_components) finds
+the flips on the squares that span two layers, a group of squares at a
+time, and merges them into min labels (hooking, pointer jumping) over the
+classes' roots before the next group.  Neither phase needs a key: the rows
 are sorted, and a flip keeps the order of the rows it applies to, so the
 k-th row on one side of a square flips to the k-th row on the other.
 
@@ -51,7 +57,8 @@ import numpy as np
 
 from .kasteleyn import twist, twist_batch
 from .regions import DEFAULT_BUDGET, Region
-from .tilings import Tiling, as_cylinder, check_packed_cells, concat, partner_matrix, vertical_tiling
+from .tilings import (Tiling, _flip_pairs, _layered_tilings, _merge_pairs, as_cylinder,
+                      check_packed_cells, concat, vertical_tiling)
 
 # frontier keys decoded per chunk of an _expand level: on the cli
 # benchmark's cyl:2,2,2xN=6 padding pair (2 cores, numpy 2.4, medians of
@@ -59,9 +66,13 @@ from .tilings import Tiling, as_cylinder, check_packed_cells, concat, partner_ma
 # in 0.43 s, 1 << 13 at 42.7 MB in 0.32 s, 1 << 14 at 45.4 MB in 0.28 s,
 # 1 << 15 at 50.6 MB in 0.27 s and 1 << 16 at 70.6 MB in 0.34 s
 FRONTIER_CHUNK = 1 << 14
-# unit squares per census group: on cyl:2,2,2xN=5 groups of 8, 16 and 32
-# took the same time, at peaks of 289, 358 and 442 MB
-SQUARE_GROUP = 8
+# unit squares that span two layers per census group: for groups of 1, 2,
+# 4, 8 and 16 the kernel alone (medians of seven in one process, 2 cores,
+# numpy 2.4) took 149, 149, 159, 172 and 148 ms on cyl:2,2,3xN=3 and 0.73,
+# 0.71, 0.84, 0.90 and 0.97 s on cyl:2,2,2xN=5, and flip_components in
+# fresh processes peaked at 80.5, 80.5, 80.5, 85.4 and 97.4 MB and at
+# 275.5, 275.5, 275.9, 284.2 and 342.6 MB
+SQUARE_GROUP = 2
 
 
 class Connectivity(Enum):
@@ -181,12 +192,15 @@ class ComponentReport:
     states is the states x cells uint8 matrix of partner_matrix: every
     tiling, one row each, in ascending byte order; state(i) is row i as
     packed bytes.  The census pairs flip neighbours by their rank in that
-    order, and its labels are state ids, so a component's smallest id is
-    its representative, its smallest state.  components are sorted by size
-    descending, then by representative bytes; comp_of[i] is the component
-    id of state i; twists[i] is its twist, computed on first read (None
-    with no states); flip_edges counts the edges of the whole flip graph,
-    each flip once.  The census has no budget, so complete is always true
+    order, in two phases: the flips on squares inside one layer on the
+    layer's options, while the states are built, and the flips on squares
+    that span two layers on the states.  Its labels are state ids, so a
+    component's smallest id is its representative, its smallest state.
+    components are sorted by size descending, then by representative
+    bytes; comp_of[i] is the component id of state i; twists[i] is its
+    twist, computed on first read (None with no states); flip_edges counts
+    the edges of the whole flip graph, each flip once, the two phases'
+    counts summed.  The census has no budget, so complete is always true
     and visited is the number of states.
     """
 
@@ -348,23 +362,22 @@ def _key_words(region: Region, table: np.ndarray, P: np.ndarray) -> np.ndarray:
     return words
 
 
-def _label_components(region: Region, P: np.ndarray) -> tuple[np.ndarray, int]:
+def _label_components(P: np.ndarray, squares, lab: np.ndarray) -> tuple[np.ndarray, int]:
     """Smallest state id of each state's component, and the number of flip
-    edges, by min-label hooking with pointer jumping (Shiloach-Vishkin).
-    No array of all edges is built: the edges of SQUARE_GROUP unit squares
-    are merged into the labels before the next group is found.
+    edges on `squares`, by min-label hooking with pointer jumping
+    (Shiloach-Vishkin), starting from labels `lab` (each state's smallest
+    state id under flips already merged; np.arange for none).  No array of
+    all edges is built: the edges of SQUARE_GROUP unit squares are merged
+    into the labels before the next group is found.
 
     Labels are state ids, that is row numbers of P, whose rows are distinct
-    and in ascending byte order.  An edge is found once per square
-    (a, b, c, d): s are the rows that pair a-b and c-d, t the rows that pair
-    a-c and b-d.  The flip from s to t changes only columns a, b, c and d,
-    which hold the same values on every row of s and on every row of t, so
-    it keeps the rows' order: row s[k] flips to row t[k].  Every flip
-    neighbour of a state must be a state, so s and t have the same length.
+    and in ascending byte order.  Hooking runs on the roots of `lab`, in
+    ascending order, numbered 0, 1, ...: a compact root space.  An edge is
+    found once per square (_flip_pairs): row s[k] flips to row t[k].
 
     Per square, the pairs whose end labels differ are kept.  With the pairs
     carried from the previous group, each hooks its larger root onto the
-    smaller (np.minimum.at); then pointers jump, and the pairs whose roots
+    smaller, then pointers jump (_merge_pairs), and the pairs whose roots
     still differ are carried on, past the last group until none is left.
     This is sound:
     - every label is a root when a group starts and nothing is hooked while
@@ -372,56 +385,50 @@ def _label_components(region: Region, P: np.ndarray) -> tuple[np.ndarray, int]:
     - a hook only ever overwrites a root's own pointer;
     - a pair whose hook lost to a smaller one still has differing roots,
       so it is carried;
-    - labels only decrease, so each ends as its component's smallest
-      state id.
+    - labels only decrease, and roots are numbered in ascending order, so
+      each ends as its component's smallest state id.
     """
-    squares = region.squares
-    lab = np.arange(len(P), dtype=np.int32)
-    u = v = lab[:0]  # the pairs (u[k], v[k]) of differing roots carried on
+    is_root = lab == np.arange(len(lab))
+    roots = np.flatnonzero(is_root).astype(np.int32)
+    root_of = (np.cumsum(is_root, dtype=np.int32) - 1)[lab]  # each state's root, compact
+    del is_root
+    clab = np.arange(len(roots), dtype=np.int32)
+    u = v = clab[:0]  # the pairs (u[k], v[k]) of differing roots carried on
     edges, lo = 0, 0
     while lo < len(squares) or len(u):
         us, vs = [u], [v]
-        for a, b, c, d in squares[lo:lo + SQUARE_GROUP]:
-            s = np.flatnonzero((P[:, a] == b) & (P[:, c] == d))
-            t = np.flatnonzero((P[:, a] == c) & (P[:, b] == d))
-            if len(s) != len(t):
-                raise RuntimeError("a flip neighbour is missing from the states")
+        for square in squares[lo:lo + SQUARE_GROUP]:
+            s, t = _flip_pairs(P, square)
             edges += len(s)
-            s, t = lab[s], lab[t]
+            s, t = clab[root_of[s]], clab[root_of[t]]
             keep = s != t
             us.append(s[keep])
             vs.append(t[keep])
         lo += SQUARE_GROUP
         u, v = np.concatenate(us), np.concatenate(vs)
         del us, vs
-        np.minimum.at(lab, np.maximum(u, v), np.minimum(u, v))
-        lab = _jump(lab)
-        u, v = lab[u], lab[v]
-        keep = u != v
-        u, v = u[keep], v[keep]
-    return lab, edges
-
-
-def _jump(lab: np.ndarray) -> np.ndarray:
-    """Pointer jumping: follow labels until every label is a root."""
-    while True:
-        jumped = lab[lab]
-        if np.array_equal(jumped, lab):
-            return lab
-        lab = jumped
+        clab, u, v = _merge_pairs(clab, u, v)
+    return roots[clab][root_of], edges
 
 
 def flip_components(region: Region) -> ComponentReport:
     """Census of the flip graph: enumerate all tilings, label all
     components at once and read each component's twist from its
-    representative (flips preserve the twist)."""
+    representative (flips preserve the twist).
+
+    The flips inside single layers are merged while the tilings are built
+    (_layered_tilings); the flips on squares that span two layers are
+    merged here, from those labels (_label_components)."""
     # in ascending byte order, so a component's smallest state id is its
     # smallest state
-    P = partner_matrix(region)
+    P, lab, flip_edges = _layered_tilings(region)
     m = len(P)
     if not m:
         return ComponentReport(region, P, [], [], 0)
-    lab, flip_edges = _label_components(region, P)
+    cells = region.cells
+    lab, more = _label_components(
+        P, [q for q in region.squares if cells[q[0]][-1] != cells[q[3]][-1]], lab)
+    flip_edges += more
     roots, sizes = np.unique(lab, return_counts=True)
     raw = sorted(zip(sizes.tolist(), roots.tolist()), key=lambda c: (-c[0], c[1]))
     reps = [root for _, root in raw]
@@ -429,7 +436,11 @@ def flip_components(region: Region) -> ComponentReport:
     cid[reps] = np.arange(len(raw))
     twists = twist_batch(region, P[reps]).tolist()
     components = [Component(size, tw, P[root].tobytes()) for (size, root), tw in zip(raw, twists)]
-    return ComponentReport(region, P, components, cid[lab].tolist(), flip_edges)
+    # the state-sized temporaries are freed before the long-lived list is
+    # allocated, so that it does not pin their freed memory in the heap
+    comp_of = cid[lab]
+    del cid, lab
+    return ComponentReport(region, P, components, comp_of.tolist(), flip_edges)
 
 
 def flip_connected(t0: Tiling, t1: Tiling, budget: int = DEFAULT_BUDGET) -> Connectivity:

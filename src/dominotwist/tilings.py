@@ -9,8 +9,10 @@ number of partial tilings; enumerate_tilings walks the same choices depth
 first and yields Tilings lazily, at any size.  partner_matrix builds all of
 them at once, in the same order, as one states x cells uint8 matrix (up to
 255 cells), layer by layer (a layer: the cells that share a last
-coordinate), with one array sweep over each layer's cells.  Only
-partner_matrix and its helpers use numpy, and they import it when called.
+coordinate), with one array sweep over each layer's cells; on the way it
+merges the flips inside each layer on the layer's options, which gives the
+flip census its first labels (_layered_tilings).  Only partner_matrix and
+its helpers use numpy, and they import it when called.
 """
 
 from __future__ import annotations
@@ -224,12 +226,34 @@ def partner_matrix(region: Region) -> np.ndarray:
     sort, and each layer keeps one (parent row, option) pair per row; one
     walk back from the top layer writes the columns.
     """
+    return _layered_tilings(region)[0]
+
+
+def _layered_tilings(region: Region):
+    """(M, lab, flips): partner_matrix's matrix M, the smallest row lab[i]
+    that row i reaches by flips inside single layers, and the number of
+    those flip edges, each flip once.
+
+    A flip on a unit square inside layer k swaps the row's layer-k option
+    o for an option o' of the same plug and up-plug, so the rows under
+    (row, o) map one to one, in order, onto the rows under (row, o').  Each
+    layer's kept options are merged by those flips (_layer_flips) into the
+    least option rho of their class.  The class of a row on layer k is the
+    product of its parent's class and its option's, whose least member is
+    the child (lab[parent], rho[option]), as rows are in lexicographic
+    (parent, option) order; so lab is carried up the expansion by a few
+    gathers per layer.  A flip edge from option o counts once per tiling
+    through o: the rows below with o's plug times the completions above
+    o's up-plug, counted going down as floats, which are exact as long as
+    the rows fit in memory.
+    """
     import numpy as np
 
     n = len(region.cells)
     check_packed_cells(n)
     if not region.balanced or not n:
-        return np.empty((0 if n else 1, n), dtype=np.uint8, order="F")
+        m = 0 if n else 1
+        return np.empty((m, n), dtype=np.uint8, order="F"), np.zeros(m, dtype=np.int32), 0
     cells, nbrs = region.cells, region.neighbors
     starts = [i for i in range(n) if not i or cells[i][-1] != cells[i - 1][-1]]
     bounds = starts + [n, n]
@@ -241,31 +265,44 @@ def partner_matrix(region: Region) -> np.ndarray:
         to, up = _up_plugs(seg, stop, top)
         tables.append((len(plugs), owner, seg, to))
         plugs = up
-    # going down: each layer's options whose up-plug lives, and each plug's
-    # count of them; above the top layer only the empty plug lives
-    live = np.ones(1, dtype=bool)
+    # going down: each layer's options whose up-plug lives, each plug's
+    # count of them, and the completions above each up-plug; above the top
+    # layer only the empty plug lives, with one completion
+    ways = np.ones(1)
     kept = []
     for size, owner, _, to in reversed(tables):
-        keep = live[to]
-        count = np.bincount(owner[keep], minlength=size)
-        live = count > 0
-        kept.append((keep, count))
-    if not live[0]:
-        return np.empty((0, n), dtype=np.uint8, order="F")
+        above = ways[to]
+        keep = above > 0
+        kept.append((keep, np.bincount(owner[keep], minlength=size), ways))
+        ways = np.bincount(owner, weights=above, minlength=size)
+    if not ways[0]:
+        return np.empty((0, n), dtype=np.uint8, order="F"), np.zeros(0, dtype=np.int32), 0
     links = []
     state = np.zeros(1, dtype=np.int32)  # plug of each row, on layer 0 the empty one
-    for (_, _, seg, to), (keep, count) in zip(tables, reversed(kept)):
+    lab = np.zeros(1, dtype=np.int32)  # least row of each row's class
+    flips = 0
+    for (start, stop, _), (_, owner, seg, to), (keep, count, ways) in zip(
+            layers, tables, reversed(kept)):
         first = (np.cumsum(count) - count).astype(np.int32)
-        to, seg = to[keep], seg[keep]
+        owner, to = owner[keep], to[keep]
+        seg = np.ascontiguousarray(seg[keep].T.astype(np.uint8))  # a row per cell
+        rho, s = _layer_flips(seg.T, start, [q for q in region.squares
+                                             if start <= q[0] and q[3] < stop])
+        times = np.bincount(state, minlength=len(count))[owner[s]] * ways[to[s]]
+        flips += int(times.sum())
         c = count[state]
+        base = (np.cumsum(c) - c).astype(np.int32)  # each row's first child
         parent = np.repeat(np.arange(len(state), dtype=np.int32), c)
         # a new row's option: its plug's first option plus its rank among its siblings
         opt = np.arange(len(parent), dtype=np.int32)
-        opt += np.repeat(first[state] - (np.cumsum(c) - c).astype(np.int32), c)
+        first = first[state]
+        opt += np.repeat(first - base, c)
+        lab = np.repeat(base[lab] - first, c)
+        lab += rho[opt]
         state = to[opt]
-        links.append((np.ascontiguousarray(seg.T.astype(np.uint8)), parent, opt))
-    del state, tables, kept, seg, to
-    M = np.empty((len(links[-1][1]), n), dtype=np.uint8, order="F")
+        links.append((seg, parent, opt))
+    del state, tables, kept, seg, to, owner, c, base, first, rho, s, times
+    M = np.empty((len(lab), n), dtype=np.uint8, order="F")
     at = None  # row of each tiling on the current layer; None: the tiling itself
     for start, stop, _ in reversed(layers):
         seg, parent, opt = links.pop()
@@ -274,7 +311,69 @@ def partner_matrix(region: Region) -> np.ndarray:
         np.take(seg, opt, axis=1, out=M[:, start:stop].T, mode="clip")
         at = parent if at is None else parent[at]
         del seg, parent, opt
-    return M
+    return M, lab, flips
+
+
+def _layer_flips(seg, start: int, squares):
+    """(rho, s): the least option rho[k] that option k reaches by flips on
+    `squares`, unit squares inside the layer whose first label is start,
+    and the options those flips leave from, once per square.
+
+    seg holds the options' segments, grouped by plug and ascending within
+    a plug (_layer_options).  A flip keeps the option's plug and the order
+    within it, so the flips of a square pair the options as they pair rows
+    (_flip_pairs), and the pairs merge into min labels (_merge_pairs)."""
+    import numpy as np
+
+    rho = np.arange(len(seg), dtype=np.int32)
+    pairs = [_flip_pairs(seg, q, start) for q in squares]
+    s = np.concatenate([rho[:0]] + [s for s, _ in pairs])
+    u, v = s, np.concatenate([rho[:0]] + [t for _, t in pairs])
+    while len(u):
+        rho, u, v = _merge_pairs(rho, u, v)
+    return rho, s
+
+
+def _flip_pairs(P, square, first: int = 0):
+    """(s, t): the rows of P that pair a-b and c-d on the unit square
+    (a, b, c, d), and the rows that pair a-c and b-d; column x - first
+    holds cell x's partner label.
+
+    The flip from s to t changes only the square's four columns, which
+    hold the same values on every row of s and on every row of t, so it
+    keeps the order of rows that are in ascending byte order: row s[k]
+    flips to row t[k].  Every flip neighbour of a row must be a row, so s
+    and t have the same length."""
+    import numpy as np
+
+    a, b, c, d = square
+    s = np.flatnonzero((P[:, a - first] == b) & (P[:, c - first] == d))
+    t = np.flatnonzero((P[:, a - first] == c) & (P[:, b - first] == d))
+    if len(s) != len(t):
+        raise RuntimeError("a flip neighbour is missing from the states")
+    return s, t
+
+
+def _merge_pairs(lab, u, v):
+    """(lab, u, v): one round of min-label hooking with pointer jumping
+    (Shiloach-Vishkin) over the pairs (u[k], v[k]) of roots of lab, and
+    the pairs whose roots still differ after it.
+
+    Each pair hooks its larger root onto the smaller (np.minimum.at); a
+    hook only ever overwrites a root's own pointer, and a pair whose hook
+    lost to a smaller one still has differing roots, so it is returned.
+    Then pointers jump until every label is a root."""
+    import numpy as np
+
+    np.minimum.at(lab, np.maximum(u, v), np.minimum(u, v))
+    while True:
+        jumped = lab[lab]
+        if np.array_equal(jumped, lab):
+            break
+        lab = jumped
+    u, v = lab[u], lab[v]
+    keep = u != v
+    return lab, u[keep], v[keep]
 
 
 def _layer_options(nbrs, start: int, stop: int, plugs):

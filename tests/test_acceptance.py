@@ -155,6 +155,7 @@ def _assert_flip_edges_twist_equal(tc) -> int:
         for nb in flip_neighbors_bytes(s, squares):
             assert twist_of[nb] == tw
             half_edges += 1
+    assert half_edges == 2 * rep.flip_edges
     return half_edges // 2
 
 

@@ -39,6 +39,7 @@ from dominotwist.tilings import (
     count_tilings,
     decompose_floors,
     enumerate_tilings,
+    _layered_tilings,
     partner_matrix,
     tiling_from_text,
     vertical_tiling,
@@ -277,10 +278,12 @@ CENSUS_CASES = ["box:2,2,3", "box:3,3,2", "box:4,4", "box:2,8", "box:2,2,2,2",
 # at the default group size ids end in "-None", so that every case keeps
 # the name it has in earlier test reports.  One square's flip edges form a
 # matching, so one square per group carries almost no pair.  Labels are
-# state ids; at four squares per group every case with tilings but box:2,8
+# state ids; the groups hold the squares that span two layers, and at the
+# default two squares per group every case with tilings but box:2,8
 # carries pairs whose roots still differ into a later group, summed over
-# the groups: 6 on box:2,2,3, 160 on box:3,3,2, 10 on box:4,4, 140 on
-# box:2,2,2,2 and 4,213 on cyl:2,2,2xN=3
+# the groups: 4 on box:2,2,3, 26 on box:3,3,2, 10 on box:4,4, 41 on
+# box:2,2,2,2 and 1,167 on cyl:2,2,2xN=3 (at four: 0, 111, 10, 86 and
+# 2,427)
 @pytest.mark.parametrize(("spec", "group"),
                          [(s, moves.SQUARE_GROUP) for s in CENSUS_CASES]
                          + [(s, 4) for s in CENSUS_CASES],
@@ -317,7 +320,7 @@ def test_census_refuses_states_missing_a_flip_neighbour(row):
     region = parse_region_spec("cyl:2,2,2xN=3")
     P = np.asfortranarray(np.delete(partner_matrix(region), row, axis=0))
     with pytest.raises(RuntimeError, match="a flip neighbour is missing from the states"):
-        moves._label_components(region, P)
+        moves._label_components(P, region.squares, np.arange(len(P)))
 
 
 PACKER_CASES = sorted(set(CENSUS_CASES) | {
@@ -335,6 +338,34 @@ ODD_REGIONS = {
     # up-plug that matches both down can be completed, the others are pruned
     "capped": lambda: Region(3, list(make_box((4, 4, 2)).cells) + [(0, 0, 2), (2, 1, 2)]),
 }
+
+
+@pytest.mark.parametrize("spec", CENSUS_CASES + ["cyl:2,2,3xN=3"])
+def test_layer_flips_merge_as_the_kernel_does(spec):
+    # the labels and edge count of the flips inside single layers, merged
+    # on the layers' options while the tilings are built, against the
+    # kernel run over every row on the squares inside one layer
+    region = parse_region_spec(spec)
+    P, lab, edges = _layered_tilings(region)
+    cells = region.cells
+    inside = [q for q in region.squares if cells[q[0]][-1] == cells[q[3]][-1]]
+    want, want_edges = moves._label_components(P, inside, np.arange(len(P)))
+    assert np.array_equal(lab, want)
+    assert edges == want_edges
+    if spec == "cyl:2,2,3xN=3":
+        assert (len(inside), len(region.squares)) == (33, 73)
+        assert (len(np.unique(lab)), edges) == (32633, 2524432)
+
+
+# layers with a gap between them, at negative heights, of one cell each, a
+# single layer with no square, the odd bases of the packer cases and the
+# corks' partial layers
+@pytest.mark.parametrize("spec", ["gapped", "negative", "box:8", "box:6,1",
+                                  "cyl:3,3xN=2", "cyl:2,5xN=3"]
+                         + [s for s in PACKER_CASES if s.startswith("cork:")])
+def test_census_on_odd_layers(spec):
+    region = ODD_REGIONS[spec]() if spec in ODD_REGIONS else parse_region_spec(spec)
+    assert_same_report(flip_components(region), reference_components(region))
 
 
 @pytest.mark.parametrize("spec", PACKER_CASES + list(ODD_REGIONS))
